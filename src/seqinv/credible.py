@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import optimize, special, stats
 
 from .model import ForwardSpec, PriorSpec, gain
 from .posterior import Functional, _shrink
@@ -34,6 +34,24 @@ from .util import (
 )
 
 _MC_CHUNK = 8192
+
+# Imhof inversion (see _WeightedChiSquare)
+_IMHOF_NODES = 16         # Gauss-Legendre nodes per panel
+_IMHOF_PHASE = 1.0        # A(u) leaves its chord by at most this on a panel
+_IMHOF_DECAY = 1.0        # log rho(u) grows by at most this on a panel
+_IMHOF_TAIL = 1e-10       # bound on the CDF error of cutting the integral
+_IMHOF_ROOT_RTOL = 1e-13  # relative tolerance of the quantile root search
+_SERIES_EDGE = 0.1        # coordinates with lam * u below this: power series
+_SERIES_TERMS = 8         # truncation error <= _SERIES_EDGE^19 per coordinate
+_BLOCK = 1 << 18          # coordinates x points evaluated per block
+
+_GL_T, _GL_W = np.polynomial.legendre.leggauss(_IMHOF_NODES)
+# node values -> Legendre coefficients a_k = (k+1/2) sum_m w_m P_k(t_m) f_m
+_LEG_PROJECT = ((np.arange(_IMHOF_NODES) + 0.5)[:, None]
+                * np.polynomial.legendre.legvander(_GL_T, _IMHOF_NODES - 1).T
+                * _GL_W)
+# int_{-1}^{1} P_k(t) exp(-i z t) dt = 2 (-i)^k j_k(z)
+_LEG_MOMENT = 2.0 * (-1j) ** np.arange(_IMHOF_NODES)
 
 
 @dataclass(frozen=True)
@@ -123,32 +141,198 @@ def _chi_bar_quantile_mc(weights: np.ndarray, prob: float, mc_samples: int,
     return float(np.quantile(draws, prob))
 
 
+def _imhof_sums(lam: np.ndarray, u: np.ndarray):
+    """Coordinate sums of the Imhof integrand at the points u > 0.
+
+    Returns A = 1/2 sum atan(lam u), its derivative 1/2 sum lam/(1+lam^2 u^2),
+    log rho = 1/4 sum log(1+lam^2 u^2) and
+    beta = 1/2 sum lam^2 u^2/(1+lam^2 u^2), one value per point. Coordinates
+    with lam * max(u) >= _SERIES_EDGE are summed in blocks; the others enter
+    through power series in lam u, formed as power sums of mu = lam * max(u)
+    times (u / max(u))^k so that no power of lam or of u alone is taken (those
+    underflow and overflow).
+    """
+    u = np.asarray(u, dtype=float)
+    u_max = float(u.max())
+    mu = lam * u_max
+    small = mu < _SERIES_EDGE
+    out = np.zeros((4, u.size))
+    big = lam[~small]
+    step = max(1, _BLOCK // u.size)
+    for lo in range(0, big.size, step):
+        blk = big[lo:lo + step, None]
+        v = blk * u
+        v2 = v * v
+        out[0] += np.arctan(v).sum(axis=0)
+        out[1] += (blk / (1.0 + v2)).sum(axis=0)
+        out[2] += np.log1p(v2).sum(axis=0)
+        out[3] += (v2 / (1.0 + v2)).sum(axis=0)
+    mu = mu[small]
+    if mu.size:
+        t = u / u_max
+        power = mu.copy()
+        for k in range(1, 2 * _SERIES_TERMS + 2):
+            s_k = float(power.sum())
+            m = k // 2
+            if k % 2:   # atan v and v/(1+v^2): (-1)^m v^(2m+1) terms
+                sign = -1.0 if m % 2 else 1.0
+                out[0] += (sign * s_k / k) * t ** k
+                out[1] += (sign * s_k / u_max) * t ** (k - 1)
+            else:       # log1p(v^2) and v^2/(1+v^2): (-1)^(m+1) v^(2m) terms
+                sign = 1.0 if m % 2 else -1.0
+                t_k = t ** k
+                out[2] += (sign * s_k / m) * t_k
+                out[3] += (sign * s_k) * t_k
+            power *= mu
+    return 0.5 * out[0], 0.5 * out[1], 0.25 * out[2], 0.5 * out[3]
+
+
+class _WeightedChiSquare:
+    """Law of Q = sum_j w_j Z_j^2 (w_j >= 0, not all 0) by Imhof's inversion.
+
+    With lam = w / max(w) and x in those units (Imhof, Biometrika 48, 1961)
+
+        P(Q <= x) = 1/2 - (1/pi) int_0^inf sin(A(u) - x u/2) / (u rho(u)) du,
+
+    A and log rho as in _imhof_sums. The integral is cut at U, where
+    log rho(u) >= log rho(U) + beta(U) log(u/U) bounds the rest by
+    exp(-log rho(U)) / (pi beta(U)) <= _IMHOF_TAIL. [0, U] is split into
+    panels that double in width from 1/||lam||_2, each cut evenly until A
+    leaves its chord (slope s) by at most _IMHOF_PHASE (A is concave, so the
+    gap is at most width * (A'(a) - A'(b)) / 4) and log rho grows by at most
+    _IMHOF_DECAY. On a panel the x-free factor exp(i(A(u) - s u))/(u rho(u))
+    is then smooth; it is tabulated once as a Legendre series from
+    Gauss-Legendre values, and the x-dependent factor exp(-i(x/2 - s)u) is
+    integrated against each Legendre polynomial exactly (a Filon-type rule),
+    so a CDF value costs O(panels x nodes) however fast it oscillates. On the
+    first panel [0, b] the 1/u pole is split off and integrated in closed
+    form, as the sine integral Si((x/2 - s) b).
+    """
+
+    def __init__(self, weights: np.ndarray):
+        w = np.asarray(weights, dtype=float)
+        w = w[w > 0]
+        self.scale = float(w.max())
+        lam = w / self.scale
+        self.mean = float(lam.sum())
+        self.sd = math.sqrt(2.0 * float((lam * lam).sum()))
+        u = math.sqrt(2.0) / self.sd
+        edges = [0.0, u]
+        while True:
+            _, _, log_rho, beta = _imhof_sums(lam, np.array([u]))
+            self.tail = math.exp(-log_rho[0]) / (math.pi * beta[0])
+            if self.tail <= _IMHOF_TAIL:
+                break
+            u *= 2.0
+            edges.append(u)
+        edges = np.array(edges)
+        _, d_a, log_rho, _ = _imhof_sums(lam, edges[1:])
+        d_a = np.concatenate(([0.5 * self.mean], d_a))
+        log_rho = np.concatenate(([0.0], log_rho))
+        width = np.diff(edges)
+        pieces = np.ceil(np.maximum.reduce([
+            np.ones_like(width),
+            width * (d_a[:-1] - d_a[1:]) / (4.0 * _IMHOF_PHASE),
+            np.diff(log_rho) / _IMHOF_DECAY])).astype(int)
+        cuts = np.concatenate(
+            [np.linspace(a, b, k, endpoint=False)
+             for a, b, k in zip(edges[:-1], edges[1:], pieces)] + [edges[-1:]])
+        self.center = 0.5 * (cuts[1:] + cuts[:-1])
+        self.half = 0.5 * (cuts[1:] - cuts[:-1])
+        nodes = self.center[:, None] + self.half[:, None] * _GL_T
+        panels = self.center.size
+        a, _, log_rho, _ = _imhof_sums(
+            lam, np.concatenate((cuts[1:], nodes.ravel())))
+        a_cut = np.concatenate(([0.0], a[:panels]))
+        self.slope = np.diff(a_cut) / (2.0 * self.half)
+        phase = a[panels:].reshape(panels, -1) - self.slope[:, None] * nodes
+        z = 1j * phase - log_rho[panels:].reshape(panels, -1)
+        f = np.exp(z)
+        f[0] = np.expm1(z[0])
+        f /= nodes
+        coef = (f[:, None, :] * _LEG_PROJECT).sum(axis=2)
+        self.moments = coef * _LEG_MOMENT * self.half[:, None]
+
+    def cdf(self, x: float) -> float:
+        """P(Q <= x), x in the units of lam (weights / max weight)."""
+        nu = 0.5 * x - self.slope
+        z = nu * self.half
+        j = special.spherical_jn(np.arange(_IMHOF_NODES), np.abs(z)[:, None])
+        j[:, 1::2] *= np.sign(z)[:, None]   # j_k(-z) = (-1)^k j_k(z)
+        panel = (self.moments * j).sum(axis=1) * np.exp(-1j * nu * self.center)
+        integral = float(panel.imag.sum()) \
+            - float(special.sici(2.0 * z[0])[0])
+        return 0.5 - integral / math.pi
+
+    def quantile(self, prob: float) -> tuple[float, float]:
+        """x with P(Q <= x) = prob, in the units of w, and its error bound.
+
+        The bound adds the root tolerance to the cut-off's CDF error divided
+        by the density (a central difference of the CDF).
+        """
+        m, sd = self.mean, self.sd
+        # Cantelli's inequality puts the quantile inside [lo, hi]
+        lo = max(0.0, m - sd * math.sqrt((1.0 - prob) / prob))
+        hi = m + sd * math.sqrt(prob / (1.0 - prob))
+        f_lo = self.cdf(lo) - prob
+        f_hi = self.cdf(hi) - prob
+        xtol = _IMHOF_ROOT_RTOL * hi
+        if f_lo >= 0.0:
+            x = lo
+        elif f_hi <= 0.0:
+            x = hi
+        else:
+            x = optimize.brentq(lambda v: self.cdf(v) - prob, lo, hi,
+                                xtol=xtol, rtol=_IMHOF_ROOT_RTOL)
+        below, above = max(x - 1e-4 * sd, 0.0), x + 1e-4 * sd
+        density = (self.cdf(above) - self.cdf(below)) / (above - below)
+        err = xtol + _IMHOF_ROOT_RTOL * x + self.tail / max(density, 1e-300)
+        return x * self.scale, err * self.scale
+
+
 def ball_radius(w: EigenWeights, gamma: float, method: str = "monte-carlo",
-                mc_samples: int = 200_000, seed: int = 0) -> float:
+                mc_samples: int = 200_000, seed: int = 0,
+                full_output: bool = False):
     """Radius r with P(sum_i s_i Z_i^2 <= r^2) = 1 - gamma.
 
     method "monte-carlo" (default): empirical quantile with a fixed seed.
+    method "imhof": exact inversion of the weighted chi-square law (Imhof
+    1961); its error bound is near 1e-10 relative or below. mc_samples and
+    seed are not used.
     method "satterthwaite": moment-matched scaled chi-square, for use as a
     cross-check, not as the primary path.
+
+    With full_output the result is (r, abserr): abserr bounds |r - exact r|
+    from the integral's cut-off and the root tolerance for "imhof", and is
+    None for the other methods.
     """
     if not (0.0 < gamma < 1.0):
         raise ValueError("gamma must lie in (0, 1)")
     s = w.s_w
+    abserr = None
     if not np.any(s > 0):
         warnings.warn("all-zero spread weights; radius degenerates to 0")
-        return 0.0
-    if method == "monte-carlo":
+        r = 0.0
+    elif method == "monte-carlo":
         if mc_samples < 10_000:
             raise ValueError("mc_samples must be at least 10_000")
-        r_sq = _chi_bar_quantile_mc(s, 1.0 - gamma, int(mc_samples), seed)
-        return math.sqrt(r_sq)
-    if method == "satterthwaite":
+        r = math.sqrt(_chi_bar_quantile_mc(s, 1.0 - gamma, int(mc_samples),
+                                           seed))
+    elif method == "imhof":
+        r_sq, r_sq_err = _WeightedChiSquare(s).quantile(1.0 - gamma)
+        r = math.sqrt(r_sq)
+        # r - sqrt(r^2 - err), the larger side of the error, without cancelling
+        lower = math.sqrt(max(r_sq - r_sq_err, 0.0))
+        abserr = r_sq_err / (r + lower) if r > 0 else math.sqrt(r_sq_err)
+    elif method == "satterthwaite":
         m1 = stable_sum(s)
         m2 = stable_sum(s * s)
         scale = m2 / m1
         dof = m1 * m1 / m2
-        return math.sqrt(scale * stats.chi2.ppf(1.0 - gamma, dof))
-    raise ValueError(f"unknown method {method!r}")
+        r = math.sqrt(scale * stats.chi2.ppf(1.0 - gamma, dof))
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return (r, abserr) if full_output else r
 
 
 def ball_coverage(w: EigenWeights, bias, r: float, method: str = "monte-carlo",
@@ -210,27 +394,22 @@ def interval_coverage(bias: float, s_n: float, t_n: float, gamma: float) -> floa
 def _tv_centered_normals(s: float, t: float) -> float:
     """TV distance between N(0, s^2) and N(0, t^2), in [0, 1].
 
-    Adaptive quadrature of |p - q|/2 on [-10 max(s,t), 10 max(s,t)]; the
-    integrand's kinks at the density crossings are passed as break points.
+    For sds lo < hi the densities cross at +-x*, and the distance is
+    2 (Phi(x*/lo) - Phi(x*/hi)) = erfc(x*/(hi sqrt 2)) - erfc(x*/(lo sqrt 2)).
+    Both arguments depend only on rho = lo/hi through
+    x*/lo = sqrt(2 log(1/rho) / (1 - rho^2)) and x*/hi = rho x*/lo, so the
+    result is scale-free; d = (hi - lo)/hi keeps rho -> 1 accurate.
     """
     if s == t:
         return 0.0
-    lo_sd, hi_sd = (s, t) if s < t else (t, s)
-    lim = 10.0 * hi_sd
-    # densities cross at x^2 = 2 log(hi/lo) * lo^2 hi^2 / (hi^2 - lo^2)
-    x_star = math.sqrt(2.0 * math.log(hi_sd / lo_sd)
-                       * lo_sd ** 2 * hi_sd ** 2 / (hi_sd ** 2 - lo_sd ** 2))
-
-    c_s = 1.0 / (s * math.sqrt(2.0 * math.pi))
-    c_t = 1.0 / (t * math.sqrt(2.0 * math.pi))
-
-    def absdiff(x: float) -> float:
-        return abs(c_s * math.exp(-0.5 * (x / s) ** 2)
-                   - c_t * math.exp(-0.5 * (x / t) ** 2))
-
-    val, _ = integrate.quad(absdiff, -lim, lim, epsabs=1e-8, limit=200,
-                            points=(-x_star, x_star))
-    return 0.5 * float(val)
+    lo, hi = sorted((s, t))
+    rho = lo / hi
+    if rho == 0.0:
+        return 1.0
+    d = (hi - lo) / hi
+    log_inv = -math.log1p(-d) if d < 0.5 else -math.log(rho)
+    a = math.sqrt(2.0 * log_inv / (d * (2.0 - d)))
+    return math.erfc(rho * a / math.sqrt(2.0)) - math.erfc(a / math.sqrt(2.0))
 
 
 def bvm_diagnostics(prior: PriorSpec, fwd: ForwardSpec, l: Functional,

@@ -353,11 +353,13 @@ def rate_table(cfg: ExperimentConfig) -> ResultTable:
 def run_ball_coverage(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
     """Credible-ball radius and frequentist coverage per n.
 
-    replicates = coverage draws; mc_samples = radius-quantile draws. The
-    metadata carries the noise-quantile ratio diagnostics per n.
+    Both radii (credible and noise-only) are exact quantiles
+    (credible.ball_radius, method "imhof"), so mc_samples is not read;
+    replicates = coverage draws. The metadata carries, per n, the
+    noise-quantile ratio diagnostics, the radius method and the error
+    bounds of both radii.
     """
     rp = cfg.regime
-    diagnostics = []
 
     def cell(args):
         j, n = args
@@ -365,11 +367,10 @@ def run_ball_coverage(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
         prior = model.PriorSpec(alpha=rp.alpha, tau=rp.tau(n), trunc=trunc)
         fwd = _forward_for(cfg, trunc)
         w = credible.credible_weights(prior, fwd, n)
-        r = credible.ball_radius(w, cfg.gamma, mc_samples=cfg.mc_samples,
-                                 seed=child_seed(cfg.master_seed, j, 0))
-        r_noise = credible.ball_radius(w.noise_only(), cfg.gamma,
-                                       mc_samples=cfg.mc_samples,
-                                       seed=child_seed(cfg.master_seed, j, 1))
+        r, r_err = credible.ball_radius(w, cfg.gamma, method="imhof",
+                                        full_output=True)
+        r_noise, r_noise_err = credible.ball_radius(
+            w.noise_only(), cfg.gamma, method="imhof", full_output=True)
         truth = _truth_for(cfg, n, trunc, prior, fwd)
         bias = posterior.bias_coordinates(prior, fwd, truth, n)
         report = credible.ball_coverage(w, bias, r,
@@ -377,7 +378,9 @@ def run_ball_coverage(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
                                         seed=child_seed(cfg.master_seed, j, 2))
         diag = {"n": n, "noise_radius": r_noise,
                 "noise_radius_ratio": r_noise / r if r > 0 else math.inf,
-                "bias_norm_sq": float(stable_sum(bias * bias))}
+                "bias_norm_sq": float(stable_sum(bias * bias)),
+                "radius_method": "imhof", "radius_abserr": r_err,
+                "noise_radius_abserr": r_noise_err}
         row = (n, rp.alpha, rp.beta, rp.p, rp.tau(n), cfg.gamma, "ball",
                r, report.coverage, report.mc_stderr, report.method,
                seed_tag(cfg.master_seed, j))
@@ -607,10 +610,7 @@ def _load_config(args, kind: str) -> ExperimentConfig:
     if args.seed is not None:
         updates["master_seed"] = args.seed
     if updates:
-        try:
-            cfg = dataclasses.replace(cfg, **updates)
-        except ConfigError:
-            raise
+        cfg = dataclasses.replace(cfg, **updates)
     return cfg
 
 

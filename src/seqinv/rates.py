@@ -24,7 +24,13 @@ from scipy import optimize, special
 
 from .model import Truth
 from .posterior import Functional
-from .util import DegenerateInputError, RegimeError, TruncationError, stable_sum
+from .util import (
+    DegenerateInputError,
+    DimensionMismatchError,
+    RegimeError,
+    TruncationError,
+    stable_sum,
+)
 
 _EULER_GAMMA = float(np.euler_gamma)
 _EVAL_CHUNK = 1_000_000

@@ -11,6 +11,7 @@ from seqinv.credible import (
     CoverageReport,
     EigenWeights,
     _tv_centered_normals,
+    _WeightedChiSquare,
     ball_coverage,
     ball_radius,
     bvm_diagnostics,
@@ -121,6 +122,55 @@ def test_ball_radius_validation():
         assert ball_radius(zero, gamma=0.05) == 0.0
 
 
+def test_imhof_radius_chi_square_laws():
+    # One weight and equal weights are scaled chi-squares.
+    for weights, dof in (([2.0], 1), (np.full(7, 5.0), 7),
+                         (np.full(60, 0.3), 60)):
+        w = EigenWeights(s_w=weights, t_w=np.zeros(len(weights)), n=1.0)
+        for gamma in (0.01, 0.05, 0.5):
+            exact = weights[0] * stats.chi2.ppf(1.0 - gamma, dof)
+            r = ball_radius(w, gamma, method="imhof")
+            assert r * r == pytest.approx(exact, rel=1e-8)
+
+
+def test_imhof_radius_scales_with_weights():
+    w = _weights(trunc=800, n=1e5)
+    r, abserr = ball_radius(w, 0.05, method="imhof", full_output=True)
+    assert 0.0 < abserr <= 1e-8 * r
+    for c in (1e-150, 0.37, 3.0, 1e150):
+        scaled = EigenWeights(s_w=c * w.s_w, t_w=c * w.t_w, n=w.n)
+        assert ball_radius(scaled, 0.05, method="imhof") == pytest.approx(
+            math.sqrt(c) * r, rel=1e-12)
+
+
+def test_imhof_radius_matches_monte_carlo():
+    # Six standard errors of the empirical quantile, sqrt(p q / m) / density.
+    w = _weights(alpha=1.0, p=1.0, trunc=1000, n=1e5)
+    m = 20_000
+    r = ball_radius(w, 0.05, method="imhof")
+    r_mc = ball_radius(w, 0.05, mc_samples=m, seed=child_seed(8, 6))
+    law = _WeightedChiSquare(w.s_w)
+    x = r * r / law.scale
+    h = 1e-3 * law.sd
+    density = (law.cdf(x + h) - law.cdf(x - h)) / (2.0 * h) / law.scale
+    se_sq = math.sqrt(0.95 * 0.05 / m) / density
+    assert abs(r_mc * r_mc - r * r) <= 6.0 * se_sq
+
+
+def test_imhof_radius_extreme_weights_finite():
+    # A single dominant noise weight (integral cut far out), and 1e5
+    # coordinates with about 1e4 comparable weights.
+    for alpha, p, n, trunc in ((10.0, 2.0, 1e4, 500),
+                               (0.5, 0.0, 1e8, 100_000)):
+        w = _weights(alpha=alpha, p=p, n=n, trunc=trunc)
+        for ws in (w, w.noise_only()):
+            r, abserr = ball_radius(ws, 0.05, method="imhof", full_output=True)
+            assert math.isfinite(r) and r > 0.0
+            assert math.isfinite(abserr) and abserr <= 1e-8 * r
+            r_sat = ball_radius(ws, 0.05, method="satterthwaite")
+            assert r == pytest.approx(r_sat, rel=1e-3)
+
+
 def test_ball_coverage_self_consistency():
     # Radius calibrated on the sampling law itself covers at 1 - gamma.
     w = _weights(trunc=500, n=1e4)
@@ -201,6 +251,32 @@ def test_tv_matches_closed_form():
         closed = 2.0 * (stats.norm.cdf(x_star / lo) - stats.norm.cdf(x_star / hi))
         assert _tv_centered_normals(s, t) == pytest.approx(closed, abs=1e-10)
     assert _tv_centered_normals(1.3, 1.3) == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=st.floats(1e-3, 1e3), t=st.floats(1e-3, 1e3),
+       k=st.integers(-200, 200))
+def test_tv_scale_invariant(s, t, k):
+    assert _tv_centered_normals(s * 10.0 ** k, t * 10.0 ** k) == pytest.approx(
+        _tv_centered_normals(s, t), abs=1e-12)
+
+
+def test_tv_extreme_scales():
+    tv = _tv_centered_normals(1.0, 10.0)
+    assert _tv_centered_normals(1e-200, 1e-199) == pytest.approx(tv, abs=1e-15)
+    assert _tv_centered_normals(1e200, 1e199) == pytest.approx(tv, abs=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(-150, 150))
+def test_tv_accurate_at_ratio_1e_minus_4(k):
+    # Reference through the chi-square cdf: P(|X_lo| <= x*) - P(|X_hi| <= x*).
+    lo, hi = 1e-4 * 10.0 ** k, 10.0 ** k
+    rho = lo / hi
+    x_lo_sq = 2.0 * math.log(1.0 / rho) / (1.0 - rho * rho)
+    ref = stats.chi2.cdf(x_lo_sq, 1) - stats.chi2.cdf(rho * rho * x_lo_sq, 1)
+    assert _tv_centered_normals(lo, hi) == pytest.approx(ref, abs=1e-12)
+    assert _tv_centered_normals(hi, lo) == pytest.approx(ref, abs=1e-12)
 
 
 def test_bvm_diagnostics_basis_vector():

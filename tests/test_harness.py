@@ -233,7 +233,11 @@ def test_run_ball_coverage_small():
     assert row["coverage"] >= 1.0 - cfg.gamma - 3.0 * row["stderr"]
     diag = table.metadata["radius_diagnostics"][0]
     assert set(diag) == {"n", "noise_radius", "noise_radius_ratio",
-                         "bias_norm_sq"}
+                         "bias_norm_sq", "radius_method", "radius_abserr",
+                         "noise_radius_abserr"}
+    assert diag["radius_method"] == "imhof"
+    assert 0.0 < diag["radius_abserr"] <= 1e-8 * row["radius"]
+    assert 0.0 < diag["noise_radius_abserr"] <= 1e-8 * diag["noise_radius"]
     assert diag["bias_norm_sq"] == 0.0
     assert 0.0 < diag["noise_radius_ratio"] <= 1.0
 

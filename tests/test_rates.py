@@ -25,7 +25,12 @@ from seqinv.rates import (
     series_order_exponent,
     slowly_varying_corrections,
 )
-from seqinv.util import DegenerateInputError, RegimeError, TruncationError
+from seqinv.util import (
+    DegenerateInputError,
+    DimensionMismatchError,
+    RegimeError,
+    TruncationError,
+)
 
 
 def test_regime_params_validation():
@@ -334,6 +339,9 @@ def test_fixed_bias_validation():
     steep = Functional(coeffs=np.ones(trunc), q=6.0)
     with pytest.raises(RegimeError):
         fixed_bias_smallness_check(truth, steep, rp, (1e3, 1e4))
+    short = Functional(coeffs=np.ones(trunc - 1), q=0.0)
+    with pytest.raises(DimensionMismatchError):
+        fixed_bias_smallness_check(truth, short, rp, (1e3, 1e4))
 
 
 def test_sequence_family_and_slowly_varying_values():
