@@ -33,7 +33,8 @@ from .util import (
     stable_sum,
 )
 
-_MC_CHUNK = 8192
+_MC_CHUNK = 8192          # rows per keyed stream rng_for(seed, chunk)
+_MC_BLOCK = 1 << 20       # normals drawn at once (8 MB), whatever the trunc
 
 # Imhof inversion (see _WeightedChiSquare)
 _IMHOF_NODES = 16         # Gauss-Legendre nodes per panel
@@ -119,25 +120,39 @@ def credible_weights(prior: PriorSpec, fwd: ForwardSpec, n: float) -> EigenWeigh
     return EigenWeights(s_w=s, t_w=t, n=float(n))
 
 
+def _normal_blocks(seed, m: int, k: int):
+    """The m x k standard normals of a Monte Carlo run, in row blocks.
+
+    Chunk c (rows c*_MC_CHUNK onward) comes from the derived stream
+    rng_for(seed, c), so the numbers do not depend on how chunks are
+    scheduled. Each chunk is drawn in blocks of at most _MC_BLOCK elements
+    (one row at least): row-major draws split by rows are the same numbers,
+    so memory stays O(trunc) and results do not depend on the block size.
+    """
+    block_rows = max(1, _MC_BLOCK // k)
+    for chunk_idx, start in enumerate(range(0, m, _MC_CHUNK)):
+        rng = rng_for(seed, chunk_idx)
+        left = min(_MC_CHUNK, m - start)
+        while left:
+            rows = min(block_rows, left)
+            yield rng.standard_normal((rows, k))
+            left -= rows
+
+
 def _chi_bar_quantile_mc(weights: np.ndarray, prob: float, mc_samples: int,
                          seed) -> float:
     """Empirical `prob`-quantile of sum_i w_i Z_i^2.
 
-    Chunked with per-chunk derived streams in fixed order, so the result does
-    not depend on how the chunks are scheduled.
+    Each draw is a row sum (numpy's pairwise sum along the row), which,
+    unlike a BLAS matrix-vector product, does not depend on the block height.
     """
     draws = np.empty(mc_samples)
     pos = 0
-    chunk_idx = 0
-    k = weights.size
-    while pos < mc_samples:
-        rows = min(_MC_CHUNK, mc_samples - pos)
-        rng = rng_for(seed, chunk_idx)
-        z = rng.standard_normal((rows, k))
+    for z in _normal_blocks(seed, mc_samples, weights.size):
         np.square(z, out=z)
-        draws[pos:pos + rows] = z @ weights
-        pos += rows
-        chunk_idx += 1
+        z *= weights
+        draws[pos:pos + len(z)] = z.sum(axis=1)
+        pos += len(z)
     return float(np.quantile(draws, prob))
 
 
@@ -349,24 +364,17 @@ def ball_coverage(w: EigenWeights, bias, r: float, method: str = "monte-carlo",
     b = np.ascontiguousarray(bias, dtype=float).ravel()
     if b.size != w.trunc:
         raise DimensionMismatchError("bias length != weight length")
-    sd = np.sqrt(w.t_w)
-    r_sq = r * r
-    hits = 0
-    pos = 0
-    chunk_idx = 0
     m = int(mc_samples)
     if m < 1:
         raise ValueError("mc_samples must be positive")
-    while pos < m:
-        rows = min(_MC_CHUNK, m - pos)
-        rng = rng_for(seed, chunk_idx)
-        z = rng.standard_normal((rows, b.size))
+    sd = np.sqrt(w.t_w)
+    r_sq = r * r
+    hits = 0
+    for z in _normal_blocks(seed, m, b.size):
         z *= sd
         z += b
         np.square(z, out=z)
         hits += int(np.count_nonzero(z.sum(axis=1) <= r_sq))
-        pos += rows
-        chunk_idx += 1
     p_hat = hits / m
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / m)
     return CoverageReport(radius_or_halfwidth=float(r), coverage=p_hat,

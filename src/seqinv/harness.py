@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import credible, model, posterior, rates, volterra
-from .util import ConfigError, child_seed, seed_tag, stable_sum, write_csv
+from .util import ConfigError, child_seed, seed_tag, stable_sum, write_csv, \
+    write_manifest
 
 KINDS = ("contraction", "coverage-ball", "coverage-functional", "bvm",
          "volterra-demo", "lemma-order")
@@ -614,21 +615,6 @@ def _load_config(args, kind: str) -> ExperimentConfig:
     return cfg
 
 
-def _write_manifest(out_dir: Path, cfg: ExperimentConfig, started_at: str,
-                    wall: float) -> Path:
-    from . import __version__
-    manifest = {
-        "config": cfg.to_dict(),
-        "master_seed": cfg.master_seed,
-        "code_version": __version__,
-        "started_at": started_at,
-        "wall_seconds": wall,
-    }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def cli_main(argv=None) -> int:
     """Entry point; returns 0 on success, 2 on config errors, 1 otherwise."""
     parser = argparse.ArgumentParser(
@@ -671,8 +657,9 @@ def cli_main(argv=None) -> int:
                 target = out_dir / f"{args.command}_rates{suffix}"
                 paths.append(rt.to_json(target) if args.format == "json"
                              else rt.to_csv(target))
-            paths.append(_write_manifest(out_dir, cfg, started_at,
-                                         time.monotonic() - started))
+            paths.append(write_manifest(out_dir, cfg.to_dict(),
+                                        cfg.master_seed, started_at,
+                                        time.monotonic() - started))
         for path in paths:
             print(path)
         return 0

@@ -307,17 +307,35 @@ def spike_truth_ball(prior: PriorSpec, fwd: ForwardSpec, n: float, beta: float,
     return Truth(coeffs=coeffs, beta=float(beta))
 
 
+MAX_TRUNC = 10_000_000  # largest truncation default_trunc will hand out
+
+
 def default_trunc(n: float, alpha: float, p: float, tau: float = 1.0,
                   floor: int = 1000, factor: float = 10.0) -> int:
     """max(floor, ceil(factor * (n tau^2)^(1/(1+2 alpha+2p)))).
 
     Ten times the effective frequency keeps the truncated series tails
     negligible for the regimes used here; the floor keeps small-n runs honest.
+    Raises TruncationError when the result exceeds MAX_TRUNC (required_trunc
+    is the uncapped value) or is not finite (required_trunc is None).
     """
     if not (n > 0):
         raise ValueError("n must be positive")
-    rho = (n * tau ** 2) ** (1.0 / (1.0 + 2.0 * alpha + 2.0 * p))
-    return max(int(floor), int(math.ceil(factor * rho)))
+    try:
+        need = factor * (n * tau ** 2) ** (1.0 / (1.0 + 2.0 * alpha + 2.0 * p))
+    except (OverflowError, ZeroDivisionError):
+        need = math.inf
+    if not math.isfinite(need):
+        raise TruncationError(
+            f"default truncation for n={n:g}, tau={tau:g}, alpha={alpha:g}, "
+            f"p={p:g} is not finite", required_trunc=None)
+    trunc = max(int(floor), int(math.ceil(need)))
+    if trunc > MAX_TRUNC:
+        raise TruncationError(
+            f"default truncation exceeds the cap {MAX_TRUNC}: "
+            f"{factor:g} (n tau^2)^(1/(1+2 alpha+2p)) = {need:.3e}, "
+            f"floor {floor}", required_trunc=trunc)
+    return trunc
 
 
 # --- serialization ---------------------------------------------------------

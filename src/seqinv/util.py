@@ -110,14 +110,39 @@ def format_cell(value) -> str:
     return str(value)
 
 
+# csv.writer renders str as itself and float by repr, exactly as format_cell
+# does; only rows holding other types (numpy scalars, int, bool, None) need it.
+_NATIVE_CELLS = frozenset((str, float))
+
+
 def write_csv(path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([format_cell(v) for v in row])
+        writer.writerows(
+            row if _NATIVE_CELLS.issuperset(map(type, row))
+            else [format_cell(v) for v in row]
+            for row in rows)
+
+
+def write_manifest(out_dir, config: dict, master_seed: int, started_at: str,
+                   wall_seconds: float) -> Path:
+    """Write `out_dir/manifest.json`: the run's config echo and provenance."""
+    import json
+
+    from . import __version__
+    manifest = {
+        "config": config,
+        "master_seed": master_seed,
+        "code_version": __version__,
+        "started_at": started_at,
+        "wall_seconds": wall_seconds,
+    }
+    path = Path(out_dir) / "manifest.json"
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:

@@ -11,7 +11,6 @@ interval of the point-evaluation functional, not a simultaneous band.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 import warnings
@@ -25,7 +24,8 @@ from scipy import stats
 from .model import ForwardSpec, KappaKind, Observation, PriorSpec, \
     generate_observation, make_truth
 from .posterior import Functional, coordinate_posterior, posterior_draws
-from .util import ConfigError, DimensionMismatchError, child_seed, write_csv
+from .util import ConfigError, DimensionMismatchError, child_seed, \
+    write_csv, write_manifest
 
 
 def volterra_kappa(i) -> np.ndarray:
@@ -117,8 +117,12 @@ def synthesize(coeffs, xs) -> GridFunction:
     return GridFunction(xs=xs, values=c @ mat)
 
 
+_TAIL_REL_TOL = 1e-3
+
+
 def credible_band(prior: PriorSpec, fwd: ForwardSpec, obs: Observation,
-                  xs, gamma: float, tail_rel_tol: float = 1e-3) -> GridFunction:
+                  xs, gamma: float,
+                  tail_rel_tol: float = _TAIL_REL_TOL) -> GridFunction:
     """Posterior mean curve with a pointwise (1-gamma) credible band.
 
     At each x the posterior law of f(x) is N(sum m_i e_i(x), sum v_i e_i(x)^2);
@@ -132,7 +136,14 @@ def credible_band(prior: PriorSpec, fwd: ForwardSpec, obs: Observation,
         raise ValueError("gamma must lie in (0, 1)")
     summary = coordinate_posterior(prior, fwd, obs)
     xs = np.asarray(xs, dtype=float)
-    mat = _e_matrix(summary.trunc, xs)
+    center, lo, hi = _band(prior, summary, _e_matrix(summary.trunc, xs),
+                           gamma, tail_rel_tol)
+    return GridFunction(xs=xs, values=center, band_lo=lo, band_hi=hi)
+
+
+def _band(prior: PriorSpec, summary, mat: np.ndarray, gamma: float,
+          tail_rel_tol: float):
+    """(center, lo, hi) of the pointwise band; mat is the basis on the grid."""
     center = summary.mean @ mat
     var_curve = summary.var @ (mat * mat)
     # dropped coordinates contribute at most their prior variance, and the
@@ -148,8 +159,7 @@ def credible_band(prior: PriorSpec, fwd: ForwardSpec, obs: Observation,
             f"band variance (tolerance {tail_rel_tol:.0e}); increase trunc "
             "for quantitative band widths")
     half = -stats.norm.ppf(gamma / 2.0) * np.sqrt(var_curve)
-    return GridFunction(xs=xs, values=center,
-                        band_lo=center - half, band_hi=center + half)
+    return center, center - half, center + half
 
 
 @dataclass(frozen=True)
@@ -223,46 +233,31 @@ def figure_demo(config: DemoConfig) -> list[Path]:
     xs = np.linspace(0.0, 1.0, config.grid_points)
     fwd = ForwardSpec.volterra(config.trunc)
     truth = make_truth("demo", config.trunc)
-    truth_curve = synthesize(truth.coeffs, xs).values
+    mat = _e_matrix(config.trunc, xs)
+    truth_curve = truth.coeffs @ mat
 
     draw_cols = [f"draw_{k + 1}" for k in range(config.draws)]
     columns = ["panel", "x", "truth", "post_mean", "band_lo", "band_hi"] + draw_cols
-    mat = _e_matrix(config.trunc, xs)
     paths: list[Path] = []
     for rep in range(config.replicates):
         obs = generate_observation(child_seed(config.master_seed, rep),
                                   truth, fwd, config.n)
         for ai, alpha in enumerate(config.alphas):
             prior = PriorSpec(alpha=alpha, tau=config.tau, trunc=config.trunc)
-            band = credible_band(prior, fwd, obs, xs, config.gamma)
-            panel = f"r{rep + 1}_a{alpha:g}"
-            rows_extra = []
+            summary = coordinate_posterior(prior, fwd, obs)
+            center, lo, hi = _band(prior, summary, mat, config.gamma,
+                                   _TAIL_REL_TOL)
+            curves = []
             if config.draws:
-                summary = coordinate_posterior(prior, fwd, obs)
-                samples = posterior_draws(
+                curves = posterior_draws(
                     child_seed(config.master_seed, rep, ai + 1),
-                    summary, config.draws)
-                rows_extra = samples @ mat  # (draws, grid)
-            def rows():
-                for j, x in enumerate(xs):
-                    row = [panel, x, truth_curve[j], band.values[j],
-                           band.band_lo[j], band.band_hi[j]]
-                    if config.draws:
-                        row.extend(rows_extra[:, j])
-                    yield row
+                    summary, config.draws) @ mat  # (draws, grid)
+            block = np.column_stack([xs, truth_curve, center, lo, hi, *curves])
+            panel = f"r{rep + 1}_a{alpha:g}"
             path = out / f"panel_{panel}.csv"
-            write_csv(path, columns, rows())
+            write_csv(path, columns, ([panel, *row] for row in block.tolist()))
             paths.append(path)
 
-    from . import __version__
-    manifest = {
-        "config": config.to_dict(),
-        "master_seed": config.master_seed,
-        "code_version": __version__,
-        "started_at": started_at,
-        "wall_seconds": time.monotonic() - started,
-    }
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    paths.append(manifest_path)
+    paths.append(write_manifest(out, config.to_dict(), config.master_seed,
+                                started_at, time.monotonic() - started))
     return paths

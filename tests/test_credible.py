@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from seqinv import credible
 from seqinv.credible import (
     BvmDiagnostics,
     CoverageReport,
@@ -193,6 +195,34 @@ def test_ball_coverage_separation():
     bias[0] = math.sqrt(100.0 * total)
     report = ball_coverage(w, bias, r, mc_samples=20_000, seed=child_seed(8, 5))
     assert report.coverage <= 0.001
+
+
+def test_monte_carlo_does_not_depend_on_block_size(monkeypatch):
+    # 10000 draws span two keyed chunks; a tiny block budget splits every
+    # chunk into many row blocks (and single rows) of the same streams.
+    w = _weights(trunc=300, n=1e4)
+    bias = np.full(300, 1e-3)
+    r = ball_radius(w, 0.05, mc_samples=10_000, seed=child_seed(8, 7))
+    report = ball_coverage(w, bias, 0.9 * r, mc_samples=10_000,
+                           seed=child_seed(8, 8))
+    for budget in (1000, 1):
+        monkeypatch.setattr(credible, "_MC_BLOCK", budget)
+        assert ball_radius(w, 0.05, mc_samples=10_000,
+                           seed=child_seed(8, 7)) == r
+        assert ball_coverage(w, bias, 0.9 * r, mc_samples=10_000,
+                             seed=child_seed(8, 8)) == report
+
+
+def test_ball_coverage_memory_is_bounded():
+    # 2000 x 2e4 normals at once would be 320 MB.
+    w = _weights(trunc=20_000, n=1e4)
+    tracemalloc.start()
+    try:
+        ball_coverage(w, np.zeros(20_000), 1.0, mc_samples=2000, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 def test_ball_coverage_validation():

@@ -386,6 +386,28 @@ def test_cli_volterra_demo(tmp_path):
     assert "draws" in manifest["config"]
 
 
+def test_cli_manifests_share_keys(tmp_path):
+    # One writer serves the demo and the table runners.
+    assert cli_main(["volterra-demo", "--replicates", "1", "--out",
+                     str(tmp_path / "demo")]) == 0
+    assert cli_main(["lemma-order", "--n", "1e2", "--out",
+                     str(tmp_path / "lemma")]) == 0
+    keys = [set(json.loads((tmp_path / d / "manifest.json").read_text()))
+            for d in ("demo", "lemma")]
+    assert keys[0] == keys[1] == {"config", "master_seed", "code_version",
+                                  "started_at", "wall_seconds"}
+
+
+def test_cli_coverage_ball_truncation_cap(tmp_path, capsys):
+    # An auto truncation beyond the cap, or not finite, is a run-time error.
+    assert cli_main(["coverage-ball", "--n", "1e300", "--alpha", "0.01",
+                     "--p", "0", "--out", str(tmp_path / "a")]) == 1
+    assert "exceeds the cap" in capsys.readouterr().err
+    assert cli_main(["coverage-ball", "--n", "1e300", "--tau-exp", "1",
+                     "--out", str(tmp_path / "b")]) == 1
+    assert "not finite" in capsys.readouterr().err
+
+
 def test_cli_config_file_round_trip(tmp_path):
     cfg = ExperimentConfig(
         kind="lemma-order",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from seqinv.model import (
+    MAX_TRUNC,
     ForwardSpec,
     KappaKind,
     Observation,
@@ -233,6 +234,23 @@ def test_default_trunc():
     assert default_trunc(1e12, alpha=1.0, p=1.0, floor=5000) == 5000
     with pytest.raises(ValueError):
         default_trunc(0.0, alpha=1.0, p=1.0)
+
+
+def test_default_trunc_cap():
+    assert default_trunc(1e12, alpha=0.5, p=0.0) == 10_000_000
+    with pytest.raises(TruncationError) as err:
+        default_trunc(1e300, 0.01, 0.0)
+    assert err.value.required_trunc > MAX_TRUNC
+    with pytest.raises(TruncationError) as err:
+        default_trunc(1e12, alpha=0.5, p=0.0, factor=10.5)
+    assert err.value.required_trunc == 10_500_000
+    # n tau^2 overflows: no finite truncation exists.
+    with pytest.raises(TruncationError) as err:
+        default_trunc(1e300, 0.5, 0.0, tau=1e10)
+    assert err.value.required_trunc is None
+    with pytest.raises(TruncationError) as err:
+        default_trunc(1e10, 0.5, 0.0, tau=1e200)
+    assert err.value.required_trunc is None
 
 
 def test_indexed_series_round_trip(tmp_path):

@@ -1,3 +1,5 @@
+import csv
+import json
 import math
 
 import numpy as np
@@ -11,6 +13,7 @@ from seqinv.util import (
     seed_tag,
     stable_sum,
     write_csv,
+    write_manifest,
 )
 
 
@@ -85,3 +88,34 @@ def test_csv_round_trip(tmp_path):
     assert [int(r[0]) for r in out] == [1, 2]
     assert [float(r[1]) for r in out] == [0.1, 2.0 / 3.0]
     assert [r[2] for r in out] == ["x", "y"]
+
+
+def test_write_csv_matches_format_cell_reference(tmp_path):
+    # Native str/float rows bypass format_cell; every other row goes through
+    # it. Both must give the bytes of a format_cell-per-cell writer.
+    cells = [np.float64(0.1), np.int64(-7), np.bool_(True), np.bool_(False),
+             0.1, -7, True, False, float("nan"), float("inf"),
+             -float("inf"), -0.0, 5e-324, 1e16, 1.0 / 3.0, None,
+             "plain", "a,b", 'say "hi"', ""]
+    native = [0.1, float("nan"), float("inf"), -float("inf"), -0.0, 5e-324,
+              1e16, 2.0 / 3.0, "a,b", 'say "hi"', "x"]
+    rows = [cells, native, [np.float32(0.1), 3], [1e16, "q"]]
+    path = tmp_path / "fast.csv"
+    write_csv(path, ["c"], rows)
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["c"])
+        for row in rows:
+            writer.writerow([format_cell(v) for v in row])
+    assert path.read_bytes() == ref.read_bytes()
+
+
+def test_write_manifest_keys(tmp_path):
+    path = write_manifest(tmp_path, {"a": 1}, 5, "2020-01-01T00:00:00", 0.5)
+    assert path == tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    assert set(manifest) == {"config", "master_seed", "code_version",
+                             "started_at", "wall_seconds"}
+    assert manifest["config"] == {"a": 1}
+    assert manifest["master_seed"] == 5

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import warnings
@@ -12,11 +13,14 @@ from seqinv.model import (
     generate_observation,
     make_truth,
 )
-from seqinv.posterior import coordinate_posterior, functional_marginal
-from seqinv.util import ConfigError, DimensionMismatchError, child_seed
+from seqinv.posterior import coordinate_posterior, functional_marginal, \
+    posterior_draws
+from seqinv.util import ConfigError, DimensionMismatchError, child_seed, \
+    format_cell
 from seqinv.volterra import (
     DemoConfig,
     GridFunction,
+    _e_matrix,
     basis_e,
     basis_f,
     credible_band,
@@ -268,3 +272,41 @@ def test_figure_demo_band_widths_order(tmp_path):
         cells = [line.split(",") for line in lines]
         widths[name] = np.mean([float(c[5]) - float(c[4]) for c in cells])
     assert widths["panel_r1_a1.csv"] > widths["panel_r1_a5.csv"]
+
+
+def test_figure_demo_panels_match_public_reference(tmp_path):
+    # The panel path shares one basis and one posterior per panel; its bytes
+    # must equal panels built from the public band, synthesis and draw calls
+    # with every cell formatted by format_cell.
+    cfg = DemoConfig(n=1000.0, alphas=(1.0, 5.0), replicates=2,
+                     master_seed=17, grid_points=51, draws=3, trunc=200,
+                     out_dir=str(tmp_path / "demo"))
+    figure_demo(cfg)
+    xs = np.linspace(0.0, 1.0, cfg.grid_points)
+    fwd = ForwardSpec.volterra(cfg.trunc)
+    truth = make_truth("demo", cfg.trunc)
+    truth_curve = synthesize(truth.coeffs, xs).values
+    header = ["panel", "x", "truth", "post_mean", "band_lo", "band_hi",
+              "draw_1", "draw_2", "draw_3"]
+    for rep in range(cfg.replicates):
+        obs = generate_observation(child_seed(cfg.master_seed, rep), truth,
+                                   fwd, cfg.n)
+        for ai, alpha in enumerate(cfg.alphas):
+            prior = PriorSpec(alpha=alpha, tau=cfg.tau, trunc=cfg.trunc)
+            band = credible_band(prior, fwd, obs, xs, cfg.gamma)
+            samples = posterior_draws(child_seed(cfg.master_seed, rep, ai + 1),
+                                      coordinate_posterior(prior, fwd, obs),
+                                      cfg.draws)
+            curves = samples @ _e_matrix(cfg.trunc, xs)
+            panel = f"r{rep + 1}_a{alpha:g}"
+            ref = tmp_path / f"ref_{panel}.csv"
+            with open(ref, "w", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                for j, x in enumerate(xs):
+                    row = [panel, x, truth_curve[j], band.values[j],
+                           band.band_lo[j], band.band_hi[j]]
+                    row += [c[j] for c in curves]
+                    writer.writerow([format_cell(v) for v in row])
+            assert (tmp_path / "demo" / f"panel_{panel}.csv").read_bytes() \
+                == ref.read_bytes()
