@@ -71,6 +71,7 @@ from .rates import (
     RateTerms,
     RegimeParams,
     SequenceFamily,
+    SeriesDiagnostics,
     SlowlyVarying,
     contraction_exponents,
     contraction_rate,

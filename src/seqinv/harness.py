@@ -460,31 +460,40 @@ def run_bvm(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
 
 
 def run_lemma_order(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
-    """Normalized series values across the N grid for each (q,t,u,v) combo."""
+    """Normalized series values across the N grid for each (q,t,u,v) combo.
+
+    The metadata's series_diagnostics has one entry per row: how the value
+    was evaluated (method, head terms, zeta terms, remainder bound).
+    """
     combos = cfg.extras.get("combos", list(DEFAULT_LEMMA_COMBOS))
     cells = []
     for combo in combos:
+        q, t, u, v = (float(combo[k]) for k in ("q", "t", "u", "v"))
+        on_sup = (t + 2.0 * q) / u < v
+        limit_value = None if on_sup else rates.series_limit_value(
+            rates.SequenceFamily(q=q), t, u, v)
         for n_val in cfg.n_grid:
-            cells.append((dict(combo), float(n_val)))
+            cells.append(((q, t, u, v), float(n_val), limit_value))
 
     def cell(args):
-        combo, big_n = args
-        q, t, u, v = (float(combo[k]) for k in ("q", "t", "u", "v"))
-        fam = rates.SequenceFamily(q=q)
-        value = rates.series_lemma_sum_auto(fam, t, u, v, big_n)
+        (q, t, u, v), big_n, limit_value = args
+        value, diag = rates.series_lemma_sum_auto(
+            rates.SequenceFamily(q=q), t, u, v, big_n, full_output=True)
         order = rates.series_order_exponent(q, t, u, v)
         ratio = value / big_n ** (-order)
-        on_sup = (t + 2.0 * q) / u < v
-        branch = "sup" if on_sup else "limit"
-        limit_value = None if on_sup else rates.series_limit_value(fam, t, u, v)
-        return (q, t, u, v, big_n, value, order, ratio, branch, limit_value,
-                seed_tag(cfg.master_seed))
+        branch = "limit" if limit_value is not None else "sup"
+        row = (q, t, u, v, big_n, value, order, ratio, branch, limit_value,
+               seed_tag(cfg.master_seed))
+        return row, {"q": q, "t": t, "u": u, "v": v, "N": big_n,
+                     **diag._asdict()}
 
-    rows = tuple(_map_cells(cell, cells, workers))
+    results = _map_cells(cell, cells, workers)
+    meta = _base_metadata(cfg)
+    meta["series_diagnostics"] = [diag for _, diag in results]
     columns = ("q", "t", "u", "v", "N", "value", "order_exponent", "ratio",
                "branch", "limit_value", "seed_key")
-    return ResultTable(kind=cfg.kind, columns=columns, rows=rows,
-                       metadata=_base_metadata(cfg))
+    return ResultTable(kind=cfg.kind, columns=columns,
+                       rows=tuple(row for row, _ in results), metadata=meta)
 
 
 def demo_config_from(cfg: ExperimentConfig, out_dir) -> volterra.DemoConfig:

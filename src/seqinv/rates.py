@@ -8,9 +8,11 @@ effective frequency rho = N^(1/(1+2 alpha+2p)). The workhorse bound is for
 
 with xi_i = i^(-q-1/2) S(i) for a slowly varying S: the sum is of exact
 order N^(-min((t+2q)/u, v)) (S == 1), with a logarithmic factor on the
-boundary. Truncated evaluation is guarded by an integral tail bound, and an
-operation that would return a visibly biased sum raises instead, naming the
-truncation that would have sufficed.
+boundary. For S == 1 the sum is evaluated exactly: a short head plus a
+binomial series of Hurwitz zeta values for the tail. Otherwise truncated
+evaluation is guarded by an integral tail bound, and an operation that would
+return a visibly biased sum raises instead, naming the truncation that would
+have sufficed.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from .util import (
 
 _EULER_GAMMA = float(np.euler_gamma)
 _EVAL_CHUNK = 1_000_000
+_ZETA_REL_TOL = 1e-16
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -127,6 +131,15 @@ class FunctionalRateTerms(NamedTuple):
     delta_n: float
 
 
+class SeriesDiagnostics(NamedTuple):
+    """How series_lemma_sum_auto reached its value."""
+
+    method: str             # "hurwitz" (exact) or "truncated" (tail-guarded)
+    head_terms: int         # terms summed one by one
+    zeta_terms: int         # Hurwitz zeta terms of the tail expansion
+    remainder_bound: float  # bound on |exact sum - value|
+
+
 # --- full-sequence contraction ---------------------------------------------
 
 def contraction_terms(rp: RegimeParams, n: float) -> RateTerms:
@@ -180,6 +193,20 @@ def _log_power_partial_harmonic(m: int, log_power: float) -> float:
     return math.fsum(partials)
 
 
+def _squared_corrections(rp: RegimeParams, rho: float,
+                         sv: SlowlyVarying) -> tuple[float, float]:
+    """(gamma^2, delta^2) at effective frequency rho: the trichotomy."""
+    def correction(key: float, threshold: float) -> float:
+        if key < threshold:
+            return float(sv(rho)) ** 2
+        if key == threshold:
+            return _log_power_partial_harmonic(int(math.floor(rho)), sv.log_power)
+        return 1.0
+
+    return (correction(rp.beta + rp.q, rp.resolution_exponent),
+            correction(rp.q, rp.p))
+
+
 def slowly_varying_corrections(rp: RegimeParams, n: float,
                                sv: SlowlyVarying | None = None
                                ) -> tuple[float, float]:
@@ -191,20 +218,9 @@ def slowly_varying_corrections(rp: RegimeParams, n: float,
     """
     if rp.q is None:
         raise RegimeError("functional corrections need q")
-    sv = sv or SlowlyVarying()
     big_n = rp._require_budget(n)
-    u = rp.resolution_exponent
-    rho = big_n ** (1.0 / u)
-
-    def correction(key: float, threshold: float) -> float:
-        if key < threshold:
-            return float(sv(rho)) ** 2
-        if key == threshold:
-            return _log_power_partial_harmonic(int(math.floor(rho)), sv.log_power)
-        return 1.0
-
-    gamma_sq = correction(rp.beta + rp.q, u)
-    delta_sq = correction(rp.q, rp.p)
+    rho = big_n ** (1.0 / rp.resolution_exponent)
+    gamma_sq, delta_sq = _squared_corrections(rp, rho, sv or SlowlyVarying())
     return math.sqrt(gamma_sq), math.sqrt(delta_sq)
 
 
@@ -253,28 +269,16 @@ def functional_tau_balance_factor(rp: RegimeParams, n: float,
     """
     e_star = optimal_tau_functional(rp)
     sv = sv or SlowlyVarying()
-    u = 1.0 + 2.0 * rp.alpha + 2.0 * rp.p
+    u = rp.resolution_exponent
+    e1 = min((rp.beta + rp.q) / u, 1.0)
+    e2 = min((0.5 + rp.alpha + rp.q) / u, 0.5)
 
     def gap(log_c: float) -> float:
         tau = math.exp(log_c) * float(n) ** e_star
         big_n = n * tau * tau
         if big_n <= 1.0:
             return math.inf
-        rho = big_n ** (1.0 / u)
-        e1 = min((rp.beta + rp.q) / u, 1.0)
-        e2 = min((0.5 + rp.alpha + rp.q) / u, 0.5)
-        if rp.beta + rp.q < u:
-            gamma_sq = float(sv(rho)) ** 2
-        elif rp.beta + rp.q == u:
-            gamma_sq = _log_power_partial_harmonic(int(rho), sv.log_power)
-        else:
-            gamma_sq = 1.0
-        if rp.q < rp.p:
-            delta_sq = float(sv(rho)) ** 2
-        elif rp.q == rp.p:
-            delta_sq = _log_power_partial_harmonic(int(rho), sv.log_power)
-        else:
-            delta_sq = 1.0
+        gamma_sq, delta_sq = _squared_corrections(rp, big_n ** (1.0 / u), sv)
         t1 = big_n ** (-e1) * math.sqrt(gamma_sq)
         t2 = tau * big_n ** (-e2) * math.sqrt(delta_sq)
         return math.log(t1) - math.log(t2)
@@ -332,6 +336,28 @@ def _required_trunc(q: float, lp: float, sc: float, t: float,
     return int(math.ceil(1.2 * max(base, 10.0)))
 
 
+def _check_series_args(u: float, v: float, N: float) -> None:
+    if not (u > 0):
+        raise ValueError("u must be positive")
+    if v < 0:
+        raise ValueError("v must be nonnegative")
+    if not (0.0 <= N < math.inf):
+        raise ValueError("N must be finite and nonnegative")
+
+
+def _head_sum(xi, t: float, u: float, v: float, N: float, stop: int) -> float:
+    """sum_{i<=stop} xi_i^2 i^(-t) / (1 + N i^(-u))^v, chunked."""
+    partials = []
+    for start in range(1, stop + 1, _EVAL_CHUNK):
+        i = np.arange(start, min(start + _EVAL_CHUNK, stop + 1), dtype=float)
+        vals = _xi_values(xi, i)
+        terms = vals * vals * i ** (-t)
+        if v != 0.0 and N != 0.0:
+            terms = terms / (1.0 + N * i ** (-u)) ** v
+        partials.append(float(terms.sum()))
+    return math.fsum(partials)
+
+
 def series_lemma_sum(xi, t: float, u: float, v: float, N: float, trunc: int, *,
                      tail_q: float | None = None,
                      tail_log_power: float | None = None,
@@ -345,12 +371,7 @@ def series_lemma_sum(xi, t: float, u: float, v: float, N: float, trunc: int, *,
     declared. Raises TruncationError when the analytic tail bound exceeds
     rel_tail_tol of the computed head, reporting a sufficient truncation.
     """
-    if not (u > 0):
-        raise ValueError("u must be positive")
-    if v < 0:
-        raise ValueError("v must be nonnegative")
-    if N < 0:
-        raise ValueError("N must be nonnegative")
+    _check_series_args(u, v, N)
     trunc = int(trunc)
     if trunc < 1:
         raise ValueError("trunc must be positive")
@@ -360,16 +381,7 @@ def series_lemma_sum(xi, t: float, u: float, v: float, N: float, trunc: int, *,
         raise TruncationError(
             "series tail is not summable (t + 2q <= 0)", required_trunc=None)
 
-    partials = []
-    for start in range(1, trunc + 1, _EVAL_CHUNK):
-        i = np.arange(start, min(start + _EVAL_CHUNK, trunc + 1), dtype=float)
-        vals = _xi_values(xi, i)
-        terms = vals * vals * i ** (-t)
-        if v != 0.0 and N != 0.0:
-            terms = terms / (1.0 + N * i ** (-u)) ** v
-        partials.append(float(terms.sum()))
-    head = math.fsum(partials)
-
+    head = _head_sum(xi, t, u, v, N, trunc)
     tail = _tail_bound(q, lp, sc, t, trunc)
     if head == 0.0:
         if tail > 0.0:
@@ -385,19 +397,94 @@ def series_lemma_sum(xi, t: float, u: float, v: float, N: float, trunc: int, *,
     return head
 
 
+def _hurwitz_sum(fam: SequenceFamily, t: float, u: float, v: float, N: float,
+                 max_trunc: int) -> tuple[float, SeriesDiagnostics] | None:
+    """The whole series for log_power == 0, exact to about 1e-16.
+
+    Each term is sc^2 i^(-s) (1 + N i^(-u))^(-v) with s = t + 2q + 1. The
+    head i <= K is summed directly, K + 1 being the first index with
+    x_i = N i^(-u) <= 1/(4 max(1, v)). Past K the binomial series of
+    (1 + x_i)^(-v) turns the tail into sum_k binom(-v, k) N^k zeta(s+ku, K+1)
+    (Hurwitz zeta, DLMF 25.11.1). Consecutive terms shrink by at most
+    r = x_(K+1) max(1, (v+k)/(k+1)) <= 1/4, so |term_k| r/(1-r) bounds the
+    remainder; the absolute terms add up to at most e^(1/2) times the tail,
+    so the alternating signs cancel no digits. binom(-v, k) N^k is carried as
+    a mantissa and a power of two, so no factor overflows. Returns None when
+    a zeta value underflows (a huge N or q), leaving the sum to the guarded
+    path.
+    """
+    s_exp = t + 2.0 * fam.q
+    if s_exp <= 0:
+        raise TruncationError(
+            "series tail is not summable (t + 2q <= 0)", required_trunc=None)
+    s = s_exp + 1.0
+    sc2 = fam.scale * fam.scale
+    if v == 0.0 or N == 0.0:
+        return sc2 * float(special.zeta(s)), SeriesDiagnostics(
+            "hurwitz", 0, 1, 0.0)
+
+    x_max = 0.25 / max(1.0, v)
+    log_first = (math.log(N) - math.log(x_max)) / u
+    if log_first > math.log(max_trunc + 1.0):
+        needed = math.ceil(math.exp(log_first)) - 1 if log_first < 700 else None
+        raise TruncationError(
+            f"series head of about 1e{log_first / math.log(10.0):.1f} terms "
+            f"exceeds cap {max_trunc}", required_trunc=needed)
+    first = max(1, math.ceil(math.exp(log_first)))
+    head = _head_sum(SequenceFamily(q=fam.q), t, u, v, N, first - 1)
+
+    x0 = math.exp(math.log(N) - u * math.log(first))
+    n_mant, n_exp = math.frexp(N)
+    coef, coef_exp = 1.0, 0  # binom(-v, k) N^k = coef * 2^coef_exp
+    terms, total, k = [head], head, 0
+    while True:
+        z = float(special.zeta(s + k * u, first))
+        if z < _TINY:
+            return None
+        z_mant, z_exp = math.frexp(z)
+        term = math.ldexp(coef * z_mant, coef_exp + z_exp)
+        terms.append(term)
+        total += term
+        ratio = x0 * max(1.0, (v + k) / (k + 1.0))
+        bound = abs(term) * ratio / (1.0 - ratio)
+        k += 1
+        if bound <= _ZETA_REL_TOL * total:
+            break
+        coef, e = math.frexp(-coef * n_mant * (v + k - 1.0) / k)
+        coef_exp += e + n_exp
+    return sc2 * math.fsum(terms), SeriesDiagnostics(
+        "hurwitz", first - 1, k, sc2 * bound)
+
+
 def series_lemma_sum_auto(xi, t: float, u: float, v: float, N: float, *,
                           start_trunc: int | None = None,
                           max_trunc: int = 40_000_000,
-                          rel_tail_tol: float = 1e-6, **tail_kw) -> float:
-    """series_lemma_sum with automatic truncation growth."""
+                          rel_tail_tol: float = 1e-6,
+                          full_output: bool = False, **tail_kw):
+    """The full series sum_i xi_i^2 i^(-t) / (1 + N i^(-u))^v.
+
+    For a SequenceFamily with log_power == 0 the sum is exact (a head of
+    O(N^(1/u)) terms plus a Hurwitz-zeta tail); TruncationError is raised at
+    once when that head would exceed max_trunc. Otherwise series_lemma_sum
+    runs with automatic truncation growth up to max_trunc, and its tail bound
+    is rel_tail_tol of the value. With full_output the result is
+    (value, SeriesDiagnostics).
+    """
+    _check_series_args(u, v, N)
+    if isinstance(xi, SequenceFamily) and xi.log_power == 0.0:
+        exact = _hurwitz_sum(xi, t, u, v, N, max_trunc)
+        if exact is not None:
+            return exact if full_output else exact[0]
     if start_trunc is None:
-        guess = 1000 if N <= 1.0 else 50.0 * N ** (1.0 / u)
+        guess = 1000 if N <= 1.0 else 50.0 * math.exp(
+            min(math.log(N) / u, math.log(max_trunc)))
         start_trunc = int(min(max_trunc, max(1000, math.ceil(guess))))
     trunc = start_trunc
     for _ in range(8):
         try:
-            return series_lemma_sum(xi, t, u, v, N, trunc,
-                                    rel_tail_tol=rel_tail_tol, **tail_kw)
+            value = series_lemma_sum(xi, t, u, v, N, trunc,
+                                     rel_tail_tol=rel_tail_tol, **tail_kw)
+            break
         except TruncationError as err:
             if err.required_trunc is None:
                 raise
@@ -407,7 +494,16 @@ def series_lemma_sum_auto(xi, t: float, u: float, v: float, N: float, *,
                     f"required truncation {nxt} exceeds cap {max_trunc}",
                     required_trunc=nxt) from err
             trunc = nxt
-    raise TruncationError("tail tolerance not reached", required_trunc=trunc)
+    else:
+        raise TruncationError("tail tolerance not reached",
+                              required_trunc=trunc)
+    if not full_output:
+        return value
+    q, lp, sc = _resolve_tail(xi, tail_kw.get("tail_q"),
+                              tail_kw.get("tail_log_power"),
+                              tail_kw.get("tail_scale"))
+    return value, SeriesDiagnostics("truncated", trunc, 0,
+                                    _tail_bound(q, lp, sc, t, trunc))
 
 
 def series_order_exponent(q: float, t: float, u: float, v: float) -> float:

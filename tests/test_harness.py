@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from seqinv import harness, model, volterra
+from seqinv import harness, model, rates, volterra
 from seqinv.harness import (
     DEFAULT_LEMMA_COMBOS,
     KINDS,
@@ -276,20 +276,39 @@ def test_run_bvm_plugin_limit():
     assert rows[1]["n_t_sq"] <= rows[1]["plugin_limit"]
 
 
-def test_run_lemma_order_branches():
+def test_run_lemma_order_branches(monkeypatch):
+    limit_calls = []
+    limit_value = rates.series_limit_value
+
+    def counted(*args, **kw):
+        limit_calls.append(args)
+        return limit_value(*args, **kw)
+
+    monkeypatch.setattr(rates, "series_limit_value", counted)
     cfg = ExperimentConfig(
         kind="lemma-order",
         regime=RegimeParams(alpha=1.0, beta=1.0, p=1.0),
         n_grid=(1e2, 1e4))
     table = run_lemma_order(cfg)
     assert len(table.rows) == len(DEFAULT_LEMMA_COMBOS) * 2
-    for row_t in table.rows:
+    diags = table.metadata["series_diagnostics"]
+    assert len(diags) == len(table.rows)
+    for row_t, diag in zip(table.rows, diags):
         row = dict(zip(table.columns, row_t))
         on_sup = (row["t"] + 2.0 * row["q"]) / row["u"] < row["v"]
         assert row["branch"] == ("sup" if on_sup else "limit")
         assert (row["limit_value"] is None) == on_sup
         assert row["value"] > 0.0
         assert np.isfinite(row["ratio"])
+        assert (diag["q"], diag["t"], diag["u"], diag["v"], diag["N"]) == \
+            (row["q"], row["t"], row["u"], row["v"], row["N"])
+        assert diag["method"] == "hurwitz" and diag["zeta_terms"] >= 1
+        assert 0 < diag["head_terms"] < 1000
+        assert 0.0 <= diag["remainder_bound"] <= 1e-15 * row["value"]
+    # The limit does not depend on N: one evaluation per limit-branch combo.
+    assert len(limit_calls) == sum(
+        1 for c in DEFAULT_LEMMA_COMBOS
+        if (c["t"] + 2.0 * c["q"]) / c["u"] > c["v"])
 
 
 def test_workers_do_not_change_results():

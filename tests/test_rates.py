@@ -3,7 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 
+from seqinv import rates
+from seqinv.harness import DEFAULT_LEMMA_COMBOS
 from seqinv.model import make_truth
 from seqinv.posterior import Functional
 from seqinv.rates import (
@@ -290,6 +293,85 @@ def test_series_limit_value():
     assert limit == pytest.approx(1.2020569, rel=1e-5)
     val = series_lemma_sum_auto(fam, 2.0, 2.0, 1.0, 1e10)
     assert val * 1e10 == pytest.approx(limit, rel=1e-3)
+
+
+def _series_reference(q, t, u, v, big_n, head_terms=20000):
+    """Direct head plus the tail integral from head_terms + 1/2 (midpoint)."""
+    s = t + 2.0 * q + 1.0
+
+    def f(x):
+        return np.exp(-s * np.log(x) - v * np.log1p(big_n * x ** (-u)))
+
+    head = math.fsum(f(np.arange(1.0, head_terms + 1.0)))
+    lo = math.log(head_terms + 0.5)
+    tail, _ = integrate.quad(lambda y: f(math.exp(y)) * math.exp(y),
+                             lo, lo + 80.0 / (t + 2.0 * q),
+                             epsabs=0.0, epsrel=1e-12, limit=400)
+    return head + tail
+
+
+@pytest.mark.parametrize("big_n", [1e2, 1e6, 1e10])
+def test_series_exact_matches_reference(big_n):
+    for combo in DEFAULT_LEMMA_COMBOS:
+        q, t, u, v = (combo[k] for k in ("q", "t", "u", "v"))
+        val, diag = series_lemma_sum_auto(SequenceFamily(q=q), t, u, v, big_n,
+                                          full_output=True)
+        assert diag.method == "hurwitz"
+        assert diag.remainder_bound <= 1e-15 * val
+        assert val == pytest.approx(_series_reference(q, t, u, v, big_n),
+                                    rel=1e-9)
+
+
+def test_series_exact_zeta_reduction_and_scale():
+    # v = 0 or N = 0 leaves scale^2 * zeta(t + 2q + 1); scale enters as c^2.
+    for scale in (1.0, 3.0):
+        fam = SequenceFamily(q=1.0, scale=scale)
+        want = scale ** 2 * special.zeta(4.0)
+        assert series_lemma_sum_auto(fam, 1.0, 2.0, 0.0, 1e6) == want
+        assert series_lemma_sum_auto(fam, 1.0, 2.0, 1.5, 0.0) == want
+    base = series_lemma_sum_auto(SequenceFamily(q=1.0), 1.0, 2.5, 2.0, 1e6)
+    scaled = series_lemma_sum_auto(SequenceFamily(q=1.0, scale=0.3),
+                                   1.0, 2.5, 2.0, 1e6)
+    assert scaled == pytest.approx(0.09 * base, rel=1e-15)
+
+
+def test_series_exact_agrees_with_truncated_sum():
+    fam = SequenceFamily(q=1.0)
+    exact = series_lemma_sum_auto(fam, 1.0, 2.0, 1.5, 1e4)
+    guarded = series_lemma_sum(fam, 1.0, 2.0, 1.5, 1e4, 2_000_000)
+    assert guarded < exact
+    assert guarded == pytest.approx(exact, rel=1e-6)
+
+
+def test_series_log_power_takes_truncated_path():
+    fam = SequenceFamily(q=1.0, log_power=1.0)
+    val, diag = series_lemma_sum_auto(fam, 1.0, 2.0, 1.0, 1e4,
+                                      full_output=True)
+    assert diag.method == "truncated" and diag.zeta_terms == 0
+    assert diag.head_terms >= 1000
+    assert 0.0 < diag.remainder_bound <= 1e-6 * val
+    assert val == series_lemma_sum(fam, 1.0, 2.0, 1.0, 1e4, diag.head_terms)
+
+
+def test_series_rejects_nonfinite_and_huge_n(monkeypatch):
+    fam = SequenceFamily(q=1.0)
+    for bad in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError):
+            series_lemma_sum_auto(fam, 1.0, 2.0, 1.0, bad)
+        with pytest.raises(ValueError):
+            series_lemma_sum(fam, 1.0, 2.0, 1.0, bad, 100)
+
+    # A head beyond max_trunc is refused before any term is evaluated.
+    def no_head(*args):
+        raise AssertionError("head evaluated")
+
+    monkeypatch.setattr(rates, "_head_sum", no_head)
+    with pytest.raises(TruncationError) as exc:
+        series_lemma_sum_auto(fam, 1.0, 2.0, 1.0, 1e300)
+    assert exc.value.required_trunc > 40_000_000
+    with pytest.raises(TruncationError) as exc:
+        series_lemma_sum_auto(fam, 1.0, 0.01, 1.0, 1e300)
+    assert exc.value.required_trunc is None
 
 
 def test_fixed_bias_smallness_check():
