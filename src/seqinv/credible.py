@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize, special, stats
+from scipy import special
 
 from .model import ForwardSpec, PriorSpec, gain
 from .posterior import Functional, _shrink
@@ -297,6 +297,7 @@ class _WeightedChiSquare:
         elif f_hi <= 0.0:
             x = hi
         else:
+            from scipy import optimize
             x = optimize.brentq(lambda v: self.cdf(v) - prob, lo, hi,
                                 xtol=xtol, rtol=_IMHOF_ROOT_RTOL)
         below, above = max(x - 1e-4 * sd, 0.0), x + 1e-4 * sd
@@ -344,7 +345,10 @@ def ball_radius(w: EigenWeights, gamma: float, method: str = "monte-carlo",
         m2 = stable_sum(s * s)
         scale = m2 / m1
         dof = m1 * m1 / m2
-        r = math.sqrt(scale * stats.chi2.ppf(1.0 - gamma, dof))
+        # the chi-square quantile chi2.ppf(1 - gamma, dof), as scipy.stats
+        # computes it
+        chi2_q = 2.0 * special.gammaincinv(dof / 2.0, 1.0 - gamma)
+        r = math.sqrt(scale * chi2_q)
     else:
         raise ValueError(f"unknown method {method!r}")
     return (r, abserr) if full_output else r
@@ -393,10 +397,10 @@ def interval_coverage(bias: float, s_n: float, t_n: float, gamma: float) -> floa
         raise ValueError("gamma must lie in (0, 1)")
     if not (s_n > 0) or not (t_n > 0):
         raise DegenerateInputError("s_n and t_n must be positive")
-    z = stats.norm.ppf(gamma / 2.0)
+    z = special.ndtri(gamma / 2.0)
     hi = (-z * s_n - bias) / t_n
     lo = (z * s_n - bias) / t_n
-    return float(stats.norm.cdf(hi) - stats.norm.cdf(lo))
+    return float(special.ndtr(hi) - special.ndtr(lo))
 
 
 def _tv_centered_normals(s: float, t: float) -> float:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -22,6 +23,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+from scipy import special
 
 from . import credible, model, posterior, rates, volterra
 from .util import ConfigError, child_seed, seed_tag, stable_sum, write_csv, \
@@ -399,8 +401,7 @@ def run_ball_coverage(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
 def run_functional_coverage(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
     """Exact interval coverage of the functional's credible interval per n."""
     rp = cfg.regime
-    from scipy import stats as _stats
-    z = float(_stats.norm.ppf(cfg.gamma / 2.0))
+    z = float(special.ndtri(cfg.gamma / 2.0))
 
     def cell(args):
         j, n = args
@@ -624,16 +625,22 @@ def _load_config(args, kind: str) -> ExperimentConfig:
     return cfg
 
 
-def cli_main(argv=None) -> int:
-    """Entry point; returns 0 on success, 2 on config errors, 1 otherwise."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="seqinv",
         description="Sequence-space Gaussian inverse-problem experiments")
     subs = parser.add_subparsers(dest="command", required=True)
     for kind in KINDS:
         _add_common_flags(subs.add_parser(kind))
+    return parser
+
+
+def cli_main(argv=None) -> int:
+    """Entry point; returns 0 on success, 2 on config errors, 1 otherwise."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 

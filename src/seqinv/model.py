@@ -26,6 +26,7 @@ import numpy as np
 from .util import (
     DegenerateInputError,
     DimensionMismatchError,
+    RegimeError,
     TruncationError,
     read_csv,
     rng_for,
@@ -194,13 +195,22 @@ def gain(prior: PriorSpec, fwd: ForwardSpec, n: float) -> np.ndarray:
 
     This single factor drives every posterior series downstream; computing it
     once keeps the per-term orderings between those series exact in floating
-    point.
+    point. An infinite gain would turn g/(1+g) into nan downstream, so a
+    non-finite n raises ValueError and a product that overflows at a finite n
+    raises RegimeError.
     """
     if prior.trunc != fwd.trunc:
         raise DimensionMismatchError("prior and forward truncation differ")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return n * prior.eigenvalues() * fwd.singular_values() ** 2
+    if not (0.0 <= n < math.inf):
+        raise ValueError("n must be finite and nonnegative")
+    lam = prior.eigenvalues()
+    kap = fwd.singular_values()
+    try:
+        with np.errstate(over="raise"):
+            return n * lam * kap ** 2
+    except FloatingPointError:
+        raise RegimeError(
+            f"gain n lambda_i kappa_i^2 overflows at n={n:g}") from None
 
 
 def generate_observation(seed, truth: Truth, fwd: ForwardSpec, n: float) -> Observation:

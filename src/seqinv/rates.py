@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .model import Truth
 from .posterior import Functional
@@ -287,6 +287,7 @@ def functional_tau_balance_factor(rp: RegimeParams, n: float,
     glo, ghi = gap(lo), gap(hi)
     if not (math.isfinite(ghi)) or glo == ghi or (glo > 0) == (ghi > 0):
         raise RegimeError("rate terms do not balance at this n")
+    from scipy import optimize
     root = optimize.brentq(gap, lo, hi, xtol=1e-12)
     return math.exp(root)
 
@@ -334,6 +335,55 @@ def _required_trunc(q: float, lp: float, sc: float, t: float,
     if lp > 0 and base > 1.0:
         base *= math.log(base + 1.0) ** (2.0 * lp / s_exp)
     return int(math.ceil(1.2 * max(base, 10.0)))
+
+
+def _refuse_unreachable(fam: SequenceFamily, t: float, u: float, v: float,
+                        N: float, max_trunc: int, rel_tail_tol: float) -> None:
+    """Raise TruncationError when no truncation up to max_trunc can pass.
+
+    series_lemma_sum needs the tail bound at its truncation to be at most
+    rel_tail_tol of the head. Every term of fam's series is at most
+    sc^2 L i^(-s-1) min(1, N^(-v) i^(uv)), s = t + 2q, with L the largest
+    (log(i+1))^(2 log_power) on [1, max_trunc]. The sum of i^(-s-1) is at
+    most zeta(s+1); that of i^e, e = uv - s - 1, over i <= T is at most
+    (T+1)^(e+1)/(e+1) for e >= 0 and 1 + int_1^T x^e dx for e < 0. When the
+    tail bound at max_trunc exceeds rel_tail_tol of that bound on every head,
+    it does so at each smaller truncation too; required_trunc is then the
+    first doubling of max_trunc whose tail bound would not.
+    """
+    q, lp, sc = fam.q, fam.log_power, fam.scale
+    s_exp = t + 2.0 * q
+    if not (s_exp > 0 and sc != 0.0 and rel_tail_tol > 0.0
+            and max_trunc >= 1):
+        return
+    log_head = math.log(special.zeta(s_exp + 1.0))
+    if v != 0.0 and N != 0.0:
+        e = u * v - s_exp - 1.0
+        if e >= 0.0:
+            log_p = (e + 1.0) * math.log(max_trunc + 1.0) - math.log(e + 1.0)
+        elif e == -1.0:
+            log_p = math.log1p(math.log(max_trunc))
+        else:
+            log_p = math.log1p(math.expm1((e + 1.0) * math.log(max_trunc))
+                               / (e + 1.0))
+        log_head = min(log_head, log_p - v * math.log(N))
+    log_head += 2.0 * math.log(abs(sc)) + max(
+        2.0 * lp * math.log(math.log(k + 1.0)) for k in (1, max_trunc))
+    log_budget = math.log(rel_tail_tol) + log_head
+
+    def short(trunc: int) -> bool:
+        tail = _tail_bound(q, lp, sc, t, trunc)
+        return tail > 0.0 and math.log(tail) > log_budget
+
+    if not short(max_trunc):
+        return
+    need = 2 * max_trunc
+    while need < 2 ** 1000 and short(need):
+        need *= 2
+    raise TruncationError(
+        f"no truncation up to the cap {max_trunc} bounds the series tail by "
+        f"{rel_tail_tol:.0e} of the head",
+        required_trunc=need if need < 2 ** 1000 else None)
 
 
 def _check_series_args(u: float, v: float, N: float) -> None:
@@ -471,10 +521,12 @@ def series_lemma_sum_auto(xi, t: float, u: float, v: float, N: float, *,
     (value, SeriesDiagnostics).
     """
     _check_series_args(u, v, N)
-    if isinstance(xi, SequenceFamily) and xi.log_power == 0.0:
-        exact = _hurwitz_sum(xi, t, u, v, N, max_trunc)
-        if exact is not None:
-            return exact if full_output else exact[0]
+    if isinstance(xi, SequenceFamily):
+        if xi.log_power == 0.0:
+            exact = _hurwitz_sum(xi, t, u, v, N, max_trunc)
+            if exact is not None:
+                return exact if full_output else exact[0]
+        _refuse_unreachable(xi, t, u, v, N, max_trunc, rel_tail_tol)
     if start_trunc is None:
         guess = 1000 if N <= 1.0 else 50.0 * math.exp(
             min(math.log(N) / u, math.log(max_trunc)))

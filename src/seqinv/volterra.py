@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .model import ForwardSpec, KappaKind, Observation, PriorSpec, \
     generate_observation, make_truth
@@ -158,7 +158,7 @@ def _band(prior: PriorSpec, summary, mat: np.ndarray, gamma: float,
             f"truncated prior-variance tail is {tail / floor:.2e} of the "
             f"band variance (tolerance {tail_rel_tol:.0e}); increase trunc "
             "for quantitative band widths")
-    half = -stats.norm.ppf(gamma / 2.0) * np.sqrt(var_curve)
+    half = -special.ndtri(gamma / 2.0) * np.sqrt(var_curve)
     return center, center - half, center + half
 
 

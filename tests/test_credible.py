@@ -22,7 +22,8 @@ from seqinv.credible import (
 )
 from seqinv.model import ForwardSpec, PriorSpec
 from seqinv.posterior import Functional
-from seqinv.util import DegenerateInputError, DimensionMismatchError, child_seed
+from seqinv.util import DegenerateInputError, DimensionMismatchError, \
+    RegimeError, child_seed, stable_sum
 
 
 def _weights(alpha=1.0, tau=1.0, p=1.0, trunc=500, n=1e4):
@@ -76,6 +77,26 @@ def test_weights_validation_and_noise_only():
                          ForwardSpec.polynomial(p=1.0, trunc=5), 0.0)
 
 
+def test_weights_at_gain_extremes():
+    prior = PriorSpec(alpha=1.0, tau=1.0, trunc=5)
+    fwd = ForwardSpec.polynomial(p=1.0, trunc=5)
+    # The smallest positive n: 1 + g rounds to 1, so s_w is the prior.
+    w = credible_weights(prior, fwd, 5e-324)
+    np.testing.assert_array_equal(w.s_w, prior.eigenvalues())
+    assert np.all(np.isfinite(w.t_w)) and np.all(w.t_w >= 0.0)
+    # A gain that overflows at a finite n is refused; it used to give
+    # t_w = inf/inf = nan and a radius of 0.
+    huge = PriorSpec(alpha=1.0, tau=1e10, trunc=5)
+    with pytest.raises(RegimeError):
+        credible_weights(huge, fwd, 1e300)
+    with pytest.raises(RegimeError):
+        bvm_diagnostics(huge, fwd, Functional(coeffs=np.ones(5), q=0.0),
+                        1e300, 1.0)
+    for n in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            credible_weights(prior, fwd, n)
+
+
 def test_ball_radius_single_weight_chi_square():
     w = EigenWeights(s_w=[1.0], t_w=[0.5], n=1.0)
     r = ball_radius(w, gamma=0.05, mc_samples=200_000, seed=0)
@@ -97,6 +118,15 @@ def test_ball_radius_equal_weights_chi_square():
     assert r_sat * r_sat == pytest.approx(exact, rel=1e-12)
     r_mc = ball_radius(w, gamma=0.05, mc_samples=200_000, seed=1)
     assert r_mc * r_mc == pytest.approx(exact, rel=0.01)
+
+
+def test_satterthwaite_radius_matches_scipy_stats_bitwise():
+    for w in (_weights(trunc=50), _weights(alpha=3.0, p=0.0, trunc=2000),
+              EigenWeights(s_w=[2.0], t_w=[1.0], n=1.0)):
+        m1, m2 = stable_sum(w.s_w), stable_sum(w.s_w * w.s_w)
+        for gamma in (1e-12, 0.01, 0.05, 0.5, 0.9):
+            ref = math.sqrt(m2 / m1 * stats.chi2.ppf(1.0 - gamma, m1 * m1 / m2))
+            assert ball_radius(w, gamma, method="satterthwaite") == ref
 
 
 def test_ball_radius_monotone_in_gamma_and_weights():
@@ -260,6 +290,17 @@ def test_interval_coverage_values():
         interval_coverage(0.0, 1.0, 1.0, 0.0)
     with pytest.raises(DegenerateInputError):
         interval_coverage(0.0, 0.0, 1.0, 0.05)
+
+
+def test_interval_coverage_matches_scipy_stats_bitwise():
+    for bias in (-30.0, -1.0, 0.0, 1e-9, 0.7, 5.0):
+        for s_n in (1e-6, 0.3, 1.0, 40.0):
+            for t_n in (1e-6, 0.3, 1.0, 40.0):
+                for gamma in (1e-10, 0.01, 0.05, 0.3, 0.99):
+                    z = stats.norm.ppf(gamma / 2.0)
+                    ref = float(stats.norm.cdf((-z * s_n - bias) / t_n)
+                                - stats.norm.cdf((z * s_n - bias) / t_n))
+                    assert interval_coverage(bias, s_n, t_n, gamma) == ref
 
 
 @settings(max_examples=60, deadline=None)

@@ -427,6 +427,29 @@ def test_cli_coverage_ball_truncation_cap(tmp_path, capsys):
     assert "not finite" in capsys.readouterr().err
 
 
+def test_cli_parser_is_reused_without_carrying_state(tmp_path, capsys):
+    # One parser serves every call; flags of one call do not leak into the
+    # next, and argparse rejections still exit 2.
+    assert harness._parser() is harness._parser()
+    runs = [(["lemma-order", "--n", "1e2", "--seed", "7"], 0),
+            (["bvm", "--n", "1e4", "--gamma", "0.1"], 0),
+            (["bvm", "--no-such-flag"], 2),
+            (["lemma-order", "--n", "1e2"], 0)]
+    configs = []
+    for k, (argv, code) in enumerate(runs):
+        out = tmp_path / f"run{k}"
+        assert cli_main(argv + ["--out", str(out)]) == code
+        if code == 0:
+            configs.append(json.loads((out / "manifest.json").read_text())
+                           ["config"])
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    assert [c["kind"] for c in configs] == ["lemma-order", "bvm", "lemma-order"]
+    assert configs[0]["master_seed"] == 7
+    assert configs[1]["gamma"] == 0.1
+    assert configs[2] == default_config("lemma-order").to_dict() | {
+        "n_grid": [1e2]}
+
+
 def test_cli_config_file_round_trip(tmp_path):
     cfg = ExperimentConfig(
         kind="lemma-order",

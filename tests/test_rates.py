@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -372,6 +373,38 @@ def test_series_rejects_nonfinite_and_huge_n(monkeypatch):
     with pytest.raises(TruncationError) as exc:
         series_lemma_sum_auto(fam, 1.0, 0.01, 1.0, 1e300)
     assert exc.value.required_trunc is None
+
+
+def test_series_unreachable_tolerance_refused_up_front(monkeypatch):
+    # log_power != 0 takes the truncated path. A bound on every head against
+    # the tail bound at max_trunc shows that no truncation can pass, so no
+    # term is summed (this used to sum 40M terms and then raise).
+    def no_head(*args):
+        raise AssertionError("head evaluated")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rates, "_head_sum", no_head)
+        with pytest.raises(TruncationError) as exc:
+            series_lemma_sum_auto(SequenceFamily(q=1.0, log_power=1.0),
+                                  1.0, 2.0, 1.0, 1e300)
+    assert exc.value.required_trunc > 40_000_000
+
+    # Sound: where the refusal fires for a cap, the guarded sum fails at
+    # every truncation up to that cap.
+    cap, fired, grid = 2000, 0, itertools.product(
+        (0.5, 1.0), (-1.0, 0.5, 2.0), (1.0, 1e3), (0.0, 1.0), (1.5, 3.0),
+        (0.0, 1.0, 2.5), (1e2, 1e8, 1e20))
+    for q, lp, sc, t, u, v, big_n in grid:
+        fam = SequenceFamily(q=q, log_power=lp, scale=sc)
+        try:
+            rates._refuse_unreachable(fam, t, u, v, big_n, cap, 1e-6)
+        except TruncationError as err:
+            fired += 1
+            assert err.required_trunc is None or err.required_trunc > cap
+            for trunc in (1, 50, cap):
+                with pytest.raises(TruncationError):
+                    series_lemma_sum(fam, t, u, v, big_n, trunc)
+    assert fired > 0
 
 
 def test_fixed_bias_smallness_check():

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from seqinv.model import (
     ForwardSpec,
@@ -152,6 +153,15 @@ def test_credible_band_halfwidth_and_validation():
     np.testing.assert_allclose(band.band_hi - band.values,
                                band.values - band.band_lo, atol=1e-12)
     assert np.all(band.band_hi - band.band_lo >= 0.0)
+    # The half-width is bit for bit the scipy.stats normal quantile's.
+    mat = _e_matrix(trunc, xs)
+    post = coordinate_posterior(prior, fwd, obs)
+    center = post.mean @ mat
+    for gamma in (1e-9, 0.05, 0.5):
+        half = -stats.norm.ppf(gamma / 2.0) * np.sqrt(post.var @ (mat * mat))
+        band = credible_band(prior, fwd, obs, xs, gamma=gamma)
+        np.testing.assert_array_equal(band.band_lo, center - half)
+        np.testing.assert_array_equal(band.band_hi, center + half)
 
     poly = ForwardSpec.polynomial(p=1.0, trunc=trunc)
     with pytest.raises(ValueError):
