@@ -70,6 +70,8 @@ class PriorSpec:
             raise ValueError("alpha must be positive")
         if not (self.tau > 0):
             raise ValueError("tau must be positive")
+        if not math.isfinite(float(self.tau) * float(self.tau)):
+            raise RegimeError(f"tau^2 overflows at tau={self.tau:g}")
         if int(self.trunc) < 1:
             raise ValueError("trunc must be a positive integer")
         object.__setattr__(self, "trunc", int(self.trunc))
@@ -306,7 +308,11 @@ def spike_truth_ball(prior: PriorSpec, fwd: ForwardSpec, n: float, beta: float,
     if beta >= expo:
         idx = 1
     else:
-        idx = max(1, int(round((n * prior.tau ** 2) ** (1.0 / expo))))
+        big_n = n * prior.tau ** 2
+        if not math.isfinite(big_n):
+            raise RegimeError(f"noise budget n tau^2 overflows at n={n:g}, "
+                              f"tau={prior.tau:g}")
+        idx = max(1, int(round(big_n ** (1.0 / expo))))
     if idx > prior.trunc:
         raise TruncationError(
             f"spike index {idx} beyond truncation {prior.trunc}",

@@ -103,7 +103,11 @@ class RegimeParams:
         return 1.0 + 2.0 * self.alpha + 2.0 * self.p
 
     def tau(self, n: float) -> float:
-        return float(n) ** self.tau_exponent
+        try:
+            return float(n) ** self.tau_exponent
+        except OverflowError:
+            raise RegimeError(f"tau = n^{self.tau_exponent:g} overflows at "
+                              f"n={float(n):g}") from None
 
     def noise_budget(self, n: float) -> float:
         tau = self.tau(n)
@@ -341,8 +345,9 @@ def _refuse_unreachable(fam: SequenceFamily, t: float, u: float, v: float,
                         N: float, max_trunc: int, rel_tail_tol: float) -> None:
     """Raise TruncationError when no truncation up to max_trunc can pass.
 
+    fam is the series' envelope (xi itself for a SequenceFamily).
     series_lemma_sum needs the tail bound at its truncation to be at most
-    rel_tail_tol of the head. Every term of fam's series is at most
+    rel_tail_tol of the head. Every term of the series is at most
     sc^2 L i^(-s-1) min(1, N^(-v) i^(uv)), s = t + 2q, with L the largest
     (log(i+1))^(2 log_power) on [1, max_trunc]. The sum of i^(-s-1) is at
     most zeta(s+1); that of i^e, e = uv - s - 1, over i <= T is at most
@@ -416,10 +421,12 @@ def series_lemma_sum(xi, t: float, u: float, v: float, N: float, trunc: int, *,
     """sum_{i<=trunc} xi_i^2 i^(-t) / (1 + N i^(-u))^v, tail-checked.
 
     xi is a SequenceFamily (decay read off directly), a callable on index
-    arrays, or a plain array; for the latter two the tail envelope
+    arrays, or a plain array; for the latter two the envelope
     |xi_i| <= tail_scale * i^(-tail_q-1/2) (log(i+1))^tail_log_power must be
-    declared. Raises TruncationError when the analytic tail bound exceeds
-    rel_tail_tol of the computed head, reporting a sufficient truncation.
+    declared, and it must bound every |xi_i|, not only the tail:
+    series_lemma_sum_auto also bounds the head by it. Raises TruncationError
+    when the analytic tail bound exceeds rel_tail_tol of the computed head,
+    reporting a sufficient truncation.
     """
     _check_series_args(u, v, N)
     trunc = int(trunc)
@@ -517,16 +524,21 @@ def series_lemma_sum_auto(xi, t: float, u: float, v: float, N: float, *,
     O(N^(1/u)) terms plus a Hurwitz-zeta tail); TruncationError is raised at
     once when that head would exceed max_trunc. Otherwise series_lemma_sum
     runs with automatic truncation growth up to max_trunc, and its tail bound
-    is rel_tail_tol of the value. With full_output the result is
+    is rel_tail_tol of the value; a series whose envelope (see
+    series_lemma_sum) shows that no truncation up to max_trunc can pass is
+    refused before any term is summed. With full_output the result is
     (value, SeriesDiagnostics).
     """
     _check_series_args(u, v, N)
-    if isinstance(xi, SequenceFamily):
-        if xi.log_power == 0.0:
-            exact = _hurwitz_sum(xi, t, u, v, N, max_trunc)
-            if exact is not None:
-                return exact if full_output else exact[0]
-        _refuse_unreachable(xi, t, u, v, N, max_trunc, rel_tail_tol)
+    if isinstance(xi, SequenceFamily) and xi.log_power == 0.0:
+        exact = _hurwitz_sum(xi, t, u, v, N, max_trunc)
+        if exact is not None:
+            return exact if full_output else exact[0]
+    q, lp, sc = _resolve_tail(xi, tail_kw.get("tail_q"),
+                              tail_kw.get("tail_log_power"),
+                              tail_kw.get("tail_scale"))
+    _refuse_unreachable(SequenceFamily(q=q, log_power=lp, scale=sc), t, u, v,
+                        N, max_trunc, rel_tail_tol)
     if start_trunc is None:
         guess = 1000 if N <= 1.0 else 50.0 * math.exp(
             min(math.log(N) / u, math.log(max_trunc)))
@@ -551,9 +563,6 @@ def series_lemma_sum_auto(xi, t: float, u: float, v: float, N: float, *,
                               required_trunc=trunc)
     if not full_output:
         return value
-    q, lp, sc = _resolve_tail(xi, tail_kw.get("tail_q"),
-                              tail_kw.get("tail_log_power"),
-                              tail_kw.get("tail_scale"))
     return value, SeriesDiagnostics("truncated", trunc, 0,
                                     _tail_bound(q, lp, sc, t, trunc))
 

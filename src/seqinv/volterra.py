@@ -57,9 +57,60 @@ def basis_f(i, x):
     return math.sqrt(2.0) * np.sin((idx - 0.5) * math.pi * xs)
 
 
-def _e_matrix(trunc: int, xs: np.ndarray) -> np.ndarray:
-    i = np.arange(1, trunc + 1, dtype=float)
+def _e_matrix(stop: int, xs: np.ndarray, start: int = 0) -> np.ndarray:
+    """Rows e_i(xs) for i = start+1, ..., stop."""
+    i = np.arange(start + 1, stop + 1, dtype=float)
     return math.sqrt(2.0) * np.cos(np.outer(i - 0.5, xs) * math.pi)
+
+
+_BLOCK_ELEMENTS = 1 << 20  # basis entries per block of the direct product
+
+
+def _fold(c: np.ndarray, period: int) -> np.ndarray:
+    """Sums of c[..., r] over the r in each residue class mod period."""
+    trunc = c.shape[-1]
+    full = trunc - trunc % period
+    out = c[..., :full].reshape(c.shape[:-1] + (-1, period)).sum(axis=-2)
+    out[..., :trunc - full] += c[..., full:]
+    return out
+
+
+def _cosine_sums(c: np.ndarray, xs: np.ndarray,
+                 squared: bool = False) -> np.ndarray:
+    """sum_i c_i e_i(x) on the grid xs, or sum_i c_i e_i(x)^2 when squared.
+
+    c is (trunc,) or (rows, trunc), giving (grid,) or (rows, grid).
+    On the uniform grid x_k = k/m, m = G - 1, cos((i - 1/2) pi x_k) depends
+    on 2i - 1 only modulo 4m, and e_i^2 = 1 + cos((2i - 1) pi x) on 2i - 1
+    modulo 2m. The coefficients are folded into those odd bins and one real
+    FFT gives every grid value: O(trunc + G log G) time and memory. Any other
+    grid takes _direct_sums.
+    """
+    m = xs.size - 1
+    if m < 1 or not np.array_equal(xs, np.linspace(0.0, 1.0, xs.size)):
+        return _direct_sums(c, xs, squared)
+    period = m if squared else 2 * m
+    bins = np.zeros(c.shape[:-1] + (2 * period,))
+    bins[..., 1::2] = _fold(c, period)
+    spectrum = np.fft.rfft(bins)[..., :m + 1].real
+    if squared:
+        return c.sum(axis=-1)[..., None] + spectrum
+    return math.sqrt(2.0) * spectrum
+
+
+def _direct_sums(c: np.ndarray, xs: np.ndarray, squared: bool) -> np.ndarray:
+    """_cosine_sums on any grid: the product with the basis, built in blocks
+    of coordinates so that memory stays O(block x grid)."""
+    trunc = c.shape[-1]
+    rows = max(1, _BLOCK_ELEMENTS // max(1, xs.size))
+    out = np.zeros(c.shape[:-1] + xs.shape)
+    for start in range(0, trunc, rows):
+        stop = min(start + rows, trunc)
+        mat = _e_matrix(stop, xs, start)
+        if squared:
+            mat *= mat
+        out += c[..., start:stop] @ mat
+    return out
 
 
 def point_functional(x: float, trunc: int) -> Functional:
@@ -113,8 +164,7 @@ def synthesize(coeffs, xs) -> GridFunction:
     """Evaluate sum_i c_i e_i(x) on a grid."""
     c = np.asarray(coeffs, dtype=float).ravel()
     xs = np.asarray(xs, dtype=float)
-    mat = _e_matrix(c.size, xs)
-    return GridFunction(xs=xs, values=c @ mat)
+    return GridFunction(xs=xs, values=_cosine_sums(c, xs))
 
 
 _TAIL_REL_TOL = 1e-3
@@ -136,20 +186,22 @@ def credible_band(prior: PriorSpec, fwd: ForwardSpec, obs: Observation,
         raise ValueError("gamma must lie in (0, 1)")
     summary = coordinate_posterior(prior, fwd, obs)
     xs = np.asarray(xs, dtype=float)
-    center, lo, hi = _band(prior, summary, _e_matrix(summary.trunc, xs),
-                           gamma, tail_rel_tol)
+    center, lo, hi = _band(prior, summary, xs, gamma, tail_rel_tol)
     return GridFunction(xs=xs, values=center, band_lo=lo, band_hi=hi)
 
 
-def _band(prior: PriorSpec, summary, mat: np.ndarray, gamma: float,
+def _band(prior: PriorSpec, summary, xs: np.ndarray, gamma: float,
           tail_rel_tol: float):
-    """(center, lo, hi) of the pointwise band; mat is the basis on the grid."""
-    center = summary.mean @ mat
-    var_curve = summary.var @ (mat * mat)
+    """(center, lo, hi) of the pointwise band on the grid xs."""
+    center = _cosine_sums(summary.mean, xs)
+    # Every e_i vanishes at x = 1, where the folded sum cancels to rounding
+    # noise whose square root is not negligible; the variance is 0 there.
+    var_curve = np.maximum(_cosine_sums(summary.var, xs, squared=True), 0.0)
+    var_curve[xs == 1.0] = 0.0
     # dropped coordinates contribute at most their prior variance, and the
     # basis is bounded by sqrt(2): tail <= 2 * tau^2 T^(-2 alpha) / (2 alpha).
-    # Compare against the median band variance: every e_i vanishes at x = 1,
-    # so the minimum over a grid touching the endpoint is float noise.
+    # Compare against the median band variance: the minimum over a grid
+    # touching the endpoint is 0.
     tail = 2.0 * prior.tau ** 2 * prior.trunc ** (-2.0 * prior.alpha) \
         / (2.0 * prior.alpha)
     floor = float(np.median(var_curve))
@@ -233,8 +285,7 @@ def figure_demo(config: DemoConfig) -> list[Path]:
     xs = np.linspace(0.0, 1.0, config.grid_points)
     fwd = ForwardSpec.volterra(config.trunc)
     truth = make_truth("demo", config.trunc)
-    mat = _e_matrix(config.trunc, xs)
-    truth_curve = truth.coeffs @ mat
+    truth_curve = _cosine_sums(truth.coeffs, xs)
 
     draw_cols = [f"draw_{k + 1}" for k in range(config.draws)]
     columns = ["panel", "x", "truth", "post_mean", "band_lo", "band_hi"] + draw_cols
@@ -245,13 +296,13 @@ def figure_demo(config: DemoConfig) -> list[Path]:
         for ai, alpha in enumerate(config.alphas):
             prior = PriorSpec(alpha=alpha, tau=config.tau, trunc=config.trunc)
             summary = coordinate_posterior(prior, fwd, obs)
-            center, lo, hi = _band(prior, summary, mat, config.gamma,
+            center, lo, hi = _band(prior, summary, xs, config.gamma,
                                    _TAIL_REL_TOL)
             curves = []
             if config.draws:
-                curves = posterior_draws(
+                curves = _cosine_sums(posterior_draws(
                     child_seed(config.master_seed, rep, ai + 1),
-                    summary, config.draws) @ mat  # (draws, grid)
+                    summary, config.draws), xs)  # (draws, grid)
             block = np.column_stack([xs, truth_curve, center, lo, hi, *curves])
             panel = f"r{rep + 1}_a{alpha:g}"
             path = out / f"panel_{panel}.csv"

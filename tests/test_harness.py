@@ -427,6 +427,13 @@ def test_cli_coverage_ball_truncation_cap(tmp_path, capsys):
     assert "not finite" in capsys.readouterr().err
 
 
+def test_cli_tau_overflow_is_typed(tmp_path, capsys):
+    # tau = n^2 overflows a float: a RegimeError, not errno 34.
+    assert cli_main(["bvm", "--n", "1e300", "--tau-exp", "2",
+                     "--out", str(tmp_path)]) == 1
+    assert "tau = n^2 overflows" in capsys.readouterr().err
+
+
 def test_cli_parser_is_reused_without_carrying_state(tmp_path, capsys):
     # One parser serves every call; flags of one call do not leak into the
     # next, and argparse rejections still exit 2.

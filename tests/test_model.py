@@ -23,7 +23,8 @@ from seqinv.model import (
     write_indexed_series,
     write_problem_descriptor,
 )
-from seqinv.util import DegenerateInputError, DimensionMismatchError, TruncationError
+from seqinv.util import DegenerateInputError, DimensionMismatchError, \
+    RegimeError, TruncationError
 
 
 def test_prior_eigenvalue_decay_ratio():
@@ -42,6 +43,18 @@ def test_prior_validation():
         PriorSpec(alpha=1.0, tau=-1.0, trunc=10)
     with pytest.raises(ValueError):
         PriorSpec(alpha=1.0, tau=1.0, trunc=0)
+
+
+def test_tau_overflow_is_regime_error():
+    # tau^2 beyond the float range used to raise a bare OverflowError from
+    # eigenvalues(), and n tau^2 one from spike_truth_ball.
+    with pytest.raises(RegimeError):
+        PriorSpec(alpha=1.0, tau=1e200, trunc=5)
+    prior = PriorSpec(alpha=1.0, tau=1e150, trunc=5)
+    assert np.all(np.isfinite(prior.eigenvalues()))
+    with pytest.raises(RegimeError):
+        spike_truth_ball(prior, ForwardSpec.polynomial(p=1.0, trunc=5), 1e10,
+                         beta=1.0, target_bias_sq=1.0)
 
 
 def test_forward_polynomial_and_custom():

@@ -55,6 +55,14 @@ def test_regime_params_validation():
     assert rp.effective_frequency(16.0) == pytest.approx(64.0 ** 0.25)
 
 
+
+def test_regime_tau_overflow_is_regime_error():
+    rp = RegimeParams(alpha=1.0, beta=1.0, p=1.0, tau_exponent=2.0)
+    assert rp.tau(1e100) == pytest.approx(1e200)
+    with pytest.raises(RegimeError):
+        rp.tau(1e300)
+
+
 def test_contraction_rate_hand_value():
     # alpha = beta = p = 1, tau = 1: both terms are n^(-1/5), so the rate at
     # n = 1e5 is exactly 0.2.
@@ -405,6 +413,30 @@ def test_series_unreachable_tolerance_refused_up_front(monkeypatch):
                 with pytest.raises(TruncationError):
                     series_lemma_sum(fam, t, u, v, big_n, trunc)
     assert fired > 0
+
+
+def test_series_hopeless_callable_and_array_refused_up_front(monkeypatch):
+    # The declared envelope bounds every |xi_i|, so a callable or an array
+    # is refused before any term is summed, as a SequenceFamily is (this
+    # used to sum 40M terms and then raise).
+    def no_head(*args):
+        raise AssertionError("head evaluated")
+
+    def xi(i):
+        return i ** -1.5 * np.log(i + 1.0)
+
+    envelope = dict(tail_q=1.0, tail_log_power=1.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(rates, "_head_sum", no_head)
+        for seq in (xi, xi(np.arange(1.0, 101.0))):
+            with pytest.raises(TruncationError) as exc:
+                series_lemma_sum_auto(seq, 1.0, 2.0, 1.0, 1e300, **envelope)
+            assert exc.value.required_trunc > 40_000_000
+    # A reachable series is summed as before.
+    fam = SequenceFamily(q=1.0, log_power=1.0)
+    assert series_lemma_sum_auto(xi, 1.0, 2.0, 1.0, 1e3, **envelope) \
+        == pytest.approx(series_lemma_sum_auto(fam, 1.0, 2.0, 1.0, 1e3),
+                         rel=1e-15)
 
 
 def test_fixed_bias_smallness_check():

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,9 +19,12 @@ from seqinv.posterior import coordinate_posterior, functional_marginal, \
     posterior_draws
 from seqinv.util import ConfigError, DimensionMismatchError, child_seed, \
     format_cell
+from seqinv import volterra
 from seqinv.volterra import (
     DemoConfig,
     GridFunction,
+    _cosine_sums,
+    _direct_sums,
     _e_matrix,
     basis_e,
     basis_f,
@@ -107,7 +111,9 @@ def test_marginal_matches_band_at_a_point():
 def test_synthesize_basis_and_linearity():
     xs = np.linspace(0.0, 1.0, 11)
     e1 = synthesize([1.0], xs)
-    np.testing.assert_allclose(e1.values, basis_e(1, xs), rtol=1e-15)
+    # e_1(1) is 0; the reference there is the rounding of sqrt(2) cos(pi/2).
+    np.testing.assert_allclose(e1.values, basis_e(1, xs), rtol=1e-15,
+                               atol=1e-15)
     rng = np.random.default_rng(14)
     a = rng.standard_normal(30)
     b = rng.standard_normal(30)
@@ -125,6 +131,68 @@ def test_synthesis_quadrature_round_trip():
     for i in (1, 7, 20):
         recovered = np.trapezoid(f.values * basis_e(i, xs), xs)
         assert recovered == pytest.approx(coeffs[i - 1], abs=1e-3)
+
+
+def _fold_tolerance(c):
+    # The direct product rounds the argument (i - 1/2) pi x to about 2 ulp,
+    # an error that grows with i; the fold reduces it exactly.
+    i = np.arange(1, c.shape[-1] + 1)
+    return 16.0 * np.finfo(float).eps * float(np.max(np.abs(c) @ i))
+
+
+@pytest.mark.parametrize("points", [2, 3, 51, 401])
+def test_fold_matches_direct_product(points):
+    # Below the fold period 2(G-1), just above it, and far above it; one
+    # curve and a block of draw rows, and the squared (variance) sums.
+    xs = np.linspace(0.0, 1.0, points)
+    rng = np.random.default_rng(points)
+    period = 2 * (points - 1)
+    for trunc in (max(1, period - 1), period + 1, 100_000):
+        coeffs = rng.standard_normal((3, trunc)) / np.arange(1, trunc + 1)
+        tol = _fold_tolerance(coeffs)
+        block = _cosine_sums(coeffs, xs)
+        np.testing.assert_allclose(block, _direct_sums(coeffs, xs, False),
+                                   rtol=0, atol=tol)
+        var = np.abs(coeffs)
+        np.testing.assert_allclose(_cosine_sums(var, xs, squared=True),
+                                   _direct_sums(var, xs, True),
+                                   rtol=0, atol=tol)
+        # The draw block is folded row-wise: each row is its own curve.
+        for k in range(3):
+            np.testing.assert_array_equal(block[k],
+                                          _cosine_sums(coeffs[k], xs))
+
+
+def test_direct_product_blocked_over_coordinates(monkeypatch):
+    # A non-uniform grid takes the direct product. Within one block it is
+    # the unblocked product exactly; split into many blocks, to rounding.
+    rng = np.random.default_rng(18)
+    xs = np.sort(rng.uniform(0.0, 1.0, 37))
+    coeffs = rng.standard_normal((2, 3000)) / np.arange(1, 3001)
+    mat = _e_matrix(3000, xs)
+    np.testing.assert_array_equal(_cosine_sums(coeffs, xs), coeffs @ mat)
+    monkeypatch.setattr(volterra, "_BLOCK_ELEMENTS", 1000)
+    tol = 64.0 * np.finfo(float).eps * float(np.abs(coeffs).sum())
+    np.testing.assert_allclose(_cosine_sums(coeffs, xs), coeffs @ mat,
+                               rtol=0, atol=tol)
+    np.testing.assert_allclose(_cosine_sums(coeffs, xs, squared=True),
+                               coeffs @ (mat * mat), rtol=0, atol=tol)
+
+
+def test_band_variance_vanishes_at_right_endpoint():
+    # Every e_i vanishes at x = 1: the folded variance cancels there to
+    # rounding noise, and the band must pinch to the mean exactly.
+    trunc = 5000
+    prior = PriorSpec(alpha=1.0, tau=1.0, trunc=trunc)
+    fwd = ForwardSpec.volterra(trunc)
+    obs = generate_observation(19, make_truth("demo", trunc), fwd, 1e3)
+    for points in (2, 3, 401):
+        xs = np.linspace(0.0, 1.0, points)
+        band = credible_band(prior, fwd, obs, xs, gamma=0.05)
+        assert band.band_lo[-1] == band.values[-1] == band.band_hi[-1]
+        half = band.band_hi - band.values
+        assert np.all(np.isfinite(half)) and np.all(half >= 0.0)
+        assert np.all(half[:-1] > 0.0)
 
 
 def test_grid_function_validation():
@@ -153,12 +221,20 @@ def test_credible_band_halfwidth_and_validation():
     np.testing.assert_allclose(band.band_hi - band.values,
                                band.values - band.band_lo, atol=1e-12)
     assert np.all(band.band_hi - band.band_lo >= 0.0)
-    # The half-width is bit for bit the scipy.stats normal quantile's.
+    # The half-width is bit for bit the scipy.stats normal quantile's, on
+    # the basis sums the band is built from. Those agree with the direct
+    # basis product to rounding, and the variance is 0 at x = 1.
     mat = _e_matrix(trunc, xs)
     post = coordinate_posterior(prior, fwd, obs)
-    center = post.mean @ mat
+    center = _cosine_sums(post.mean, xs)
+    var = _cosine_sums(post.var, xs, squared=True)
+    var[-1] = 0.0
+    np.testing.assert_allclose(center, post.mean @ mat, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(var, post.var @ (mat * mat), rtol=0,
+                               atol=1e-13)
+    assert np.all(var >= 0.0)
     for gamma in (1e-9, 0.05, 0.5):
-        half = -stats.norm.ppf(gamma / 2.0) * np.sqrt(post.var @ (mat * mat))
+        half = -stats.norm.ppf(gamma / 2.0) * np.sqrt(var)
         band = credible_band(prior, fwd, obs, xs, gamma=gamma)
         np.testing.assert_array_equal(band.band_lo, center - half)
         np.testing.assert_array_equal(band.band_hi, center + half)
@@ -284,10 +360,26 @@ def test_figure_demo_band_widths_order(tmp_path):
     assert widths["panel_r1_a1.csv"] > widths["panel_r1_a5.csv"]
 
 
+def test_figure_demo_memory_is_bounded(tmp_path):
+    # O(trunc + grid) per panel: a trunc x grid basis at trunc 1e5 and 401
+    # points alone would take 320 MB.
+    cfg = DemoConfig(n=1000.0, alphas=(1.0,), replicates=1, master_seed=5,
+                     grid_points=401, draws=20, trunc=100_000,
+                     out_dir=str(tmp_path / "big"))
+    tracemalloc.start()
+    try:
+        figure_demo(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+
+
 def test_figure_demo_panels_match_public_reference(tmp_path):
-    # The panel path shares one basis and one posterior per panel; its bytes
-    # must equal panels built from the public band, synthesis and draw calls
-    # with every cell formatted by format_cell.
+    # The panel path shares one posterior per panel and synthesizes the
+    # draws as one block; its bytes must equal panels built from the public
+    # band, synthesis and draw calls with every cell formatted by
+    # format_cell.
     cfg = DemoConfig(n=1000.0, alphas=(1.0, 5.0), replicates=2,
                      master_seed=17, grid_points=51, draws=3, trunc=200,
                      out_dir=str(tmp_path / "demo"))
@@ -307,7 +399,7 @@ def test_figure_demo_panels_match_public_reference(tmp_path):
             samples = posterior_draws(child_seed(cfg.master_seed, rep, ai + 1),
                                       coordinate_posterior(prior, fwd, obs),
                                       cfg.draws)
-            curves = samples @ _e_matrix(cfg.trunc, xs)
+            curves = [synthesize(c, xs).values for c in samples]
             panel = f"r{rep + 1}_a{alpha:g}"
             ref = tmp_path / f"ref_{panel}.csv"
             with open(ref, "w", newline="") as fh:
