@@ -111,9 +111,11 @@ def test_marginal_matches_band_at_a_point():
 def test_synthesize_basis_and_linearity():
     xs = np.linspace(0.0, 1.0, 11)
     e1 = synthesize([1.0], xs)
-    # e_1(1) is 0; the reference there is the rounding of sqrt(2) cos(pi/2).
-    np.testing.assert_allclose(e1.values, basis_e(1, xs), rtol=1e-15,
-                               atol=1e-15)
+    np.testing.assert_allclose(e1.values[:-1], basis_e(1, xs[:-1]),
+                               rtol=1e-15)
+    # e_1(1) is 0; basis_e gives the rounding of sqrt(2) cos(pi/2) there.
+    assert e1.values[-1] == 0.0
+    assert abs(basis_e(1, xs)[-1]) < 1e-16
     rng = np.random.default_rng(14)
     a = rng.standard_normal(30)
     b = rng.standard_normal(30)
@@ -221,23 +223,37 @@ def test_credible_band_halfwidth_and_validation():
     np.testing.assert_allclose(band.band_hi - band.values,
                                band.values - band.band_lo, atol=1e-12)
     assert np.all(band.band_hi - band.band_lo >= 0.0)
-    # The half-width is bit for bit the scipy.stats normal quantile's, on
-    # the basis sums the band is built from. Those agree with the direct
-    # basis product to rounding, and the variance is 0 at x = 1.
-    mat = _e_matrix(trunc, xs)
+    # The half-width is bit for bit the scipy.stats normal quantile's times
+    # the sd from the basis product, on a grid where credible_band takes
+    # that product: any grid but linspace(0, 1, G), here one short of x = 1.
     post = coordinate_posterior(prior, fwd, obs)
-    center = _cosine_sums(post.mean, xs)
-    var = _cosine_sums(post.var, xs, squared=True)
-    var[-1] = 0.0
-    np.testing.assert_allclose(center, post.mean @ mat, rtol=0, atol=1e-13)
-    np.testing.assert_allclose(var, post.var @ (mat * mat), rtol=0,
-                               atol=1e-13)
-    assert np.all(var >= 0.0)
+    skewed = 0.9 * xs ** 2
+    mat = _e_matrix(trunc, skewed)
+    center = post.mean @ mat
     for gamma in (1e-9, 0.05, 0.5):
-        half = -stats.norm.ppf(gamma / 2.0) * np.sqrt(var)
-        band = credible_band(prior, fwd, obs, xs, gamma=gamma)
+        half = -stats.norm.ppf(gamma / 2.0) * np.sqrt(post.var @ (mat * mat))
+        band = credible_band(prior, fwd, obs, skewed, gamma=gamma)
         np.testing.assert_array_equal(band.band_lo, center - half)
         np.testing.assert_array_equal(band.band_hi, center + half)
+    # On the uniform grid the band takes the folded sums, which agree with
+    # the product to the bound _fold_tolerance; |sqrt(a) - sqrt(b)| <=
+    # |a - b| / sqrt(b) carries the variance bound to the half-width. At
+    # x = 1 the band pinches to its center, where the product leaves a
+    # rounding-noise half-width.
+    mat = _e_matrix(trunc, xs)
+    center = post.mean @ mat
+    var = post.var @ (mat * mat)
+    tol_mean = _fold_tolerance(post.mean)
+    tol_var = _fold_tolerance(post.var)
+    for gamma in (1e-9, 0.05, 0.5):
+        z = -stats.norm.ppf(gamma / 2.0)
+        half = z * np.sqrt(var)
+        tol = tol_mean + z * tol_var / np.sqrt(var)
+        tol[-1] = tol_mean + half[-1]
+        band = credible_band(prior, fwd, obs, xs, gamma=gamma)
+        assert band.band_lo[-1] == band.values[-1] == band.band_hi[-1]
+        assert np.all(np.abs(band.band_lo - (center - half)) <= tol)
+        assert np.all(np.abs(band.band_hi - (center + half)) <= tol)
 
     poly = ForwardSpec.polynomial(p=1.0, trunc=trunc)
     with pytest.raises(ValueError):
