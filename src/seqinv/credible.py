@@ -23,14 +23,15 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from .model import ForwardSpec, PriorSpec, gain
-from .posterior import Functional, _shrink
+from .model import ForwardSpec, PriorSpec, SpectralTerms, _spectral_blocks
+from .posterior import Functional
 from .util import (
     DegenerateInputError,
     DimensionMismatchError,
     rng_for,
     seed_tag,
     stable_sum,
+    stable_sums,
 )
 
 _MC_CHUNK = 8192          # rows per keyed stream rng_for(seed, chunk)
@@ -110,13 +111,15 @@ class BvmDiagnostics(NamedTuple):
 
 
 def credible_weights(prior: PriorSpec, fwd: ForwardSpec, n: float) -> EigenWeights:
-    """Compute both weight sequences from one shared gain factor."""
+    """Both weight sequences, from one pass over the spectral blocks."""
     if not (n > 0):
         raise ValueError("n must be positive")
-    lam = prior.eigenvalues()
-    g = gain(prior, fwd, n)
-    s = lam / (1.0 + g)
-    t = s * _shrink(g)
+    blocks = _spectral_blocks(prior, fwd, n)
+    s = np.empty(prior.trunc)
+    t = np.empty(prior.trunc)
+    for b in blocks:
+        s[b.sl] = b.s
+        t[b.sl] = b.t
     return EigenWeights(s_w=s, t_w=t, n=float(n))
 
 
@@ -436,16 +439,23 @@ def bvm_diagnostics(prior: PriorSpec, fwd: ForwardSpec, l: Functional,
     """
     if l.trunc != prior.trunc:
         raise DimensionMismatchError("functional and prior lengths differ")
-    lam = prior.eigenvalues()
-    g = gain(prior, fwd, n)
-    denom = 1.0 + g
-    l_sq = l.coeffs ** 2
-    s_sq = stable_sum(l_sq * (lam / denom))
+    blocks = _spectral_blocks(prior, fwd, n)
+    return _bvm_from_sums(*stable_sums(
+        (_bvm_terms(b, l.coeffs[b.sl] ** 2, beta) for b in blocks),
+        prior.trunc))
+
+
+def _bvm_terms(b: SpectralTerms, l_sq: np.ndarray, beta: float) -> tuple:
+    """One block's terms of (s_n^2, t_n^2, sup_bias^2) at l_sq = l^2."""
+    spread = l_sq * b.s
+    return (spread, spread * b.shrink,
+            l_sq * b.i ** (-2.0 * beta) / (b.denom * b.denom))
+
+
+def _bvm_from_sums(s_sq: float, t_sq: float, sup_sq: float) -> BvmDiagnostics:
     if s_sq == 0.0:
         raise DegenerateInputError("functional has zero posterior spread")
-    t_sq = stable_sum(l_sq * (lam / denom) * _shrink(g))
-    i = prior.indices()
-    sup_bias = math.sqrt(stable_sum(l_sq * i ** (-2.0 * beta) / (denom * denom)))
+    sup_bias = math.sqrt(sup_sq)
     s_n = math.sqrt(s_sq)
     t_n = math.sqrt(t_sq)
     ratio = s_n / t_n if t_n > 0 else math.inf

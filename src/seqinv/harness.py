@@ -26,8 +26,8 @@ import numpy as np
 from scipy import special
 
 from . import credible, model, posterior, rates, volterra
-from .util import ConfigError, child_seed, seed_tag, stable_sum, write_csv, \
-    write_manifest
+from .util import ConfigError, DimensionMismatchError, child_seed, seed_tag, \
+    stable_sum, stable_sums, write_csv, write_manifest
 
 KINDS = ("contraction", "coverage-ball", "coverage-functional", "bvm",
          "volterra-demo", "lemma-order")
@@ -277,25 +277,54 @@ def _base_metadata(cfg: ExperimentConfig) -> dict:
 
 # --- runners ----------------------------------------------------------------
 
-def _mc_estimator_risk(prior, fwd, truth, n, replicates, master_seed, cell):
-    """Mean and stderr of ||posterior mean - truth||^2 over replicate draws.
+def _contraction_pass(prior, fwd, truth, n):
+    """The risk decomposition and the Monte Carlo check's error law, in one pass.
+
+    The posterior-mean error at coordinate i is bias_i + noise_sd_i Z_i with
+    bias_i = -mu_i/(1+g_i) and noise_sd_i = sqrt(n) lambda_i kappa_i/(1+g_i).
+    """
+    if truth.trunc != prior.trunc:
+        raise DimensionMismatchError("truth and prior truncation differ")
+    blocks = model._spectral_blocks(prior, fwd, n)
+    bias = np.empty(prior.trunc)
+    noise_sd = np.empty(prior.trunc)
+    root_n = math.sqrt(n)
+
+    def terms():
+        for b in blocks:
+            mu = truth.coeffs[b.sl]
+            bias[b.sl] = -mu / b.denom
+            noise_sd[b.sl] = root_n * b.lam * b.kap / b.denom
+            yield posterior._risk_terms(b, mu)
+
+    rd = posterior.RiskDecomposition(*stable_sums(terms(), prior.trunc))
+    return rd, bias, noise_sd
+
+
+def _mc_risk(bias, noise_sd, replicates, master_seed, cell):
+    """Mean and stderr of ||bias + noise_sd Z||^2 over replicate draws.
 
     Replicate r uses the stream (master_seed, cell, r), so any single
     replicate can be regenerated alone.
     """
-    g = model.gain(prior, fwd, n)
-    denom = 1.0 + g
-    bias = -truth.coeffs / denom
-    noise_sd = math.sqrt(n) * prior.eigenvalues() * fwd.singular_values() / denom
     vals = np.empty(replicates)
+    err = np.empty(bias.size)
     for r in range(replicates):
         rng = np.random.default_rng(child_seed(master_seed, cell, r))
-        err = bias + noise_sd * rng.standard_normal(truth.trunc)
+        rng.standard_normal(out=err)
+        err *= noise_sd
+        err += bias
         vals[r] = err @ err
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(replicates)) if replicates > 1 \
         else 0.0
     return mean, stderr
+
+
+def _mc_estimator_risk(prior, fwd, truth, n, replicates, master_seed, cell):
+    """Mean and stderr of ||posterior mean - truth||^2 over replicate draws."""
+    _, bias, noise_sd = _contraction_pass(prior, fwd, truth, n)
+    return _mc_risk(bias, noise_sd, replicates, master_seed, cell)
 
 
 def run_contraction(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
@@ -308,9 +337,9 @@ def run_contraction(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
         prior = model.PriorSpec(alpha=rp.alpha, tau=rp.tau(n), trunc=trunc)
         fwd = _forward_for(cfg, trunc)
         truth = _truth_for(cfg, n, trunc, prior, fwd)
-        rd = posterior.risk_decomposition(prior, fwd, truth, n)
-        mc_risk, mc_stderr = _mc_estimator_risk(
-            prior, fwd, truth, n, cfg.replicates, cfg.master_seed, j)
+        rd, bias, noise_sd = _contraction_pass(prior, fwd, truth, n)
+        mc_risk, mc_stderr = _mc_risk(bias, noise_sd, cfg.replicates,
+                                      cfg.master_seed, j)
         eps = rates.contraction_rate(rp, n)
         return (n, trunc, rd.sq_bias, rd.variance, rd.spread,
                 rd.estimator_risk, rd.posterior_risk, mc_risk, mc_stderr,
@@ -398,6 +427,51 @@ def run_ball_coverage(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
     return ResultTable(kind=cfg.kind, columns=columns, rows=rows, metadata=meta)
 
 
+def _interval_sums(prior, fwd, l, truth, n):
+    """(s_n, t_n, bias) of the functional's credible interval, in one pass.
+
+    s_n^2 = sum l^2 s, t_n^2 = sum l^2 t and bias = -sum l mu/(1+g): the
+    coverage-functional cell's whole spectral work.
+    """
+    if not (n > 0):
+        raise ValueError("n must be positive")
+    blocks = model._spectral_blocks(prior, fwd, n)
+
+    def terms():
+        for b in blocks:
+            lcoef = l.coeffs[b.sl]
+            l_sq = lcoef ** 2
+            yield l_sq * b.s, l_sq * b.t, lcoef * truth.coeffs[b.sl] / b.denom
+
+    s_sq, t_sq, bias = stable_sums(terms(), prior.trunc)
+    return math.sqrt(s_sq), math.sqrt(t_sq), -bias
+
+
+def _bvm_sums(prior, fwd, l, truth, n, beta):
+    """(diagnostics, s_n, t_n, bias, plug-in limit) of a bvm cell, in one pass.
+
+    bvm_diagnostics' t_n^2 sums (l^2 s) shrink and the interval's sums
+    l^2 (s shrink); the two orders differ in the last bits, and each
+    column keeps its own.
+    """
+    if not (n > 0):
+        raise ValueError("n must be positive")
+    blocks = model._spectral_blocks(prior, fwd, n)
+
+    def terms():
+        for b in blocks:
+            lcoef = l.coeffs[b.sl]
+            l_sq = lcoef ** 2
+            yield credible._bvm_terms(b, l_sq, beta) + (
+                l_sq * b.t, lcoef * truth.coeffs[b.sl] / b.denom,
+                l_sq / b.kap ** 2)
+
+    s_sq, t_sq_diag, sup_sq, t_sq, bias, plugin_limit = stable_sums(
+        terms(), prior.trunc)
+    diag = credible._bvm_from_sums(s_sq, t_sq_diag, sup_sq)
+    return diag, math.sqrt(s_sq), math.sqrt(t_sq), -bias, plugin_limit
+
+
 def run_functional_coverage(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
     """Exact interval coverage of the functional's credible interval per n."""
     rp = cfg.regime
@@ -410,11 +484,7 @@ def run_functional_coverage(cfg: ExperimentConfig, workers: int = 1) -> ResultTa
         fwd = _forward_for(cfg, trunc)
         l = _functional_for(cfg, trunc)
         truth = _truth_for(cfg, n, trunc, prior, fwd, l)
-        w = credible.credible_weights(prior, fwd, n)
-        l_sq = l.coeffs ** 2
-        s_n = math.sqrt(stable_sum(l_sq * w.s_w))
-        t_n = math.sqrt(stable_sum(l_sq * w.t_w))
-        bias = posterior.functional_bias_var(prior, fwd, truth, l, n).bias
+        s_n, t_n, bias = _interval_sums(prior, fwd, l, truth, n)
         cov = credible.interval_coverage(bias, s_n, t_n, cfg.gamma)
         halfwidth = -z * s_n
         return (n, rp.alpha, rp.beta, rp.p, rp.tau(n), cfg.gamma, "interval",
@@ -439,14 +509,9 @@ def run_bvm(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
         fwd = _forward_for(cfg, trunc)
         l = _functional_for(cfg, trunc)
         truth = _truth_for(cfg, n, trunc, prior, fwd, l)
-        diag = credible.bvm_diagnostics(prior, fwd, l, n, rp.beta)
-        w = credible.credible_weights(prior, fwd, n)
-        l_sq = l.coeffs ** 2
-        s_n = math.sqrt(stable_sum(l_sq * w.s_w))
-        t_n = math.sqrt(stable_sum(l_sq * w.t_w))
-        bias = posterior.functional_bias_var(prior, fwd, truth, l, n).bias
+        diag, s_n, t_n, bias, plugin_limit = _bvm_sums(prior, fwd, l, truth,
+                                                       n, rp.beta)
         cov = credible.interval_coverage(bias, s_n, t_n, cfg.gamma)
-        plugin_limit = stable_sum(l_sq / fwd.singular_values() ** 2)
         return (n, trunc, s_n, t_n, diag.ratio, diag.sup_bias,
                 diag.sup_bias / t_n if t_n > 0 else math.inf, diag.tv,
                 bias, cov, n * t_n * t_n, plugin_limit,

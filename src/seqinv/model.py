@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,9 +29,10 @@ from .util import (
     DimensionMismatchError,
     RegimeError,
     TruncationError,
+    _CHUNK,
     read_csv,
     rng_for,
-    stable_sum,
+    stable_sums,
     write_csv,
 )
 
@@ -81,7 +83,10 @@ class PriorSpec:
 
     def eigenvalues(self) -> np.ndarray:
         """lambda_i = tau^2 * i^(-1-2*alpha), i = 1..trunc."""
-        return self.tau ** 2 * self.indices() ** (-1.0 - 2.0 * self.alpha)
+        return self._eigenvalues_at(self.indices())
+
+    def _eigenvalues_at(self, i: np.ndarray) -> np.ndarray:
+        return self.tau ** 2 * i ** (-1.0 - 2.0 * self.alpha)
 
 
 @dataclass(frozen=True)
@@ -111,6 +116,8 @@ class ForwardSpec:
             if not np.all(vals > 0):
                 raise ValueError("custom kappa values must be positive")
             object.__setattr__(self, "custom_values", tuple(float(v) for v in vals))
+            vals.flags.writeable = False
+            object.__setattr__(self, "_custom", vals)
         elif self.custom_values:
             raise ValueError("custom_values only allowed for kind='custom'")
 
@@ -132,12 +139,15 @@ class ForwardSpec:
         return np.arange(1, self.trunc + 1, dtype=float)
 
     def singular_values(self) -> np.ndarray:
-        i = self.indices()
+        return self._singular_values_at(self.indices(), slice(None))
+
+    def _singular_values_at(self, i: np.ndarray, sl: slice) -> np.ndarray:
+        """kappa at the 1-based indices i, which are positions sl."""
         if self.kind is KappaKind.EXACT_POLYNOMIAL:
             return i ** (-self.p)
         if self.kind is KappaKind.VOLTERRA:
             return 1.0 / ((i - 0.5) * math.pi)
-        return np.asarray(self.custom_values, dtype=float)
+        return self._custom[sl]
 
     def band_constant(self) -> float:
         if self.kind is KappaKind.EXACT_POLYNOMIAL:
@@ -183,36 +193,91 @@ class Observation:
         return int(self.y.size)
 
 
+def _index_blocks(size: int):
+    """(slice, 1-based float indices) of each _CHUNK-aligned block of 0..size-1."""
+    for lo in range(0, size, _CHUNK):
+        hi = min(lo + _CHUNK, size)
+        yield slice(lo, hi), np.arange(lo + 1, hi + 1, dtype=float)
+
+
 def sobolev_norm(coeffs, s: float) -> float:
     """sqrt(sum_i coeffs_i^2 i^(2s)) over the stored range."""
     a = np.asarray(coeffs, dtype=float).ravel()
     if a.size == 0:
         return 0.0
-    i = np.arange(1, a.size + 1, dtype=float)
-    return math.sqrt(stable_sum(a * a * i ** (2.0 * s)))
+    (sq,) = stable_sums(((a[sl] * a[sl] * i ** (2.0 * s),)
+                         for sl, i in _index_blocks(a.size)), a.size)
+    return math.sqrt(sq)
 
 
-def gain(prior: PriorSpec, fwd: ForwardSpec, n: float) -> np.ndarray:
-    """Per-coordinate signal-to-noise gain n * lambda_i * kappa_i^2.
+class SpectralTerms(NamedTuple):
+    """The per-coordinate spectral terms of one block of coordinates.
 
-    This single factor drives every posterior series downstream; computing it
-    once keeps the per-term orderings between those series exact in floating
-    point. An infinite gain would turn g/(1+g) into nan downstream, so a
-    non-finite n raises ValueError and a product that overflows at a finite n
-    raises RegimeError.
+    sl is the block's slice of the coordinate positions and i its 1-based
+    indices. g = n lam kap^2 is the gain, denom = 1 + g, shrink = g/denom,
+    s = lam/denom the posterior spread and t = s*shrink the sampling
+    variance of the posterior mean. shrink <= 1 exactly (IEEE division of
+    x by y >= x cannot exceed 1), so t <= s holds term by term.
+    """
+
+    sl: slice
+    i: np.ndarray
+    lam: np.ndarray
+    kap: np.ndarray
+    g: np.ndarray
+    denom: np.ndarray
+    shrink: np.ndarray
+    s: np.ndarray
+    t: np.ndarray
+
+
+def _spectral_blocks(prior: PriorSpec, fwd: ForwardSpec, n: float):
+    """Iterator over the SpectralTerms of each _CHUNK-aligned block.
+
+    Every spectral series and full-length array of the package is built
+    from these blocks in one pass, so a consumer holds O(_CHUNK) temporaries
+    rather than O(trunc) ones, and the blocks are util.stable_sum's chunks,
+    so util.stable_sums over them matches stable_sum of the full arrays bit
+    for bit. The arguments are checked here, before any block is formed: a
+    truncation mismatch raises DimensionMismatchError and a non-finite or
+    negative n ValueError. An infinite gain would turn g/(1+g) into nan, so
+    a product that overflows at a finite n raises RegimeError from the
+    block where it happens.
     """
     if prior.trunc != fwd.trunc:
         raise DimensionMismatchError("prior and forward truncation differ")
     if not (0.0 <= n < math.inf):
         raise ValueError("n must be finite and nonnegative")
-    lam = prior.eigenvalues()
-    kap = fwd.singular_values()
-    try:
-        with np.errstate(over="raise"):
-            return n * lam * kap ** 2
-    except FloatingPointError:
-        raise RegimeError(
-            f"gain n lambda_i kappa_i^2 overflows at n={n:g}") from None
+    return _spectral_terms(prior, fwd, n)
+
+
+def _spectral_terms(prior: PriorSpec, fwd: ForwardSpec, n: float):
+    for sl, i in _index_blocks(prior.trunc):
+        lam = prior._eigenvalues_at(i)
+        kap = fwd._singular_values_at(i, sl)
+        try:
+            with np.errstate(over="raise"):
+                g = n * lam * kap ** 2
+        except FloatingPointError:
+            raise RegimeError(
+                f"gain n lambda_i kappa_i^2 overflows at n={n:g}") from None
+        denom = 1.0 + g
+        shrink = g / denom
+        s = lam / denom
+        yield SpectralTerms(sl, i, lam, kap, g, denom, shrink, s, s * shrink)
+
+
+def gain(prior: PriorSpec, fwd: ForwardSpec, n: float) -> np.ndarray:
+    """Per-coordinate signal-to-noise gain n * lambda_i * kappa_i^2.
+
+    Raises as _spectral_blocks does: DimensionMismatchError, ValueError for
+    a non-finite n, RegimeError when the product overflows.
+    """
+    blocks = _spectral_blocks(prior, fwd, n)
+    out = np.empty(prior.trunc)
+    for b in blocks:
+        out[b.sl] = b.g
+    return out
 
 
 def generate_observation(seed, truth: Truth, fwd: ForwardSpec, n: float) -> Observation:
@@ -283,13 +348,15 @@ def extremal_truth_functional(l, beta: float, prior: PriorSpec,
         raise DimensionMismatchError("functional length != trunc")
     if not np.any(lcoef != 0.0):
         raise DegenerateInputError("functional is identically zero")
-    g = gain(prior, fwd, n)
-    i = prior.indices()
-    w = i ** (-2.0 * beta) * lcoef / (1.0 + g)
+    blocks = _spectral_blocks(prior, fwd, n)
+    w = np.empty(prior.trunc)
+    for b in blocks:
+        w[b.sl] = b.i ** (-2.0 * beta) * lcoef[b.sl] / b.denom
     norm = sobolev_norm(w, beta)
     if norm == 0.0:
         raise DegenerateInputError("extremal direction vanished")
-    return Truth(coeffs=w / norm, beta=float(beta))
+    w /= norm
+    return Truth(coeffs=w, beta=float(beta))
 
 
 def spike_truth_ball(prior: PriorSpec, fwd: ForwardSpec, n: float, beta: float,

@@ -14,9 +14,10 @@ behaviour of the posterior at a fixed truth is governed by three series:
     spread         sum_i lambda_i / (1+g_i)
 
 and linear functionals sum_i l_i mu_i get the analogous scalar quantities.
-The gain is computed once per call and shared by every series, so per-term
-orderings between them (variance term <= spread term, coordinatewise) hold
-exactly in floating point, not just in the limit.
+The spectral terms come from one model._spectral_blocks pass per call and
+are shared by every series, so per-term orderings between them (variance
+term <= spread term, coordinatewise) hold exactly in floating point, not
+just in the limit.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ForwardSpec, Observation, PriorSpec, Truth, gain
-from .util import DimensionMismatchError, rng_for, stable_sum
+from .model import ForwardSpec, Observation, PriorSpec, SpectralTerms, Truth, \
+    _spectral_blocks
+from .util import DimensionMismatchError, rng_for, stable_sum, stable_sums
 
 
 @dataclass(frozen=True)
@@ -119,22 +121,17 @@ class FunctionalAccuracy(NamedTuple):
     t_n_sq: float
 
 
-def _shrink(g: np.ndarray) -> np.ndarray:
-    # g/(1+g) <= 1 exactly: IEEE division of x by y >= x cannot exceed 1.
-    return g / (1.0 + g)
-
-
 def coordinate_posterior(prior: PriorSpec, fwd: ForwardSpec,
                          obs: Observation) -> PosteriorSummary:
     """Exact conjugate update, coordinate by coordinate."""
     if not (prior.trunc == fwd.trunc == obs.trunc):
         raise DimensionMismatchError("prior, forward, observation lengths differ")
-    lam = prior.eigenvalues()
-    kap = fwd.singular_values()
-    g = gain(prior, fwd, obs.n)
-    denom = 1.0 + g
-    mean = obs.n * lam * kap * obs.y / denom
-    var = lam / denom
+    blocks = _spectral_blocks(prior, fwd, obs.n)
+    mean = np.empty(prior.trunc)
+    var = np.empty(prior.trunc)
+    for b in blocks:
+        mean[b.sl] = obs.n * b.lam * b.kap * obs.y[b.sl] / b.denom
+        var[b.sl] = b.s
     return PosteriorSummary(mean=mean, var=var, n=obs.n)
 
 
@@ -143,8 +140,17 @@ def bias_coordinates(prior: PriorSpec, fwd: ForwardSpec, truth: Truth,
     """Noiseless posterior-mean error, coordinate by coordinate: -mu_i/(1+g_i)."""
     if truth.trunc != prior.trunc:
         raise DimensionMismatchError("truth and prior truncation differ")
-    g = gain(prior, fwd, n)
-    return -truth.coeffs / (1.0 + g)
+    blocks = _spectral_blocks(prior, fwd, n)
+    out = np.empty(prior.trunc)
+    for b in blocks:
+        out[b.sl] = -truth.coeffs[b.sl] / b.denom
+    return out
+
+
+def _risk_terms(b: SpectralTerms, mu: np.ndarray) -> tuple:
+    """One block's terms of (sq_bias, variance, spread) at truth block mu."""
+    bias = mu / b.denom
+    return bias * bias, b.t, b.s
 
 
 def risk_decomposition(prior: PriorSpec, fwd: ForwardSpec, truth: Truth,
@@ -156,17 +162,9 @@ def risk_decomposition(prior: PriorSpec, fwd: ForwardSpec, truth: Truth,
     """
     if truth.trunc != prior.trunc:
         raise DimensionMismatchError("truth and prior truncation differ")
-    lam = prior.eigenvalues()
-    g = gain(prior, fwd, n)
-    denom = 1.0 + g
-    b = truth.coeffs / denom
-    s_terms = lam / denom
-    t_terms = s_terms * _shrink(g)
-    return RiskDecomposition(
-        sq_bias=stable_sum(b * b),
-        variance=stable_sum(t_terms),
-        spread=stable_sum(s_terms),
-    )
+    blocks = _spectral_blocks(prior, fwd, n)
+    return RiskDecomposition(*stable_sums(
+        (_risk_terms(b, truth.coeffs[b.sl]) for b in blocks), prior.trunc))
 
 
 def functional_marginal(summary: PosteriorSummary, l: Functional) -> FunctionalMarginal:
@@ -190,12 +188,17 @@ def functional_bias_var(prior: PriorSpec, fwd: ForwardSpec, truth: Truth,
     """
     if not (l.trunc == prior.trunc == truth.trunc):
         raise DimensionMismatchError("functional, prior, truth lengths differ")
-    lam = prior.eigenvalues()
-    g = gain(prior, fwd, n)
-    denom = 1.0 + g
-    bias = -stable_sum(l.coeffs * truth.coeffs / denom)
-    t_terms = (l.coeffs ** 2 * (lam / denom)) * _shrink(g)
-    return FunctionalAccuracy(bias=bias, t_n_sq=stable_sum(t_terms))
+    blocks = _spectral_blocks(prior, fwd, n)
+    bias, t_n_sq = stable_sums(
+        ((l.coeffs[b.sl] * truth.coeffs[b.sl] / b.denom,
+          _functional_t_terms(b, l.coeffs[b.sl])) for b in blocks),
+        prior.trunc)
+    return FunctionalAccuracy(bias=-bias, t_n_sq=t_n_sq)
+
+
+def _functional_t_terms(b: SpectralTerms, lcoef: np.ndarray) -> np.ndarray:
+    """One block's terms of t_n^2, as (l^2 s) shrink."""
+    return (lcoef ** 2 * b.s) * b.shrink
 
 
 def posterior_draws(seed, summary: PosteriorSummary, k: int) -> np.ndarray:
@@ -212,7 +215,7 @@ def functional_sampling_sd(prior: PriorSpec, fwd: ForwardSpec, l: Functional,
     """t_n alone, without needing a truth."""
     if l.trunc != prior.trunc:
         raise DimensionMismatchError("functional and prior lengths differ")
-    lam = prior.eigenvalues()
-    g = gain(prior, fwd, n)
-    t_terms = (l.coeffs ** 2 * (lam / (1.0 + g))) * _shrink(g)
-    return math.sqrt(stable_sum(t_terms))
+    blocks = _spectral_blocks(prior, fwd, n)
+    (t_n_sq,) = stable_sums(((_functional_t_terms(b, l.coeffs[b.sl]),)
+                             for b in blocks), prior.trunc)
+    return math.sqrt(t_n_sq)

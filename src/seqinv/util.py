@@ -58,6 +58,26 @@ def stable_sum(values) -> float:
     return math.fsum(partials)
 
 
+def stable_sums(blocks, size: int) -> tuple[float, ...]:
+    """stable_sum of several length-`size` arrays that arrive in blocks.
+
+    `blocks` yields, for each consecutive _CHUNK-aligned run of indices
+    (0.._CHUNK-1, _CHUNK..2*_CHUNK-1, ...), one tuple holding that run of
+    every array. Each position of the result equals stable_sum of its whole
+    array bit for bit, because the blocks are stable_sum's own chunks:
+    size <= _CHUNK is a single block summed by math.fsum element by element,
+    and a longer array contributes one numpy .sum() per block.
+    """
+    whole = size <= _CHUNK
+    parts = []
+    for terms in blocks:
+        if not parts:
+            parts = [[] for _ in terms]
+        for acc, a in zip(parts, terms):
+            acc.append(math.fsum(a) if whole else float(a.sum()))
+    return tuple(math.fsum(acc) for acc in parts)
+
+
 def child_seed(master_seed: int, *key: int) -> np.random.SeedSequence:
     """Derive an independent stream from a 64-bit master seed.
 
@@ -115,16 +135,38 @@ def format_cell(value) -> str:
 _NATIVE_CELLS = frozenset((str, float))
 
 
+def _plain_line(row) -> str | None:
+    """The csv.writer line of a row of floats and plain strings, else None.
+
+    A plain string is non-empty and free of commas, double quotes, CR and
+    LF; csv.writer writes such a cell as itself and a float as its repr
+    (= its str), so joining the cells gives its line without the writer's
+    per-cell quoting scan. A float's repr holds none of those characters,
+    so a comma count of len(row) - 1 rules out commas inside the cells.
+    """
+    if not _NATIVE_CELLS.issuperset(map(type, row)) or "" in row:
+        return None
+    line = ",".join(map(str, row))
+    if (line.count(",") != len(row) - 1 or '"' in line or "\r" in line
+            or "\n" in line):
+        return None
+    return line + "\n"
+
+
 def write_csv(path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows(
-            row if _NATIVE_CELLS.issuperset(map(type, row))
-            else [format_cell(v) for v in row]
-            for row in rows)
+        for row in rows:
+            line = _plain_line(row)
+            if line is not None:
+                fh.write(line)
+            elif _NATIVE_CELLS.issuperset(map(type, row)):
+                writer.writerow(row)
+            else:
+                writer.writerow([format_cell(v) for v in row])
 
 
 def write_manifest(out_dir, config: dict, master_seed: int, started_at: str,

@@ -161,8 +161,11 @@ class GridFunction:
 
 
 def synthesize(coeffs, xs) -> GridFunction:
-    """Evaluate sum_i c_i e_i(x) on a grid."""
-    c = np.asarray(coeffs, dtype=float).ravel()
+    """Evaluate sum_i c_i e_i(x) on a grid; coeffs must be one-dimensional."""
+    c = np.asarray(coeffs, dtype=float)
+    if c.ndim != 1:
+        raise DimensionMismatchError(
+            f"coefficients must be one-dimensional, got shape {c.shape}")
     xs = np.asarray(xs, dtype=float)
     return GridFunction(xs=xs, values=_cosine_sums(c, xs))
 

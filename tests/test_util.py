@@ -91,15 +91,22 @@ def test_csv_round_trip(tmp_path):
 
 
 def test_write_csv_matches_format_cell_reference(tmp_path):
-    # Native str/float rows bypass format_cell; every other row goes through
-    # it. Both must give the bytes of a format_cell-per-cell writer.
+    # Rows of floats and plain strings are joined directly, other native
+    # str/float rows go to csv.writer as they are, and every other row goes
+    # through format_cell. All must give the bytes of a format_cell-per-cell
+    # csv.writer, also for the cells csv.writer quotes (empty string, comma,
+    # quote, newline, carriage return), mixed in one file.
     cells = [np.float64(0.1), np.int64(-7), np.bool_(True), np.bool_(False),
              0.1, -7, True, False, float("nan"), float("inf"),
              -float("inf"), -0.0, 5e-324, 1e16, 1.0 / 3.0, None,
              "plain", "a,b", 'say "hi"', ""]
     native = [0.1, float("nan"), float("inf"), -float("inf"), -0.0, 5e-324,
               1e16, 2.0 / 3.0, "a,b", 'say "hi"', "x"]
-    rows = [cells, native, [np.float32(0.1), 3], [1e16, "q"]]
+    plain = ["panel_1", 0.1, -0.0, float("nan"), 1e-300, 2.0 / 3.0]
+    rows = [cells, native, [np.float32(0.1), 3], [1e16, "q"], plain,
+            [""], ["", 1.5], [1.5, ""], ["a,b", 1.5], ['"', 1.5],
+            ["line\nbreak", 1.5], ["carriage\rreturn", 1.5], ["\r\n"],
+            [" leading space", 1.5], [1.5, 2, None, "s"], plain]
     path = tmp_path / "fast.csv"
     write_csv(path, ["c"], rows)
     ref = tmp_path / "ref.csv"

@@ -124,6 +124,13 @@ def test_synthesize_basis_and_linearity():
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
+def test_synthesize_refuses_non_vector_coefficients():
+    xs = np.linspace(0.0, 1.0, 5)
+    for coeffs in (np.ones((2, 3)), np.ones((1, 3)), 1.0):
+        with pytest.raises(DimensionMismatchError):
+            synthesize(coeffs, xs)
+
+
 def test_synthesis_quadrature_round_trip():
     # Recover coefficients by trapezoid quadrature against the basis.
     rng = np.random.default_rng(15)
