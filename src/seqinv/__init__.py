@@ -43,13 +43,8 @@ from .model import (
     gain,
     generate_observation,
     make_truth,
-    problem_descriptor,
-    read_indexed_series,
-    read_problem_descriptor,
     sobolev_norm,
     spike_truth_ball,
-    write_indexed_series,
-    write_problem_descriptor,
 )
 from .posterior import (
     Functional,
@@ -103,7 +98,6 @@ from .volterra import (
     DemoConfig,
     GridFunction,
     basis_e,
-    basis_f,
     credible_band,
     figure_demo,
     point_functional,

@@ -357,15 +357,13 @@ def ball_radius(w: EigenWeights, gamma: float, method: str = "monte-carlo",
     return (r, abserr) if full_output else r
 
 
-def ball_coverage(w: EigenWeights, bias, r: float, method: str = "monte-carlo",
-                  mc_samples: int = 2000, seed: int = 0) -> CoverageReport:
+def ball_coverage(w: EigenWeights, bias, r: float, mc_samples: int = 2000,
+                  seed: int = 0) -> CoverageReport:
     """P(sum_i (sqrt(t_i) Z_i + b_i)^2 <= r^2) for the posterior-mean law.
 
     `bias` is the coordinatewise posterior-mean bias at the truth of
     interest (see posterior.bias_coordinates).
     """
-    if method != "monte-carlo":
-        raise ValueError("ball coverage is only available by monte-carlo")
     if r < 0:
         raise ValueError("radius must be nonnegative")
     b = np.ascontiguousarray(bias, dtype=float).ravel()

@@ -59,7 +59,6 @@ class ExperimentConfig:
     n_grid: tuple = (1e3, 1e4, 1e5, 1e6, 1e7)
     gamma: float = 0.05
     replicates: int = 200
-    mc_samples: int = 200_000
     master_seed: int = 20260822
     trunc_policy: dict = field(
         default_factory=lambda: {"mode": "auto", "floor": 1000, "factor": 10.0})
@@ -68,27 +67,38 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        grid = tuple(float(v) for v in self.n_grid)
-        if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ConfigError("n_grid must be nonempty and strictly increasing")
+        try:
+            grid = tuple(float(v) for v in self.n_grid)
+        except (TypeError, ValueError):
+            grid = ()
+        # each n positive, below the next one and the last one below inf
+        if isinstance(self.n_grid, str) or not grid or not all(
+                0.0 < a < b for a, b in zip(grid, grid[1:] + (math.inf,))):
+            raise ConfigError("n_grid must be a nonempty, strictly increasing "
+                              f"list of finite positive n, got {self.n_grid!r}")
         object.__setattr__(self, "n_grid", grid)
         if not (0.0 < self.gamma < 1.0):
             raise ConfigError("gamma must lie in (0, 1)")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
-        if self.mc_samples < 1:
-            raise ConfigError("mc_samples must be >= 1")
-        mode = self.trunc_policy.get("mode")
+        mode = _spec_value("trunc_policy", self.trunc_policy, "mode", kind=str)
         if mode == "auto":
             extra = set(self.trunc_policy) - {"mode", "floor", "factor"}
         elif mode == "fixed":
             extra = set(self.trunc_policy) - {"mode", "value"}
-            if int(self.trunc_policy.get("value", 0)) < 1:
+            if _spec_value("fixed trunc_policy", self.trunc_policy, "value",
+                           kind=int) < 1:
                 raise ConfigError("fixed trunc_policy needs a positive value")
         else:
             raise ConfigError("trunc_policy mode must be 'auto' or 'fixed'")
         if extra:
             raise ConfigError(f"unknown trunc_policy keys: {sorted(extra)}")
+        if not isinstance(self.extras, dict):
+            raise ConfigError(f"extras must be an object, got {self.extras!r}")
+        # the extras keys some runner reads; volterra-demo's go to DemoConfig
+        unknown = set(self.extras) - {"kappa_kind", "sv_log_power", "combos"}
+        if unknown and self.kind != "volterra-demo":
+            raise ConfigError(f"unknown extras keys: {sorted(unknown)}")
 
     def to_dict(self) -> dict:
         return {
@@ -106,7 +116,6 @@ class ExperimentConfig:
             "n_grid": list(self.n_grid),
             "gamma": self.gamma,
             "replicates": self.replicates,
-            "mc_samples": self.mc_samples,
             "master_seed": self.master_seed,
             "trunc_policy": dict(self.trunc_policy),
             "extras": dict(self.extras),
@@ -116,11 +125,11 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        allowed = set(cls.__dataclass_fields__)
-        unknown = set(data) - allowed
+        payload = dict(data)
+        payload.pop("mc_samples", None)  # saved by earlier versions; unread
+        unknown = set(payload) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        payload = dict(data)
         regime = payload.pop("regime", None)
         if not isinstance(regime, dict):
             raise ConfigError("config needs a 'regime' object")
@@ -128,8 +137,6 @@ class ExperimentConfig:
             rp = rates.RegimeParams(**regime)
         except (TypeError, ValueError) as err:
             raise ConfigError(f"bad regime: {err}") from err
-        if "n_grid" in payload:
-            payload["n_grid"] = tuple(payload["n_grid"])
         try:
             return cls(regime=rp, **payload)
         except TypeError as err:
@@ -176,14 +183,28 @@ class ResultTable:
 
 # --- realization helpers ---------------------------------------------------
 
+def _spec_value(what: str, spec, key: str, default=None, kind=float):
+    """kind(spec[key]), or default if absent; bad input is a ConfigError."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{what} must be an object, got {spec!r}")
+    if key not in spec:
+        if default is None:
+            raise ConfigError(f"{what} needs {key!r}")
+        return default
+    try:
+        return kind(spec[key])
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what}: bad {key!r} value {spec[key]!r}") from None
+
+
 def _trunc_for(cfg: ExperimentConfig, n: float) -> int:
     policy = cfg.trunc_policy
     if policy["mode"] == "fixed":
         return int(policy["value"])
-    return model.default_trunc(n, cfg.regime.alpha, cfg.regime.p,
-                               cfg.regime.tau(n),
-                               floor=int(policy.get("floor", 1000)),
-                               factor=float(policy.get("factor", 10.0)))
+    return model.default_trunc(
+        n, cfg.regime.alpha, cfg.regime.p, cfg.regime.tau(n),
+        floor=_spec_value("trunc_policy", policy, "floor", 1000, int),
+        factor=_spec_value("trunc_policy", policy, "factor", 10.0))
 
 
 def _forward_for(cfg: ExperimentConfig, trunc: int) -> model.ForwardSpec:
@@ -201,32 +222,32 @@ def _functional_for(cfg: ExperimentConfig, trunc: int) -> posterior.Functional:
     spec = cfg.functional_spec
     if spec is None:
         raise ConfigError(f"experiment kind {cfg.kind!r} needs functional_spec")
-    kind = spec.get("kind")
+    kind = _spec_value("functional_spec", spec, "kind", kind=str)
+    get = functools.partial(_spec_value, f"{kind} functional", spec)
     i = np.arange(1, trunc + 1, dtype=float)
     if kind == "power":
-        q = float(spec["q"])
-        scale = float(spec.get("scale", 1.0))
+        q = get("q")
+        scale = get("scale", 1.0)
         return posterior.Functional(coeffs=scale * i ** (-q - 0.5), q=q)
     if kind == "exp":
-        rate = float(spec.get("rate", 1.0))
-        return posterior.Functional(coeffs=np.exp(-rate * i),
-                                    q=float(spec.get("q", math.inf)))
+        return posterior.Functional(coeffs=np.exp(-get("rate", 1.0) * i),
+                                    q=get("q", math.inf))
     if kind == "point":
-        return volterra.point_functional(float(spec["x"]), trunc)
+        return volterra.point_functional(get("x"), trunc)
     if kind == "coordinate":
-        idx = int(spec["index"])
+        idx = get("index", kind=int)
         if not (1 <= idx <= trunc):
             raise ConfigError("coordinate index outside truncation")
         coeffs = np.zeros(trunc)
         coeffs[idx - 1] = 1.0
-        return posterior.Functional(coeffs=coeffs, q=float(spec.get("q", -0.5)))
+        return posterior.Functional(coeffs=coeffs, q=get("q", -0.5))
     if kind == "custom":
-        coeffs = np.asarray(spec["coeffs"], dtype=float)
+        coeffs = get("coeffs", kind=functools.partial(np.asarray, dtype=float))
         if coeffs.size > trunc:
             raise ConfigError("custom functional longer than truncation")
         full = np.zeros(trunc)
         full[:coeffs.size] = coeffs
-        return posterior.Functional(coeffs=full, q=float(spec.get("q", 0.0)))
+        return posterior.Functional(coeffs=full, q=get("q", 0.0))
     raise ConfigError(f"unknown functional kind {kind!r}")
 
 
@@ -234,33 +255,45 @@ def _truth_for(cfg: ExperimentConfig, n: float, trunc: int,
                prior: model.PriorSpec, fwd: model.ForwardSpec,
                l: posterior.Functional | None = None) -> model.Truth:
     spec = cfg.truth_spec
-    pattern = spec.get("pattern")
+    pattern = _spec_value("truth_spec", spec, "pattern", kind=str)
+    get = functools.partial(_spec_value, f"{pattern} truth", spec)
     if pattern == "demo":
         return model.make_truth("demo", trunc)
     if pattern == "smooth":
-        return model.make_truth("smooth", trunc, beta=float(spec["beta"]),
-                                eps=float(spec["eps"]))
+        return model.make_truth("smooth", trunc, beta=get("beta"), eps=get("eps"))
     if pattern == "zero":
         return model.make_truth("custom", trunc, beta=cfg.regime.beta,
                                 coeffs=np.zeros(trunc))
     if pattern == "custom":
-        coeffs = np.asarray(spec["coeffs"], dtype=float)
+        coeffs = get("coeffs", kind=functools.partial(np.asarray, dtype=float))
         if coeffs.size > trunc:
             raise ConfigError("custom truth longer than truncation")
         full = np.zeros(trunc)
         full[:coeffs.size] = coeffs
-        return model.make_truth("custom", trunc, beta=float(spec["beta"]),
-                                coeffs=full)
+        return model.make_truth("custom", trunc, beta=get("beta"), coeffs=full)
     if pattern == "spike":
-        beta = float(spec.get("beta", cfg.regime.beta))
-        return model.spike_truth_ball(prior, fwd, n, beta,
-                                      float(spec["target_bias_sq"]))
+        return model.spike_truth_ball(
+            prior, fwd, n, get("beta", cfg.regime.beta), get("target_bias_sq"))
     if pattern == "extremal":
         if l is None:
             raise ConfigError("extremal truth needs a functional")
         return model.extremal_truth_functional(l.coeffs, cfg.regime.beta,
                                                prior, fwd, n)
     raise ConfigError(f"unknown truth pattern {pattern!r}")
+
+
+def _realize(cfg: ExperimentConfig, n: float):
+    """The cell at n as (trunc, prior, fwd, l, truth).
+
+    The functional l is None except for coverage-functional and bvm.
+    """
+    trunc = _trunc_for(cfg, n)
+    prior = model.PriorSpec(alpha=cfg.regime.alpha, tau=cfg.regime.tau(n),
+                            trunc=trunc)
+    fwd = _forward_for(cfg, trunc)
+    l = _functional_for(cfg, trunc) \
+        if cfg.kind in ("coverage-functional", "bvm") else None
+    return trunc, prior, fwd, l, _truth_for(cfg, n, trunc, prior, fwd, l)
 
 
 def _map_cells(fn, cells, workers: int):
@@ -333,10 +366,7 @@ def run_contraction(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
 
     def cell(args):
         j, n = args
-        trunc = _trunc_for(cfg, n)
-        prior = model.PriorSpec(alpha=rp.alpha, tau=rp.tau(n), trunc=trunc)
-        fwd = _forward_for(cfg, trunc)
-        truth = _truth_for(cfg, n, trunc, prior, fwd)
+        trunc, prior, fwd, _, truth = _realize(cfg, n)
         rd, bias, noise_sd = _contraction_pass(prior, fwd, truth, n)
         mc_risk, mc_stderr = _mc_risk(bias, noise_sd, cfg.replicates,
                                       cfg.master_seed, j)
@@ -367,8 +397,8 @@ def rate_table(cfg: ExperimentConfig) -> ResultTable:
     rp = cfg.regime
     rows = []
     use_functional = rp.q is not None
-    sv_power = float(cfg.extras.get("sv_log_power", 0.0))
-    sv = rates.SlowlyVarying(sv_power)
+    sv = rates.SlowlyVarying(
+        _spec_value("extras", cfg.extras, "sv_log_power", 0.0))
     for n in cfg.n_grid:
         if use_functional:
             t1, t2, gam, dlt = rates.functional_rate_terms(rp, n, sv)
@@ -382,28 +412,28 @@ def rate_table(cfg: ExperimentConfig) -> ResultTable:
                        rows=tuple(rows), metadata=_base_metadata(cfg))
 
 
+_COVERAGE_COLUMNS = ("n", "alpha", "beta", "p", "tau", "gamma", "kind",
+                     "radius", "coverage", "stderr", "method", "seed_key")
+
+
 def run_ball_coverage(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
     """Credible-ball radius and frequentist coverage per n.
 
     Both radii (credible and noise-only) are exact quantiles
-    (credible.ball_radius, method "imhof"), so mc_samples is not read;
-    replicates = coverage draws. The metadata carries, per n, the
-    noise-quantile ratio diagnostics, the radius method and the error
-    bounds of both radii.
+    (credible.ball_radius, method "imhof"); replicates is the number of
+    coverage draws. The metadata carries, per n, the noise-quantile ratio
+    diagnostics, the radius method and the error bounds of both radii.
     """
     rp = cfg.regime
 
     def cell(args):
         j, n = args
-        trunc = _trunc_for(cfg, n)
-        prior = model.PriorSpec(alpha=rp.alpha, tau=rp.tau(n), trunc=trunc)
-        fwd = _forward_for(cfg, trunc)
+        _, prior, fwd, _, truth = _realize(cfg, n)
         w = credible.credible_weights(prior, fwd, n)
         r, r_err = credible.ball_radius(w, cfg.gamma, method="imhof",
                                         full_output=True)
         r_noise, r_noise_err = credible.ball_radius(
             w.noise_only(), cfg.gamma, method="imhof", full_output=True)
-        truth = _truth_for(cfg, n, trunc, prior, fwd)
         bias = posterior.bias_coordinates(prior, fwd, truth, n)
         report = credible.ball_coverage(w, bias, r,
                                         mc_samples=cfg.replicates,
@@ -413,7 +443,7 @@ def run_ball_coverage(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
                 "bias_norm_sq": float(stable_sum(bias * bias)),
                 "radius_method": "imhof", "radius_abserr": r_err,
                 "noise_radius_abserr": r_noise_err}
-        row = (n, rp.alpha, rp.beta, rp.p, rp.tau(n), cfg.gamma, "ball",
+        row = (n, rp.alpha, rp.beta, rp.p, prior.tau, cfg.gamma, "ball",
                r, report.coverage, report.mc_stderr, report.method,
                seed_tag(cfg.master_seed, j))
         return row, diag
@@ -422,9 +452,8 @@ def run_ball_coverage(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
     rows = tuple(row for row, _ in results)
     meta = _base_metadata(cfg)
     meta["radius_diagnostics"] = [diag for _, diag in results]
-    columns = ("n", "alpha", "beta", "p", "tau", "gamma", "kind", "radius",
-               "coverage", "stderr", "method", "seed_key")
-    return ResultTable(kind=cfg.kind, columns=columns, rows=rows, metadata=meta)
+    return ResultTable(kind=cfg.kind, columns=_COVERAGE_COLUMNS, rows=rows,
+                       metadata=meta)
 
 
 def _interval_sums(prior, fwd, l, truth, n):
@@ -479,22 +508,16 @@ def run_functional_coverage(cfg: ExperimentConfig, workers: int = 1) -> ResultTa
 
     def cell(args):
         j, n = args
-        trunc = _trunc_for(cfg, n)
-        prior = model.PriorSpec(alpha=rp.alpha, tau=rp.tau(n), trunc=trunc)
-        fwd = _forward_for(cfg, trunc)
-        l = _functional_for(cfg, trunc)
-        truth = _truth_for(cfg, n, trunc, prior, fwd, l)
+        _, prior, fwd, l, truth = _realize(cfg, n)
         s_n, t_n, bias = _interval_sums(prior, fwd, l, truth, n)
         cov = credible.interval_coverage(bias, s_n, t_n, cfg.gamma)
         halfwidth = -z * s_n
-        return (n, rp.alpha, rp.beta, rp.p, rp.tau(n), cfg.gamma, "interval",
+        return (n, rp.alpha, rp.beta, rp.p, prior.tau, cfg.gamma, "interval",
                 halfwidth, cov, None, "exact-normal",
                 seed_tag(cfg.master_seed, j))
 
     rows = tuple(_map_cells(cell, list(enumerate(cfg.n_grid)), workers))
-    columns = ("n", "alpha", "beta", "p", "tau", "gamma", "kind", "radius",
-               "coverage", "stderr", "method", "seed_key")
-    return ResultTable(kind=cfg.kind, columns=columns, rows=rows,
+    return ResultTable(kind=cfg.kind, columns=_COVERAGE_COLUMNS, rows=rows,
                        metadata=_base_metadata(cfg))
 
 
@@ -504,11 +527,7 @@ def run_bvm(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
 
     def cell(args):
         j, n = args
-        trunc = _trunc_for(cfg, n)
-        prior = model.PriorSpec(alpha=rp.alpha, tau=rp.tau(n), trunc=trunc)
-        fwd = _forward_for(cfg, trunc)
-        l = _functional_for(cfg, trunc)
-        truth = _truth_for(cfg, n, trunc, prior, fwd, l)
+        trunc, prior, fwd, l, truth = _realize(cfg, n)
         diag, s_n, t_n, bias, plugin_limit = _bvm_sums(prior, fwd, l, truth,
                                                        n, rp.beta)
         cov = credible.interval_coverage(bias, s_n, t_n, cfg.gamma)
@@ -531,10 +550,11 @@ def run_lemma_order(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
     The metadata's series_diagnostics has one entry per row: how the value
     was evaluated (method, head terms, zeta terms, remainder bound).
     """
-    combos = cfg.extras.get("combos", list(DEFAULT_LEMMA_COMBOS))
     cells = []
-    for combo in combos:
-        q, t, u, v = (float(combo[k]) for k in ("q", "t", "u", "v"))
+    for combo in _spec_value("extras", cfg.extras, "combos",
+                             DEFAULT_LEMMA_COMBOS, list):
+        q, t, u, v = (_spec_value("lemma-order combo", combo, k)
+                      for k in ("q", "t", "u", "v"))
         on_sup = (t + 2.0 * q) / u < v
         limit_value = None if on_sup else rates.series_limit_value(
             rates.SequenceFamily(q=q), t, u, v)
@@ -726,18 +746,13 @@ def cli_main(argv=None) -> int:
                 "bvm": run_bvm,
                 "lemma-order": run_lemma_order,
             }[args.command]
-            table = runner(cfg, workers=max(1, args.workers))
-            stem = out_dir / args.command
-            if args.format == "json":
-                paths = [table.to_json(stem.with_suffix(".json"))]
-            else:
-                paths = [table.to_csv(stem.with_suffix(".csv"))]
+            tables = [(args.command, runner(cfg, workers=max(1, args.workers)))]
             if args.command == "contraction":
-                rt = rate_table(cfg)
-                suffix = ".json" if args.format == "json" else ".csv"
-                target = out_dir / f"{args.command}_rates{suffix}"
-                paths.append(rt.to_json(target) if args.format == "json"
-                             else rt.to_csv(target))
+                tables.append(("contraction_rates", rate_table(cfg)))
+            paths = []
+            for stem, table in tables:
+                write = table.to_json if args.format == "json" else table.to_csv
+                paths.append(write(out_dir / f"{stem}.{args.format}"))
             paths.append(write_manifest(out_dir, cfg.to_dict(),
                                         cfg.master_seed, started_at,
                                         time.monotonic() - started))

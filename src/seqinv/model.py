@@ -15,11 +15,9 @@ consumes the two spec objects defined here plus a Truth and an Observation.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -30,10 +28,8 @@ from .util import (
     RegimeError,
     TruncationError,
     _CHUNK,
-    read_csv,
     rng_for,
     stable_sums,
-    write_csv,
 )
 
 
@@ -384,7 +380,8 @@ def spike_truth_ball(prior: PriorSpec, fwd: ForwardSpec, n: float, beta: float,
         raise TruncationError(
             f"spike index {idx} beyond truncation {prior.trunc}",
             required_trunc=idx)
-    g = gain(prior, fwd, n)[idx - 1]
+    g = next(b.g[idx - 1 - b.sl.start]
+             for b in _spectral_blocks(prior, fwd, n) if b.sl.stop >= idx)
     coeffs = np.zeros(prior.trunc)
     coeffs[idx - 1] = math.sqrt(target_bias_sq) * (1.0 + g)
     return Truth(coeffs=coeffs, beta=float(beta))
@@ -419,49 +416,3 @@ def default_trunc(n: float, alpha: float, p: float, tau: float = 1.0,
             f"{factor:g} (n tau^2)^(1/(1+2 alpha+2p)) = {need:.3e}, "
             f"floor {floor}", required_trunc=trunc)
     return trunc
-
-
-# --- serialization ---------------------------------------------------------
-
-def write_indexed_series(path, values) -> None:
-    """CSV with columns (index, value), index starting at 1."""
-    a = np.asarray(values, dtype=float).ravel()
-    write_csv(path, ("index", "value"),
-              ((i + 1, a[i]) for i in range(a.size)))
-
-
-def read_indexed_series(path) -> np.ndarray:
-    header, rows = read_csv(path)
-    if header != ["index", "value"]:
-        raise ValueError(f"unexpected header {header!r}")
-    out = np.empty(len(rows))
-    for k, (idx, val) in enumerate(rows):
-        if int(idx) != k + 1:
-            raise ValueError("index column must run 1..len without gaps")
-        out[k] = float(val)
-    return out
-
-
-def problem_descriptor(prior: PriorSpec, fwd: ForwardSpec, truth: Truth,
-                       n: float, seed: int) -> dict:
-    """JSON-ready summary of a fully specified synthetic problem."""
-    return {
-        "alpha": prior.alpha,
-        "tau": prior.tau,
-        "p": fwd.p,
-        "kappa_kind": fwd.kind.value,
-        "trunc": prior.trunc,
-        "beta": truth.beta,
-        "n": float(n),
-        "seed": int(seed),
-    }
-
-
-def write_problem_descriptor(path, descriptor: dict) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(descriptor, indent=2, sort_keys=True) + "\n")
-
-
-def read_problem_descriptor(path) -> dict:
-    return json.loads(Path(path).read_text())

@@ -514,7 +514,6 @@ def _hurwitz_sum(fam: SequenceFamily, t: float, u: float, v: float, N: float,
 
 
 def series_lemma_sum_auto(xi, t: float, u: float, v: float, N: float, *,
-                          start_trunc: int | None = None,
                           max_trunc: int = 40_000_000,
                           rel_tail_tol: float = 1e-6,
                           full_output: bool = False, **tail_kw):
@@ -539,11 +538,9 @@ def series_lemma_sum_auto(xi, t: float, u: float, v: float, N: float, *,
                               tail_kw.get("tail_scale"))
     _refuse_unreachable(SequenceFamily(q=q, log_power=lp, scale=sc), t, u, v,
                         N, max_trunc, rel_tail_tol)
-    if start_trunc is None:
-        guess = 1000 if N <= 1.0 else 50.0 * math.exp(
-            min(math.log(N) / u, math.log(max_trunc)))
-        start_trunc = int(min(max_trunc, max(1000, math.ceil(guess))))
-    trunc = start_trunc
+    guess = 1000 if N <= 1.0 else 50.0 * math.exp(
+        min(math.log(N) / u, math.log(max_trunc)))
+    trunc = int(min(max_trunc, max(1000, math.ceil(guess))))
     for _ in range(8):
         try:
             value = series_lemma_sum(xi, t, u, v, N, trunc,

@@ -50,13 +50,6 @@ def basis_e(i, x):
     return math.sqrt(2.0) * np.cos((idx - 0.5) * math.pi * xs)
 
 
-def basis_f(i, x):
-    """Image-side eigenfunctions sqrt(2) sin((i-1/2) pi x)."""
-    idx = np.asarray(i, dtype=float)
-    xs = _check_unit_interval(x)
-    return math.sqrt(2.0) * np.sin((idx - 0.5) * math.pi * xs)
-
-
 def _e_matrix(stop: int, xs: np.ndarray, start: int = 0) -> np.ndarray:
     """Rows e_i(xs) for i = start+1, ..., stop."""
     i = np.arange(start + 1, stop + 1, dtype=float)

@@ -133,7 +133,7 @@ def test_criterion_05_ball_coverage_dichotomy():
             kind="coverage-ball",
             regime=RegimeParams(alpha=alpha, beta=1.0, p=1.0),
             truth_spec={"pattern": "smooth", "beta": 1.0, "eps": 0.01},
-            n_grid=(1e6,), replicates=500, mc_samples=200_000)
+            n_grid=(1e6,), replicates=500)
         table = run_ball_coverage(cfg)
         return dict(zip(table.columns, table.rows[0]))["coverage"]
 

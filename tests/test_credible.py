@@ -261,8 +261,6 @@ def test_ball_coverage_validation():
         ball_coverage(w, np.zeros(10), -1.0)
     with pytest.raises(DimensionMismatchError):
         ball_coverage(w, np.zeros(9), 1.0)
-    with pytest.raises(ValueError):
-        ball_coverage(w, np.zeros(10), 1.0, method="exact-normal")
 
 
 def test_coverage_report_validation():

@@ -43,8 +43,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         _cfg(replicates=0)
     with pytest.raises(ConfigError):
-        _cfg(mc_samples=0)
-    with pytest.raises(ConfigError):
         _cfg(trunc_policy={"mode": "guess"})
     with pytest.raises(ConfigError):
         _cfg(trunc_policy={"mode": "fixed"})
@@ -70,6 +68,19 @@ def test_config_round_trip():
                                                "p": 1.0}})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict([1, 2, 3])
+
+
+def test_saved_config_with_mc_samples_loads():
+    # Configs saved by earlier versions carry mc_samples, which no runner
+    # reads: it is dropped on load. Any other unknown key is refused.
+    data = default_config("coverage-ball").to_dict()
+    assert "mc_samples" not in data
+    cfg = ExperimentConfig.from_dict(data | {"mc_samples": 200_000})
+    assert cfg == default_config("coverage-ball")
+    assert not hasattr(cfg, "mc_samples")
+    assert "mc_samples" not in cfg.to_dict()
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(data | {"mc_sample": 200_000})
 
 
 def test_default_configs_cover_all_kinds():
@@ -222,7 +233,7 @@ def test_run_ball_coverage_small():
         kind="coverage-ball",
         regime=RegimeParams(alpha=1.0, beta=1.0, p=1.0),
         truth_spec={"pattern": "zero"},
-        n_grid=(1e4,), replicates=2000, mc_samples=20_000,
+        n_grid=(1e4,), replicates=2000,
         trunc_policy={"mode": "fixed", "value": 300})
     table = run_ball_coverage(cfg)
     row = dict(zip(table.columns, table.rows[0]))
@@ -320,7 +331,7 @@ def test_workers_do_not_change_results():
         kind="coverage-ball",
         regime=RegimeParams(alpha=1.0, beta=1.0, p=1.0),
         truth_spec={"pattern": "zero"},
-        n_grid=(1e3, 1e4), replicates=500, mc_samples=20_000,
+        n_grid=(1e3, 1e4), replicates=500,
         trunc_policy={"mode": "fixed", "value": 200})
     assert run_ball_coverage(bcfg, workers=4).rows == run_ball_coverage(bcfg).rows
 
@@ -470,6 +481,35 @@ def test_cli_config_file_round_trip(tmp_path):
                      str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["extras"]["combos"][0]["u"] == 2.5
+
+
+MALFORMED_CONFIGS = {
+    "fixed-trunc-not-int": (
+        "contraction", {"trunc_policy": {"mode": "fixed", "value": "x"}}),
+    "power-functional-without-q": (
+        "bvm", {"functional_spec": {"kind": "power"}}),
+    "coordinate-functional-without-index": (
+        "coverage-functional", {"functional_spec": {"kind": "coordinate"}}),
+    "smooth-truth-without-beta": (
+        "contraction", {"truth_spec": {"pattern": "smooth", "eps": 0.01}}),
+    "truth-spec-string": ("contraction", {"truth_spec": "demo"}),
+    "n-grid-string": ("contraction", {"n_grid": "abc"}),
+    "n-grid-nan": ("contraction", {"n_grid": [math.nan]}),
+    "n-grid-negative": ("contraction", {"n_grid": [-5]}),
+    "lemma-combo-without-t": (
+        "lemma-order", {"extras": {"combos": [{"q": 1.0, "u": 2.5, "v": 2.0}]}}),
+    "extras-typo": ("contraction", {"extras": {"kapa_kind": "volterra"}}),
+}
+
+
+@pytest.mark.parametrize("kind, update", MALFORMED_CONFIGS.values(),
+                         ids=MALFORMED_CONFIGS.keys())
+def test_cli_malformed_config_exits_2(tmp_path, capsys, kind, update):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(default_config(kind).to_dict() | update))
+    assert cli_main([kind, "--config", str(path), "--out",
+                     str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_cli_error_exit_codes(tmp_path):

@@ -15,13 +15,8 @@ from seqinv.model import (
     gain,
     generate_observation,
     make_truth,
-    problem_descriptor,
-    read_indexed_series,
-    read_problem_descriptor,
     sobolev_norm,
     spike_truth_ball,
-    write_indexed_series,
-    write_problem_descriptor,
 )
 from seqinv.util import DegenerateInputError, DimensionMismatchError, \
     RegimeError, TruncationError
@@ -240,6 +235,25 @@ def test_spike_truth_ball():
         spike_truth_ball(prior, fwd, n=1e6, beta=1.0, target_bias_sq=0.0)
 
 
+def test_spike_truth_ball_beyond_first_block():
+    # i_n = sqrt(n tau^2) = 10_000 lies in the second block of 8192
+    # coordinates; the spike's gain is the full gain array's, bit for bit.
+    trunc, n = 20_000, 1e8
+    prior = PriorSpec(alpha=0.5, tau=1.0, trunc=trunc)
+    fwd = ForwardSpec.polynomial(p=0.0, trunc=trunc)
+    truth = spike_truth_ball(prior, fwd, n, beta=1.0, target_bias_sq=0.03)
+    assert list(np.flatnonzero(truth.coeffs)) == [9999]
+    g = gain(prior, fwd, n)[9999]
+    assert truth.coeffs[9999] == math.sqrt(0.03) * (1.0 + g)
+
+    # kappa^2 overflows at coordinate 9000, in the spike's block.
+    vals = np.ones(trunc)
+    vals[8999] = 1e200
+    with pytest.raises(RegimeError):
+        spike_truth_ball(prior, ForwardSpec.custom(vals, p=0.0), n,
+                         beta=1.0, target_bias_sq=0.03)
+
+
 def test_default_trunc():
     assert default_trunc(10.0, alpha=1.0, p=1.0) == 1000
     assert default_trunc(1e12, alpha=1.0, p=1.0) == 2512
@@ -264,30 +278,3 @@ def test_default_trunc_cap():
     with pytest.raises(TruncationError) as err:
         default_trunc(1e10, 0.5, 0.0, tau=1e200)
     assert err.value.required_trunc is None
-
-
-def test_indexed_series_round_trip(tmp_path):
-    path = tmp_path / "series.csv"
-    vals = np.array([0.1, -2.0 / 3.0, 1e-300])
-    write_indexed_series(path, vals)
-    np.testing.assert_array_equal(read_indexed_series(path), vals)
-
-    bad = tmp_path / "bad.csv"
-    bad.write_text("i,value\n1,0.5\n")
-    with pytest.raises(ValueError):
-        read_indexed_series(bad)
-    gap = tmp_path / "gap.csv"
-    gap.write_text("index,value\n1,0.5\n3,0.25\n")
-    with pytest.raises(ValueError):
-        read_indexed_series(gap)
-
-
-def test_problem_descriptor_round_trip(tmp_path):
-    prior = PriorSpec(alpha=1.0, tau=0.5, trunc=64)
-    fwd = ForwardSpec.volterra(trunc=64)
-    truth = make_truth("demo", 64)
-    desc = problem_descriptor(prior, fwd, truth, n=1e4, seed=11)
-    path = tmp_path / "problem.json"
-    write_problem_descriptor(path, desc)
-    assert read_problem_descriptor(path) == desc
-    assert desc["kappa_kind"] == "volterra"

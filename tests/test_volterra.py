@@ -27,7 +27,6 @@ from seqinv.volterra import (
     _direct_sums,
     _e_matrix,
     basis_e,
-    basis_f,
     credible_band,
     figure_demo,
     point_functional,
@@ -51,13 +50,10 @@ def test_basis_endpoint_values():
     i = np.arange(1, 101)
     np.testing.assert_allclose(basis_e(i, 0.0), np.full(100, math.sqrt(2.0)),
                                rtol=1e-15)
-    np.testing.assert_array_equal(basis_f(i, 0.0), np.zeros(100))
     # Every unknown-side eigenfunction vanishes at the right endpoint.
     assert np.max(np.abs(basis_e(i, 1.0))) <= 1e-12
     with pytest.raises(ValueError):
         basis_e(1, -0.1)
-    with pytest.raises(ValueError):
-        basis_f(1, 1.5)
 
 
 def test_basis_orthonormality():
