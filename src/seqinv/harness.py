@@ -3,9 +3,9 @@
 A single ExperimentConfig describes one experiment of any kind; runners
 realize the problem per grid point (truncation policy, truth pattern,
 functional), compute analytic quantities exactly and Monte-Carlo quantities
-from seed streams derived per (grid point, replicate), and assemble rows in
-a fixed order. Outputs are a pure function of (config, master_seed): worker
-count only changes scheduling, never bytes.
+from seed streams derived per grid point, and assemble rows in a fixed
+order. Outputs are a pure function of (config, master_seed): worker count
+only changes scheduling, never bytes.
 """
 
 from __future__ import annotations
@@ -79,8 +79,12 @@ class ExperimentConfig:
         object.__setattr__(self, "n_grid", grid)
         if not (0.0 < self.gamma < 1.0):
             raise ConfigError("gamma must lie in (0, 1)")
-        if self.replicates < 1:
-            raise ConfigError("replicates must be >= 1")
+        # bool is an int subclass, but True replicates is a typo, not 1
+        for name, low in (("replicates", 1), ("master_seed", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:
+                raise ConfigError(
+                    f"{name} must be an integer >= {low}, got {value!r}")
         mode = _spec_value("trunc_policy", self.trunc_policy, "mode", kind=str)
         if mode == "auto":
             extra = set(self.trunc_policy) - {"mode", "floor", "factor"}
@@ -224,16 +228,22 @@ def _functional_for(cfg: ExperimentConfig, trunc: int) -> posterior.Functional:
         raise ConfigError(f"experiment kind {cfg.kind!r} needs functional_spec")
     kind = _spec_value("functional_spec", spec, "kind", kind=str)
     get = functools.partial(_spec_value, f"{kind} functional", spec)
-    i = np.arange(1, trunc + 1, dtype=float)
     if kind == "power":
         q = get("q")
-        scale = get("scale", 1.0)
-        return posterior.Functional(coeffs=scale * i ** (-q - 0.5), q=q)
+        coeffs = np.arange(1, trunc + 1, dtype=float)
+        coeffs **= -q - 0.5  # in place: no trunc-long temporary
+        coeffs *= get("scale", 1.0)
+        return posterior.Functional(coeffs=coeffs, q=q)
     if kind == "exp":
-        return posterior.Functional(coeffs=np.exp(-get("rate", 1.0) * i),
+        coeffs = np.arange(1, trunc + 1, dtype=float)
+        coeffs *= -get("rate", 1.0)
+        return posterior.Functional(coeffs=np.exp(coeffs, out=coeffs),
                                     q=get("q", math.inf))
     if kind == "point":
-        return volterra.point_functional(get("x"), trunc)
+        x = get("x")
+        if not (0.0 <= x <= 1.0):
+            raise ConfigError(f"point functional x {x!r} outside [0, 1]")
+        return volterra.point_functional(x, trunc)
     if kind == "coordinate":
         idx = get("index", kind=int)
         if not (1 <= idx <= trunc):
@@ -260,7 +270,10 @@ def _truth_for(cfg: ExperimentConfig, n: float, trunc: int,
     if pattern == "demo":
         return model.make_truth("demo", trunc)
     if pattern == "smooth":
-        return model.make_truth("smooth", trunc, beta=get("beta"), eps=get("eps"))
+        eps = get("eps")
+        if not (eps > 0):
+            raise ConfigError(f"smooth truth needs eps > 0, got {eps!r}")
+        return model.make_truth("smooth", trunc, beta=get("beta"), eps=eps)
     if pattern == "zero":
         return model.make_truth("custom", trunc, beta=cfg.regime.beta,
                                 coeffs=np.zeros(trunc))
@@ -272,8 +285,12 @@ def _truth_for(cfg: ExperimentConfig, n: float, trunc: int,
         full[:coeffs.size] = coeffs
         return model.make_truth("custom", trunc, beta=get("beta"), coeffs=full)
     if pattern == "spike":
+        target = get("target_bias_sq")
+        if not (target > 0):
+            raise ConfigError(f"spike truth needs target_bias_sq > 0, "
+                              f"got {target!r}")
         return model.spike_truth_ball(
-            prior, fwd, n, get("beta", cfg.regime.beta), get("target_bias_sq"))
+            prior, fwd, n, get("beta", cfg.regime.beta), target)
     if pattern == "extremal":
         if l is None:
             raise ConfigError("extremal truth needs a functional")
@@ -310,54 +327,43 @@ def _base_metadata(cfg: ExperimentConfig) -> dict:
 
 # --- runners ----------------------------------------------------------------
 
-def _contraction_pass(prior, fwd, truth, n):
-    """The risk decomposition and the Monte Carlo check's error law, in one pass.
+def _contraction_pass(prior, fwd, truth, n, replicates, master_seed, cell):
+    """The risk decomposition and the Monte Carlo risk check, in one pass.
 
-    The posterior-mean error at coordinate i is bias_i + noise_sd_i Z_i with
-    bias_i = -mu_i/(1+g_i) and noise_sd_i = sqrt(n) lambda_i kappa_i/(1+g_i).
+    The posterior-mean error at coordinate i is b_i + sqrt(t_i) Z_i with
+    b_i = -mu_i/(1+g_i); the check is the mean of its squared norm over
+    R = replicates replicates. Per coordinate, sum_r Z_r^2 = R Zbar^2 + W
+    with Zbar ~ N(0, 1/R) independent of W ~ chi^2_{R-1} (Cochran), so the
+    mean has the law of sum_i (b_i + sqrt(t_i/R) Z_i)^2 + sum_i t_i W_i/R:
+    one normal and one chi-square per coordinate from the stream
+    (master_seed, cell), whatever R is. Its standard error is exact,
+    sqrt(sum_i (2 t_i^2 + 4 b_i^2 t_i)/R). Returns (RiskDecomposition,
+    mc_risk, mc_stderr).
     """
     if truth.trunc != prior.trunc:
         raise DimensionMismatchError("truth and prior truncation differ")
     blocks = model._spectral_blocks(prior, fwd, n)
-    bias = np.empty(prior.trunc)
-    noise_sd = np.empty(prior.trunc)
-    root_n = math.sqrt(n)
+    rng = np.random.default_rng(child_seed(master_seed, cell))
 
     def terms():
         for b in blocks:
             mu = truth.coeffs[b.sl]
-            bias[b.sl] = -mu / b.denom
-            noise_sd[b.sl] = root_n * b.lam * b.kap / b.denom
-            yield posterior._risk_terms(b, mu)
+            bias_sq, t, s = posterior._risk_terms(b, mu)
+            err = np.sqrt(t / replicates) * rng.standard_normal(mu.size)
+            err -= mu / b.denom
+            scatter = t * rng.chisquare(replicates - 1, mu.size) \
+                if replicates > 1 else np.zeros(mu.size)
+            yield bias_sq, t, s, err * err, scatter, t * (t + 2.0 * bias_sq)
 
-    rd = posterior.RiskDecomposition(*stable_sums(terms(), prior.trunc))
-    return rd, bias, noise_sd
-
-
-def _mc_risk(bias, noise_sd, replicates, master_seed, cell):
-    """Mean and stderr of ||bias + noise_sd Z||^2 over replicate draws.
-
-    Replicate r uses the stream (master_seed, cell, r), so any single
-    replicate can be regenerated alone.
-    """
-    vals = np.empty(replicates)
-    err = np.empty(bias.size)
-    for r in range(replicates):
-        rng = np.random.default_rng(child_seed(master_seed, cell, r))
-        rng.standard_normal(out=err)
-        err *= noise_sd
-        err += bias
-        vals[r] = err @ err
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(replicates)) if replicates > 1 \
-        else 0.0
-    return mean, stderr
+    *rd, err_sq, scatter, var = stable_sums(terms(), prior.trunc)
+    return (posterior.RiskDecomposition(*rd), err_sq + scatter / replicates,
+            math.sqrt(2.0 * var / replicates))
 
 
 def _mc_estimator_risk(prior, fwd, truth, n, replicates, master_seed, cell):
-    """Mean and stderr of ||posterior mean - truth||^2 over replicate draws."""
-    _, bias, noise_sd = _contraction_pass(prior, fwd, truth, n)
-    return _mc_risk(bias, noise_sd, replicates, master_seed, cell)
+    """Monte Carlo mean and stderr of ||posterior mean - truth||^2."""
+    return _contraction_pass(prior, fwd, truth, n, replicates, master_seed,
+                             cell)[1:]
 
 
 def run_contraction(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
@@ -367,9 +373,8 @@ def run_contraction(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
     def cell(args):
         j, n = args
         trunc, prior, fwd, _, truth = _realize(cfg, n)
-        rd, bias, noise_sd = _contraction_pass(prior, fwd, truth, n)
-        mc_risk, mc_stderr = _mc_risk(bias, noise_sd, cfg.replicates,
-                                      cfg.master_seed, j)
+        rd, mc_risk, mc_stderr = _contraction_pass(
+            prior, fwd, truth, n, cfg.replicates, cfg.master_seed, j)
         eps = rates.contraction_rate(rp, n)
         return (n, trunc, rd.sq_bias, rd.variance, rd.spread,
                 rd.estimator_risk, rd.posterior_risk, mc_risk, mc_stderr,

@@ -314,13 +314,17 @@ def make_truth(kind: str, trunc: int, *, beta: float | None = None,
     if kind == "demo":
         if beta is not None and beta != 1.0:
             raise ValueError("demo truth has fixed beta = 1")
-        return Truth(coeffs=i ** -1.5 * np.sin(i), beta=1.0)
+        sin_i = np.sin(i)
+        i **= -1.5  # in place: i is the result, one 8 * trunc byte array
+        i *= sin_i
+        return Truth(coeffs=i, beta=1.0)
     if kind == "smooth":
         if beta is None or eps is None:
             raise ValueError("smooth truth needs beta and eps")
         if not (eps > 0):
             raise ValueError("eps must be positive")
-        return Truth(coeffs=i ** (-0.5 - beta - eps), beta=float(beta))
+        i **= -0.5 - beta - eps
+        return Truth(coeffs=i, beta=float(beta))
     if kind == "custom":
         if coeffs is None or beta is None:
             raise ValueError("custom truth needs coeffs and beta")

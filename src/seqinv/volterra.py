@@ -113,8 +113,11 @@ def point_functional(x: float, trunc: int) -> Functional:
     q = -1/2 with a bounded oscillating factor.
     """
     xs = _check_unit_interval(np.asarray([x], dtype=float))
-    i = np.arange(1, int(trunc) + 1, dtype=float)
-    coeffs = math.sqrt(2.0) * np.cos((i - 0.5) * math.pi * xs[0])
+    coeffs = np.arange(0.5, int(trunc))  # i - 1/2 for i = 1..trunc
+    coeffs *= math.pi
+    coeffs *= xs[0]
+    np.cos(coeffs, out=coeffs)
+    coeffs *= math.sqrt(2.0)
     return Functional(coeffs=coeffs, q=-0.5,
                       sv_note="bounded oscillation, |l_i| <= sqrt(2)")
 

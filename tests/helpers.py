@@ -38,3 +38,22 @@ def grid_posterior(n, lam, kappa, y):
     mean = math.fsum(w * grid) / z
     var = math.fsum(w * (grid - mean) ** 2) / z
     return mean, var
+
+
+def replicate_loop_risk(bias, noise_sd, replicates, master_seed, cell):
+    """Mean of ||bias + noise_sd Z_r||^2 over replicates r, by brute force.
+
+    The Monte Carlo risk check as a replicate loop: replicate r draws its
+    own standard normals from the stream (master_seed, cell, r), so the cost
+    is replicates x trunc normals and one Generator per replicate.
+    """
+    vals = np.empty(replicates)
+    err = np.empty(bias.size)
+    for r in range(replicates):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(master_seed, spawn_key=(cell, r)))
+        rng.standard_normal(out=err)
+        err *= noise_sd
+        err += bias
+        vals[r] = err @ err
+    return float(vals.mean())

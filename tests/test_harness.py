@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from seqinv import harness, model, rates, volterra
+from seqinv import credible, harness, model, posterior, rates, volterra
 from seqinv.harness import (
     DEFAULT_LEMMA_COMBOS,
     KINDS,
@@ -21,7 +22,9 @@ from seqinv.harness import (
     run_lemma_order,
 )
 from seqinv.rates import RegimeParams
-from seqinv.util import ConfigError
+from seqinv.util import ConfigError, stable_sum
+
+from helpers import replicate_loop_risk
 
 
 def _cfg(**kw):
@@ -194,11 +197,46 @@ def test_run_contraction_small():
 def test_run_contraction_single_replicate_huge_n():
     # One replicate at overwhelming n: noise is negligible next to the bias,
     # so the single-draw risk lands on the analytic squared bias.
+    # Its standard error is the exact one, sqrt(sum 2 t^2 + 4 b^2 t).
     cfg = _cfg(n_grid=(1e12,), replicates=1, master_seed=5)
     table = run_contraction(cfg)
     row = dict(zip(table.columns, table.rows[0]))
-    assert row["mc_stderr"] == 0.0
+    _, prior, fwd, _, truth = harness._realize(cfg, 1e12)
+    b = posterior.bias_coordinates(prior, fwd, truth, 1e12)
+    t = credible.credible_weights(prior, fwd, 1e12).t_w
+    assert row["mc_stderr"] == math.sqrt(2.0 * stable_sum(t * (t + 2.0 * b * b)))
     assert abs(row["mc_risk"] - row["sq_bias"]) <= 1e-5
+
+
+@pytest.mark.parametrize("replicates", [1, 2, 30])
+def test_mc_risk_has_the_replicate_loop_law(replicates):
+    # At a fixed 6-coordinate cell, mc_risk over 4000 cell streams against
+    # the brute-force replicate loop over other streams. The standardized
+    # error (mc_risk - estimator_risk)/mc_stderr has mean 0 and variance 1;
+    # the bounds are 5 standard deviations of the sample mean (1/sqrt(4000))
+    # and of the sample variance (sqrt((kurtosis + 2)/4000), kurtosis <= 5
+    # here). A chi-square with R instead of R - 1 degrees of freedom moves
+    # the mean by about 0.18 at R = 30.
+    trunc, n = 6, 30.0
+    prior = model.PriorSpec(alpha=0.5, tau=1.0, trunc=trunc)
+    fwd = model.ForwardSpec.polynomial(1.0, trunc)
+    i = np.arange(1, trunc + 1, dtype=float)
+    truth = model.Truth(coeffs=0.6 * np.cos(i) / i, beta=0.5)
+    gain = n * i ** -4.0
+    b = -truth.coeffs / (1.0 + gain)
+    t = n * i ** -6.0 / (1.0 + gain) ** 2
+    exact = float(np.sum(b * b + t))
+    draws = np.array([
+        harness._mc_estimator_risk(prior, fwd, truth, n, replicates, 7, cell)
+        for cell in range(4000)])
+    se = math.sqrt(2.0 * np.sum(t * (t + 2.0 * b * b)) / replicates)
+    np.testing.assert_allclose(draws[:, 1], se, rtol=1e-12)
+    z = (draws[:, 0] - exact) / draws[:, 1]
+    assert abs(z.mean()) <= 0.08
+    assert abs(z.var() - 1.0) <= 0.2
+    oracle = [replicate_loop_risk(b, np.sqrt(t), replicates, 8, cell)
+              for cell in range(1000 if replicates > 2 else 2000)]
+    assert stats.ks_2samp(draws[:, 0], oracle).pvalue > 1e-3
 
 
 def test_rate_table_contraction_and_functional():
@@ -499,6 +537,22 @@ MALFORMED_CONFIGS = {
     "lemma-combo-without-t": (
         "lemma-order", {"extras": {"combos": [{"q": 1.0, "u": 2.5, "v": 2.0}]}}),
     "extras-typo": ("contraction", {"extras": {"kapa_kind": "volterra"}}),
+    "replicates-float": ("contraction", {"replicates": 2.5}),
+    "replicates-integral-float": ("contraction", {"replicates": 2.0}),
+    "replicates-bool": ("contraction", {"replicates": True}),
+    "master-seed-string": ("contraction", {"master_seed": "abc"}),
+    "master-seed-float": ("bvm", {"master_seed": 7.0}),
+    "master-seed-bool": ("lemma-order", {"master_seed": False}),
+    "master-seed-negative": ("contraction", {"master_seed": -1}),
+    "smooth-truth-eps-zero": (
+        "contraction", {"truth_spec": {"pattern": "smooth", "beta": 1.0,
+                                       "eps": 0.0}}),
+    "spike-truth-target-zero": (
+        "coverage-ball", {"truth_spec": {"pattern": "spike",
+                                         "target_bias_sq": 0.0}}),
+    "point-functional-outside-unit-interval": (
+        "coverage-functional", {"functional_spec": {"kind": "point",
+                                                    "x": 1.5}}),
 }
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from seqinv import credible, harness, model, posterior
+from seqinv import credible, harness, model, posterior, volterra
 from seqinv.credible import bvm_diagnostics, credible_weights
 from seqinv.harness import (
     ExperimentConfig,
@@ -141,19 +141,24 @@ def test_blocked_pass_is_bit_identical(trunc, kind):
     assert _bits(extremal_truth_functional(lcoef, BETA, prior, fwd, N).coeffs) \
         == _bits(ext / norm)
 
-    # The contraction cell's Monte Carlo check: bias, noise sd and the
-    # replicate loop, as _mc_estimator_risk computed them.
-    _, bias, noise_sd = harness._contraction_pass(prior, fwd, truth, N)
-    assert _bits(bias) == _bits(-mu / ref.denom)
-    noise_ref = math.sqrt(N) * ref.lam * ref.kap / ref.denom
-    assert _bits(noise_sd) == _bits(noise_ref)
-    vals = np.empty(3)
-    for r in range(3):
-        rng = np.random.default_rng(child_seed(11, 4, r))
-        err = -mu / ref.denom + noise_ref * rng.standard_normal(trunc)
-        vals[r] = err @ err
+    # The contraction cell's pass: the risk decomposition, and the Monte
+    # Carlo check drawn as a normal and then a chi-square per coordinate,
+    # block by block, from the cell's stream.
+    rd, mc, se = harness._contraction_pass(prior, fwd, truth, N, 3, 11, 4)
+    assert rd == risk_decomposition(prior, fwd, truth, N)
+    rng = np.random.default_rng(child_seed(11, 4))
+    z = np.empty(trunc)
+    w = np.empty(trunc)
+    for start in range(0, trunc, 8192):
+        size = min(8192, trunc - start)
+        z[start:start + size] = rng.standard_normal(size)
+        w[start:start + size] = rng.chisquare(2, size)
+    err = np.sqrt(ref.t / 3) * z - mu / ref.denom
+    assert (mc, se) == (
+        stable_sum(err * err) + stable_sum(ref.t * w) / 3,
+        math.sqrt(2.0 * stable_sum(ref.t * (ref.t + 2.0 * b * b)) / 3))
     assert harness._mc_estimator_risk(prior, fwd, truth, N, 3, 11, 4) == \
-        (float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(3)))
+        (mc, se)
 
 
 def _cell_config(kind, trunc, truth_spec, functional_spec):
@@ -259,6 +264,42 @@ def test_interval_cell_memory_is_bounded(kind, truth, functional):
     finally:
         tracemalloc.stop()
     assert peak < 40e6
+
+
+@pytest.mark.parametrize("trunc", [1, 8193, 1_000_000])
+def test_in_place_sequences_keep_their_bits(trunc):
+    # The stock truths and functionals form their coefficients in place,
+    # with the bits of the full-array expressions they replaced. At trunc
+    # 1e6 the demo truth holds one 8 MB temporary (sin i) beside its result
+    # and the others none; the expressions peaked at 24, 17, 24, 17 and
+    # 24 MB.
+    i = np.arange(1, trunc + 1, dtype=float)
+
+    def functional(spec):
+        cfg = _cell_config("bvm", trunc, {"pattern": "demo"}, spec)
+        return harness._functional_for(cfg, trunc)
+
+    cases = [
+        (lambda: make_truth("demo", trunc), i ** -1.5 * np.sin(i), 2.25),
+        (lambda: make_truth("smooth", trunc, beta=BETA, eps=0.01),
+         i ** (-0.5 - BETA - 0.01), 1.25),
+        (lambda: volterra.point_functional(0.3, trunc),
+         math.sqrt(2.0) * np.cos((i - 0.5) * math.pi * 0.3), 1.25),
+        (lambda: functional({"kind": "power", "q": 1.0, "scale": 3.0}),
+         3.0 * i ** (-1.0 - 0.5), 1.25),
+        (lambda: functional({"kind": "exp", "rate": 0.5}), np.exp(-0.5 * i),
+         1.25),
+    ]
+    for build, ref, peak_ratio in cases:
+        tracemalloc.start()
+        try:
+            coeffs = build().coeffs
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert _bits(coeffs) == _bits(ref)
+        if trunc == 1_000_000:
+            assert peak < peak_ratio * coeffs.nbytes
 
 
 @pytest.mark.parametrize("kind, functional", [
