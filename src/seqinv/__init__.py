@@ -48,31 +48,23 @@ from .model import (
 )
 from .posterior import (
     Functional,
-    FunctionalAccuracy,
-    FunctionalMarginal,
     PosteriorSummary,
     RiskDecomposition,
     bias_coordinates,
     coordinate_posterior,
-    functional_bias_var,
-    functional_marginal,
-    functional_sampling_sd,
+    functional_interval,
     posterior_draws,
     risk_decomposition,
 )
 from .rates import (
-    FixedBiasReport,
     FunctionalRateTerms,
     RateTerms,
     RegimeParams,
     SequenceFamily,
     SeriesDiagnostics,
     SlowlyVarying,
-    contraction_exponents,
     contraction_rate,
     contraction_terms,
-    fixed_bias_smallness_check,
-    functional_rate,
     functional_rate_terms,
     functional_tau_balance_factor,
     optimal_tau_exponent,
@@ -97,12 +89,10 @@ from .util import (
 from .volterra import (
     DemoConfig,
     GridFunction,
-    basis_e,
     credible_band,
     figure_demo,
     point_functional,
     synthesize,
-    volterra_kappa,
 )
 
 import types as _types

@@ -23,8 +23,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from .model import ForwardSpec, PriorSpec, SpectralTerms, _spectral_blocks
-from .posterior import Functional
+from .model import ForwardSpec, PriorSpec, Truth, _spectral_blocks
+from .posterior import Functional, _interval_terms
 from .util import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -105,9 +105,13 @@ class CoverageReport:
 
 
 class BvmDiagnostics(NamedTuple):
-    ratio: float      # s_n / t_n
-    sup_bias: float   # worst bias over the unit Sobolev-beta ball
-    tv: float         # TV distance between N(0, s_n^2) and N(0, t_n^2)
+    s_n: float           # posterior sd of the functional
+    t_n: float           # sampling sd of the plug-in posterior mean
+    bias: float          # signed bias of the plug-in posterior mean
+    ratio: float         # s_n / t_n
+    sup_bias: float      # worst bias over the unit Sobolev-beta ball
+    tv: float            # TV distance between N(0, s_n^2) and N(0, t_n^2)
+    plugin_limit: float  # sum_i l_i^2 / kappa_i^2, the limit of n t_n^2
 
 
 def credible_weights(prior: PriorSpec, fwd: ForwardSpec, n: float) -> EigenWeights:
@@ -426,36 +430,38 @@ def _tv_centered_normals(s: float, t: float) -> float:
 
 
 def bvm_diagnostics(prior: PriorSpec, fwd: ForwardSpec, l: Functional,
-                    n: float, beta: float) -> BvmDiagnostics:
+                    truth: Truth, n: float, beta: float) -> BvmDiagnostics:
     """Spread-vs-sampling diagnostics for the functional's credible interval.
 
-    ratio s_n/t_n -> 1 is the hallmark of correct uncertainty calibration;
-    sup_bias = sqrt(sum_i l_i^2 i^(-2 beta) / (1+g_i)^2) is the exact worst
-    bias over the unit Sobolev-beta ball (Cauchy-Schwarz is attained by the
-    extremal truth); tv is the TV distance between the two centered Gaussian
-    laws.
+    s_n, t_n and bias are posterior.functional_interval's, from the same
+    pass. ratio s_n/t_n -> 1 is the hallmark of correct uncertainty
+    calibration; sup_bias = sqrt(sum_i l_i^2 i^(-2 beta) / (1+g_i)^2) is the
+    exact worst bias over the unit Sobolev-beta ball (Cauchy-Schwarz is
+    attained by the extremal truth); tv is the TV distance between the two
+    centered Gaussian laws; plugin_limit = sum_i l_i^2 / kappa_i^2 is the
+    limit of n t_n^2 as n grows.
     """
-    if l.trunc != prior.trunc:
-        raise DimensionMismatchError("functional and prior lengths differ")
+    if not (l.trunc == prior.trunc == truth.trunc):
+        raise DimensionMismatchError("functional, prior, truth lengths differ")
     blocks = _spectral_blocks(prior, fwd, n)
-    return _bvm_from_sums(*stable_sums(
-        (_bvm_terms(b, l.coeffs[b.sl] ** 2, beta) for b in blocks),
-        prior.trunc))
 
+    def terms():
+        for b in blocks:
+            lcoef = l.coeffs[b.sl]
+            l_sq = lcoef ** 2
+            yield _interval_terms(b, lcoef, l_sq, truth.coeffs[b.sl]) + (
+                l_sq * b.i ** (-2.0 * beta) / (b.denom * b.denom),
+                l_sq / b.kap ** 2)
 
-def _bvm_terms(b: SpectralTerms, l_sq: np.ndarray, beta: float) -> tuple:
-    """One block's terms of (s_n^2, t_n^2, sup_bias^2) at l_sq = l^2."""
-    spread = l_sq * b.s
-    return (spread, spread * b.shrink,
-            l_sq * b.i ** (-2.0 * beta) / (b.denom * b.denom))
-
-
-def _bvm_from_sums(s_sq: float, t_sq: float, sup_sq: float) -> BvmDiagnostics:
+    s_sq, t_sq, bias, sup_sq, plugin_limit = stable_sums(terms(),
+                                                         prior.trunc)
     if s_sq == 0.0:
         raise DegenerateInputError("functional has zero posterior spread")
-    sup_bias = math.sqrt(sup_sq)
     s_n = math.sqrt(s_sq)
     t_n = math.sqrt(t_sq)
-    ratio = s_n / t_n if t_n > 0 else math.inf
-    tv = _tv_centered_normals(s_n, t_n) if t_n > 0 else 1.0
-    return BvmDiagnostics(ratio=ratio, sup_bias=sup_bias, tv=tv)
+    return BvmDiagnostics(
+        s_n=s_n, t_n=t_n, bias=-bias,
+        ratio=s_n / t_n if t_n > 0 else math.inf,
+        sup_bias=math.sqrt(sup_sq),
+        tv=_tv_centered_normals(s_n, t_n) if t_n > 0 else 1.0,
+        plugin_limit=plugin_limit)

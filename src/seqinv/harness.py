@@ -188,23 +188,33 @@ class ResultTable:
 # --- realization helpers ---------------------------------------------------
 
 def _spec_value(what: str, spec, key: str, default=None, kind=float):
-    """kind(spec[key]), or default if absent; bad input is a ConfigError."""
+    """kind(spec[key]), or default if absent; bad input is a ConfigError.
+
+    A bool is refused whatever the kind (JSON true is a typo, not 1), and so
+    is a fractional number where kind is int (2.7 is not truncated to 2).
+    """
     if not isinstance(spec, dict):
         raise ConfigError(f"{what} must be an object, got {spec!r}")
     if key not in spec:
         if default is None:
             raise ConfigError(f"{what} needs {key!r}")
         return default
+    value = spec[key]
     try:
-        return kind(spec[key])
+        if isinstance(value, bool):
+            raise TypeError
+        out = kind(value)
+        if kind is int and isinstance(value, float) and out != value:
+            raise ValueError
+        return out
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{what}: bad {key!r} value {spec[key]!r}") from None
+        raise ConfigError(f"{what}: bad {key!r} value {value!r}") from None
 
 
 def _trunc_for(cfg: ExperimentConfig, n: float) -> int:
     policy = cfg.trunc_policy
     if policy["mode"] == "fixed":
-        return int(policy["value"])
+        return _spec_value("trunc_policy", policy, "value", kind=int)
     return model.default_trunc(
         n, cfg.regime.alpha, cfg.regime.p, cfg.regime.tau(n),
         floor=_spec_value("trunc_policy", policy, "floor", 1000, int),
@@ -461,51 +471,6 @@ def run_ball_coverage(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
                        metadata=meta)
 
 
-def _interval_sums(prior, fwd, l, truth, n):
-    """(s_n, t_n, bias) of the functional's credible interval, in one pass.
-
-    s_n^2 = sum l^2 s, t_n^2 = sum l^2 t and bias = -sum l mu/(1+g): the
-    coverage-functional cell's whole spectral work.
-    """
-    if not (n > 0):
-        raise ValueError("n must be positive")
-    blocks = model._spectral_blocks(prior, fwd, n)
-
-    def terms():
-        for b in blocks:
-            lcoef = l.coeffs[b.sl]
-            l_sq = lcoef ** 2
-            yield l_sq * b.s, l_sq * b.t, lcoef * truth.coeffs[b.sl] / b.denom
-
-    s_sq, t_sq, bias = stable_sums(terms(), prior.trunc)
-    return math.sqrt(s_sq), math.sqrt(t_sq), -bias
-
-
-def _bvm_sums(prior, fwd, l, truth, n, beta):
-    """(diagnostics, s_n, t_n, bias, plug-in limit) of a bvm cell, in one pass.
-
-    bvm_diagnostics' t_n^2 sums (l^2 s) shrink and the interval's sums
-    l^2 (s shrink); the two orders differ in the last bits, and each
-    column keeps its own.
-    """
-    if not (n > 0):
-        raise ValueError("n must be positive")
-    blocks = model._spectral_blocks(prior, fwd, n)
-
-    def terms():
-        for b in blocks:
-            lcoef = l.coeffs[b.sl]
-            l_sq = lcoef ** 2
-            yield credible._bvm_terms(b, l_sq, beta) + (
-                l_sq * b.t, lcoef * truth.coeffs[b.sl] / b.denom,
-                l_sq / b.kap ** 2)
-
-    s_sq, t_sq_diag, sup_sq, t_sq, bias, plugin_limit = stable_sums(
-        terms(), prior.trunc)
-    diag = credible._bvm_from_sums(s_sq, t_sq_diag, sup_sq)
-    return diag, math.sqrt(s_sq), math.sqrt(t_sq), -bias, plugin_limit
-
-
 def run_functional_coverage(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
     """Exact interval coverage of the functional's credible interval per n."""
     rp = cfg.regime
@@ -514,7 +479,7 @@ def run_functional_coverage(cfg: ExperimentConfig, workers: int = 1) -> ResultTa
     def cell(args):
         j, n = args
         _, prior, fwd, l, truth = _realize(cfg, n)
-        s_n, t_n, bias = _interval_sums(prior, fwd, l, truth, n)
+        s_n, t_n, bias = posterior.functional_interval(prior, fwd, l, truth, n)
         cov = credible.interval_coverage(bias, s_n, t_n, cfg.gamma)
         halfwidth = -z * s_n
         return (n, rp.alpha, rp.beta, rp.p, prior.tau, cfg.gamma, "interval",
@@ -533,12 +498,11 @@ def run_bvm(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
     def cell(args):
         j, n = args
         trunc, prior, fwd, l, truth = _realize(cfg, n)
-        diag, s_n, t_n, bias, plugin_limit = _bvm_sums(prior, fwd, l, truth,
-                                                       n, rp.beta)
-        cov = credible.interval_coverage(bias, s_n, t_n, cfg.gamma)
-        return (n, trunc, s_n, t_n, diag.ratio, diag.sup_bias,
-                diag.sup_bias / t_n if t_n > 0 else math.inf, diag.tv,
-                bias, cov, n * t_n * t_n, plugin_limit,
+        d = credible.bvm_diagnostics(prior, fwd, l, truth, n, rp.beta)
+        cov = credible.interval_coverage(d.bias, d.s_n, d.t_n, cfg.gamma)
+        return (n, trunc, d.s_n, d.t_n, d.ratio, d.sup_bias,
+                d.sup_bias / d.t_n if d.t_n > 0 else math.inf, d.tv,
+                d.bias, cov, n * d.t_n * d.t_n, d.plugin_limit,
                 seed_tag(cfg.master_seed, j))
 
     rows = tuple(_map_cells(cell, list(enumerate(cfg.n_grid)), workers))
@@ -693,6 +657,10 @@ def _load_config(args, kind: str) -> ExperimentConfig:
                         ("p", args.p), ("tau_exponent", args.tau_exp)):
         if value is not None:
             regime_updates[name] = value
+    if regime_updates and kind == "volterra-demo":
+        raise ConfigError("volterra-demo takes its priors from extras.alphas "
+                          "and extras.tau, not from --alpha, --beta, --p or "
+                          "--tau-exp")
     updates = {}
     if regime_updates:
         try:

@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .model import ForwardSpec, Observation, PriorSpec, SpectralTerms, Truth, \
     _spectral_blocks
-from .util import DimensionMismatchError, rng_for, stable_sum, stable_sums
+from .util import DimensionMismatchError, rng_for, stable_sums
 
 
 @dataclass(frozen=True)
@@ -85,17 +84,14 @@ class Functional:
     """Linear functional mu -> sum_i coeffs_i mu_i.
 
     q declares the decay of the representer, |coeffs_i| ~ i^(-q-1/2) up to a
-    slowly varying factor; sv_note optionally describes that factor (see
-    rates.SlowlyVarying) or records a free-form bound. The sum defining the
-    functional need not converge absolutely on the prior's support for the
-    marginal below to make sense: square-summability of coeffs_i^2 lambda_i
-    is all the formulas use, and that always holds for a stored finite
-    sequence.
+    slowly varying factor. The sum defining the functional need not converge
+    absolutely on the prior's support for its posterior law to make sense:
+    square-summability of coeffs_i^2 lambda_i is all the formulas use, and
+    that always holds for a stored finite sequence.
     """
 
     coeffs: np.ndarray
     q: float
-    sv_note: object | None = None
 
     def __post_init__(self):
         a = np.ascontiguousarray(self.coeffs, dtype=float)
@@ -109,16 +105,6 @@ class Functional:
     @property
     def trunc(self) -> int:
         return int(self.coeffs.size)
-
-
-class FunctionalMarginal(NamedTuple):
-    mean: float
-    s_n_sq: float
-
-
-class FunctionalAccuracy(NamedTuple):
-    bias: float
-    t_n_sq: float
 
 
 def coordinate_posterior(prior: PriorSpec, fwd: ForwardSpec,
@@ -167,38 +153,35 @@ def risk_decomposition(prior: PriorSpec, fwd: ForwardSpec, truth: Truth,
         (_risk_terms(b, truth.coeffs[b.sl]) for b in blocks), prior.trunc))
 
 
-def functional_marginal(summary: PosteriorSummary, l: Functional) -> FunctionalMarginal:
-    """Posterior law of the functional: N(sum l_i m_i, sum l_i^2 v_i)."""
-    if l.trunc != summary.trunc:
-        raise DimensionMismatchError("functional and posterior lengths differ")
-    mean = stable_sum(l.coeffs * summary.mean)
-    s_n_sq = stable_sum(l.coeffs ** 2 * summary.var)
-    return FunctionalMarginal(mean=mean, s_n_sq=s_n_sq)
+def _interval_terms(b: SpectralTerms, lcoef: np.ndarray, l_sq: np.ndarray,
+                    mu: np.ndarray) -> tuple:
+    """One block's terms of (s_n^2, t_n^2, -bias) at l = lcoef, l^2 = l_sq."""
+    return l_sq * b.s, l_sq * b.t, lcoef * mu / b.denom
 
 
-def functional_bias_var(prior: PriorSpec, fwd: ForwardSpec, truth: Truth,
-                        l: Functional, n: float) -> FunctionalAccuracy:
-    """Sampling bias and variance of the plug-in posterior-mean functional.
+def functional_interval(prior: PriorSpec, fwd: ForwardSpec, l: Functional,
+                        truth: Truth, n: float) -> tuple[float, float, float]:
+    """(s_n, t_n, bias) of the functional's credible interval, in one pass.
 
-    bias   = -sum_i l_i mu_i / (1+g_i)          (signed)
-    t_n^2  =  sum_i l_i^2 lambda_i g_i / (1+g_i)^2
+    s_n^2  =  sum_i l_i^2 s_i                  (posterior variance)
+    t_n^2  =  sum_i l_i^2 t_i                  (sampling variance of the
+                                                plug-in mean sum_i l_i m_i)
+    bias   = -sum_i l_i mu_i / (1+g_i)          (signed, at the truth)
 
-    Each t-term is the matching spread term scaled by g/(1+g) <= 1, so the
-    domination t_n^2 <= s_n^2 is exact per term.
+    Each t-term is the matching s-term with t_i = s_i g_i/(1+g_i) <= s_i,
+    so t_n <= s_n holds exactly in floating point.
     """
     if not (l.trunc == prior.trunc == truth.trunc):
         raise DimensionMismatchError("functional, prior, truth lengths differ")
     blocks = _spectral_blocks(prior, fwd, n)
-    bias, t_n_sq = stable_sums(
-        ((l.coeffs[b.sl] * truth.coeffs[b.sl] / b.denom,
-          _functional_t_terms(b, l.coeffs[b.sl])) for b in blocks),
-        prior.trunc)
-    return FunctionalAccuracy(bias=-bias, t_n_sq=t_n_sq)
 
+    def terms():
+        for b in blocks:
+            lcoef = l.coeffs[b.sl]
+            yield _interval_terms(b, lcoef, lcoef ** 2, truth.coeffs[b.sl])
 
-def _functional_t_terms(b: SpectralTerms, lcoef: np.ndarray) -> np.ndarray:
-    """One block's terms of t_n^2, as (l^2 s) shrink."""
-    return (lcoef ** 2 * b.s) * b.shrink
+    s_sq, t_sq, bias = stable_sums(terms(), prior.trunc)
+    return math.sqrt(s_sq), math.sqrt(t_sq), -bias
 
 
 def posterior_draws(seed, summary: PosteriorSummary, k: int) -> np.ndarray:
@@ -208,14 +191,3 @@ def posterior_draws(seed, summary: PosteriorSummary, k: int) -> np.ndarray:
     rng = rng_for(seed)
     z = rng.standard_normal((int(k), summary.trunc))
     return summary.mean + z * np.sqrt(summary.var)
-
-
-def functional_sampling_sd(prior: PriorSpec, fwd: ForwardSpec, l: Functional,
-                           n: float) -> float:
-    """t_n alone, without needing a truth."""
-    if l.trunc != prior.trunc:
-        raise DimensionMismatchError("functional and prior lengths differ")
-    blocks = _spectral_blocks(prior, fwd, n)
-    (t_n_sq,) = stable_sums(((_functional_t_terms(b, l.coeffs[b.sl]),)
-                             for b in blocks), prior.trunc)
-    return math.sqrt(t_n_sq)

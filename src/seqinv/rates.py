@@ -19,20 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
 
-from .model import Truth
-from .posterior import Functional
-from .util import (
-    DegenerateInputError,
-    DimensionMismatchError,
-    RegimeError,
-    TruncationError,
-    stable_sum,
-)
+from .util import RegimeError, TruncationError
 
 _EULER_GAMMA = float(np.euler_gamma)
 _EVAL_CHUNK = 1_000_000
@@ -161,15 +153,6 @@ def contraction_rate(rp: RegimeParams, n: float) -> float:
     return t1 + t2
 
 
-def contraction_exponents(rp: RegimeParams) -> RateTerms:
-    """Exponents of the two terms as powers of n (log-log slopes)."""
-    u = rp.resolution_exponent
-    scale = 1.0 + 2.0 * rp.tau_exponent
-    e1 = -scale * min(rp.beta / u, 1.0)
-    e2 = rp.tau_exponent - scale * rp.alpha / u
-    return RateTerms(e1, e2)
-
-
 def optimal_tau_exponent(rp: RegimeParams) -> float | None:
     """Scaling exponent minimizing the contraction rate.
 
@@ -240,12 +223,6 @@ def functional_rate_terms(rp: RegimeParams, n: float,
     term1 = big_n ** (-e1) * gamma_n
     term2 = rp.tau(n) * big_n ** (-e2) * delta_n
     return FunctionalRateTerms(term1, term2, gamma_n, delta_n)
-
-
-def functional_rate(rp: RegimeParams, n: float,
-                    sv: SlowlyVarying | None = None) -> float:
-    t = functional_rate_terms(rp, n, sv)
-    return t.term1 + t.term2
 
 
 def optimal_tau_functional(rp: RegimeParams) -> float:
@@ -580,58 +557,3 @@ def series_limit_value(xi, t: float, u: float, v: float, *,
     return series_lemma_sum_auto(xi, t - u * v, u, 0.0, 0.0,
                                  max_trunc=max_trunc,
                                  rel_tail_tol=rel_tail_tol, **tail_kw)
-
-
-# --- fixed-truth bias diagnostics ------------------------------------------
-
-@dataclass(frozen=True)
-class FixedBiasReport:
-    """Bias series vs its worst-case envelope along an n grid."""
-
-    n_grid: tuple
-    series: tuple
-    envelope: tuple
-    ratio: tuple
-    decreasing: bool
-
-
-def fixed_bias_smallness_check(mu0: Truth, l: Functional, rp: RegimeParams,
-                               n_grid: Sequence[float]) -> FixedBiasReport:
-    """Check that a fixed truth's bias beats the uniform-over-ball envelope.
-
-    Computes sum_i |l_i mu_i| / (1 + N i^-u) with N = n tau^2 and
-    u = 1 + 2 alpha + 2p, divides by the ball-wide envelope
-    N^(-(2 beta+2q)/(2u)) S(N^(1/u)), and reports whether the ratio decreases
-    along the grid (the dominated-convergence gain of fixing the truth).
-    """
-    q = l.q
-    if l.trunc != mu0.trunc:
-        raise DimensionMismatchError("functional and truth lengths differ")
-    t = 2.0 * mu0.beta
-    u = rp.resolution_exponent
-    if not (t + 2.0 * q < 2.0 * u):
-        raise RegimeError("bias envelope needs 2 beta + 2q < 2(1+2 alpha+2p)")
-    grid = [float(v) for v in n_grid]
-    if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("n_grid must be strictly increasing, length >= 2")
-
-    sv = l.sv_note if isinstance(l.sv_note, SlowlyVarying) else SlowlyVarying()
-    i = np.arange(1, l.trunc + 1, dtype=float)
-    absprod = np.abs(l.coeffs * mu0.coeffs)
-    if not np.any(absprod > 0):
-        raise DegenerateInputError("functional-truth product is identically zero")
-    amp = float(np.max(np.abs(l.coeffs) * i ** (q + 0.5) / sv(i)))
-
-    series, envelope, ratio = [], [], []
-    for n in grid:
-        big_n = rp._require_budget(n)
-        series_val = stable_sum(absprod / (1.0 + big_n * i ** (-u)))
-        env_val = amp * big_n ** (-(t + 2.0 * q) / (2.0 * u)) \
-            * float(sv(big_n ** (1.0 / u)))
-        series.append(series_val)
-        envelope.append(env_val)
-        ratio.append(series_val / env_val)
-    decreasing = all(b < a for a, b in zip(ratio, ratio[1:]))
-    return FixedBiasReport(n_grid=tuple(grid), series=tuple(series),
-                           envelope=tuple(envelope), ratio=tuple(ratio),
-                           decreasing=decreasing)

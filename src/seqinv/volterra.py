@@ -28,26 +28,11 @@ from .util import ConfigError, DimensionMismatchError, child_seed, \
     write_csv, write_manifest
 
 
-def volterra_kappa(i) -> np.ndarray:
-    """Singular values 1/((i - 1/2) pi)."""
-    idx = np.asarray(i, dtype=float)
-    if np.any(idx < 1):
-        raise ValueError("indices start at 1")
-    return 1.0 / ((idx - 0.5) * math.pi)
-
-
 def _check_unit_interval(x) -> np.ndarray:
     xs = np.asarray(x, dtype=float)
     if np.any(xs < 0.0) or np.any(xs > 1.0):
         raise ValueError("grid points must lie in [0, 1]")
     return xs
-
-
-def basis_e(i, x):
-    """Unknown-side eigenfunctions sqrt(2) cos((i-1/2) pi x)."""
-    idx = np.asarray(i, dtype=float)
-    xs = _check_unit_interval(x)
-    return math.sqrt(2.0) * np.cos((idx - 0.5) * math.pi * xs)
 
 
 def _e_matrix(stop: int, xs: np.ndarray, start: int = 0) -> np.ndarray:
@@ -118,8 +103,7 @@ def point_functional(x: float, trunc: int) -> Functional:
     coeffs *= xs[0]
     np.cos(coeffs, out=coeffs)
     coeffs *= math.sqrt(2.0)
-    return Functional(coeffs=coeffs, q=-0.5,
-                      sv_note="bounded oscillation, |l_i| <= sqrt(2)")
+    return Functional(coeffs=coeffs, q=-0.5)
 
 
 @dataclass(frozen=True)

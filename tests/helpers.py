@@ -1,5 +1,6 @@
 """Shared test oracles, independent of the library's formulas."""
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,3 +58,23 @@ def replicate_loop_risk(bias, noise_sd, replicates, master_seed, cell):
         err += bias
         vals[r] = err @ err
     return float(vals.mean())
+
+
+def basis_e(i, x):
+    """Unknown-side eigenfunctions sqrt(2) cos((i-1/2) pi x) of the
+    integration operator, evaluated elementwise."""
+    idx = np.asarray(i, dtype=float)
+    return math.sqrt(2.0) * np.cos((idx - 0.5) * math.pi * np.asarray(x))
+
+
+class FunctionalMarginal(NamedTuple):
+    mean: float
+    s_n_sq: float
+
+
+def functional_marginal(summary, coeffs):
+    """Posterior law N(sum l_i m_i, sum l_i^2 v_i) of the functional with
+    coefficients l, read off a coordinatewise posterior summary (m, v)."""
+    l = np.asarray(coeffs, dtype=float)
+    return FunctionalMarginal(mean=math.fsum(l * summary.mean),
+                              s_n_sq=math.fsum(l * l * summary.var))

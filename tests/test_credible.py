@@ -20,7 +20,7 @@ from seqinv.credible import (
     credible_weights,
     interval_coverage,
 )
-from seqinv.model import ForwardSpec, PriorSpec
+from seqinv.model import ForwardSpec, PriorSpec, make_truth
 from seqinv.posterior import Functional
 from seqinv.util import DegenerateInputError, DimensionMismatchError, \
     RegimeError, child_seed, stable_sum
@@ -91,7 +91,7 @@ def test_weights_at_gain_extremes():
         credible_weights(huge, fwd, 1e300)
     with pytest.raises(RegimeError):
         bvm_diagnostics(huge, fwd, Functional(coeffs=np.ones(5), q=0.0),
-                        1e300, 1.0)
+                        make_truth("demo", 5), 1e300, 1.0)
     for n in (math.inf, math.nan):
         with pytest.raises(ValueError):
             credible_weights(prior, fwd, n)
@@ -355,12 +355,20 @@ def test_bvm_diagnostics_basis_vector():
     n = 1e4
     e1 = np.zeros(trunc)
     e1[0] = 1.0
+    truth = make_truth("demo", trunc)
     diag = bvm_diagnostics(prior, fwd, Functional(coeffs=e1, q=math.inf),
-                           n, beta=1.0)
+                           truth, n, beta=1.0)
     g1 = n * 1.0 * 1.0
     assert diag.sup_bias == pytest.approx(1.0 / (1.0 + g1), rel=1e-12)
     assert diag.ratio >= 1.0
     assert 0.0 <= diag.tv <= 1.0
+    # On the first coordinate: s_1 = 1/(1+g), t_1 = g/(1+g)^2, kappa_1 = 1.
+    assert diag.s_n == pytest.approx(math.sqrt(1.0 / (1.0 + g1)), rel=1e-15)
+    assert diag.t_n == pytest.approx(math.sqrt(g1) / (1.0 + g1), rel=1e-15)
+    assert diag.bias == pytest.approx(-truth.coeffs[0] / (1.0 + g1),
+                                      rel=1e-15)
+    assert diag.ratio == diag.s_n / diag.t_n
+    assert diag.plugin_limit == 1.0
 
 
 def test_bvm_ratio_decreases_for_matched_decay():
@@ -370,7 +378,8 @@ def test_bvm_ratio_decreases_for_matched_decay():
     fwd = ForwardSpec.polynomial(p=1.0, trunc=trunc)
     i = np.arange(1.0, trunc + 1)
     l = Functional(coeffs=i ** -1.5, q=1.0)
-    ratios = [bvm_diagnostics(prior, fwd, l, n, beta=1.0).ratio
+    truth = make_truth("demo", trunc)
+    ratios = [bvm_diagnostics(prior, fwd, l, truth, n, beta=1.0).ratio
               for n in (1e4, 1e6, 1e8)]
     assert ratios[0] > ratios[1] > ratios[2] > 1.0
 
@@ -378,12 +387,16 @@ def test_bvm_ratio_decreases_for_matched_decay():
 def test_bvm_degenerate_functional():
     prior = PriorSpec(alpha=1.0, tau=1.0, trunc=10)
     fwd = ForwardSpec.polynomial(p=1.0, trunc=10)
+    truth = make_truth("demo", 10)
     with pytest.raises(DegenerateInputError):
         bvm_diagnostics(prior, fwd, Functional(coeffs=np.zeros(10), q=1.0),
-                        1e4, beta=1.0)
+                        truth, 1e4, beta=1.0)
     with pytest.raises(DimensionMismatchError):
         bvm_diagnostics(prior, fwd, Functional(coeffs=np.zeros(9), q=1.0),
-                        1e4, beta=1.0)
+                        truth, 1e4, beta=1.0)
+    with pytest.raises(DimensionMismatchError):
+        bvm_diagnostics(prior, fwd, Functional(coeffs=np.ones(10), q=1.0),
+                        make_truth("demo", 9), 1e4, beta=1.0)
 
 
 def test_ball_statistic_concentrates():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -524,6 +525,15 @@ def test_cli_config_file_round_trip(tmp_path):
 MALFORMED_CONFIGS = {
     "fixed-trunc-not-int": (
         "contraction", {"trunc_policy": {"mode": "fixed", "value": "x"}}),
+    "fixed-trunc-bool": (
+        "contraction", {"trunc_policy": {"mode": "fixed", "value": True}}),
+    "fixed-trunc-fractional": (
+        "contraction", {"trunc_policy": {"mode": "fixed", "value": 2.7}}),
+    "auto-trunc-fractional-floor": (
+        "contraction", {"trunc_policy": {"mode": "auto", "floor": 1500.5}}),
+    "smooth-truth-bools": (
+        "contraction", {"truth_spec": {"pattern": "smooth", "beta": True,
+                                       "eps": True}}),
     "power-functional-without-q": (
         "bvm", {"functional_spec": {"kind": "power"}}),
     "coordinate-functional-without-index": (
@@ -564,6 +574,30 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys, kind, update):
     assert cli_main([kind, "--config", str(path), "--out",
                      str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_integral_float_spec_values_are_read_as_integers():
+    cfg = ExperimentConfig(
+        kind="contraction", regime=RegimeParams(alpha=1.0, beta=1.0, p=1.0),
+        truth_spec={"pattern": "demo"}, n_grid=(1e3,), replicates=2,
+        trunc_policy={"mode": "fixed", "value": 20.0})
+    assert run_contraction(cfg).column("trunc") == [20]
+    auto = dataclasses.replace(cfg, trunc_policy={"mode": "auto",
+                                                  "floor": 2000.0})
+    assert run_contraction(auto).column("trunc") == [2000]
+
+
+def test_cli_volterra_demo_refuses_regime_flags(tmp_path, capsys):
+    # The demo takes its priors from extras.alphas and extras.tau, so a
+    # regime flag would be ignored without a word.
+    for argv in (["--alpha", "7", "--p", "3", "--tau-exp", "0.3"],
+                 ["--beta", "2"]):
+        assert cli_main(["volterra-demo", *argv, "--out",
+                         str(tmp_path / "demo")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "extras.alphas" in err and "extras.tau" in err
+    assert not (tmp_path / "demo").exists()
 
 
 def test_cli_error_exit_codes(tmp_path):

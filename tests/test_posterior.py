@@ -16,15 +16,14 @@ from seqinv.posterior import (
     Functional,
     coordinate_posterior,
     bias_coordinates,
-    functional_bias_var,
-    functional_marginal,
-    functional_sampling_sd,
+    functional_interval,
     posterior_draws,
     risk_decomposition,
 )
-from seqinv.util import DimensionMismatchError, child_seed, stable_sum
+from seqinv.credible import bvm_diagnostics
+from seqinv.util import DimensionMismatchError, child_seed
 
-from helpers import grid_posterior
+from helpers import functional_marginal, grid_posterior
 
 
 def _single_coordinate_problem(lam, kappa, n, y):
@@ -136,18 +135,26 @@ def test_bias_coordinates_sign_and_mismatch():
 
 
 def test_functional_marginal_basis_vector():
+    # The interval's s_n is the sd of the functional's posterior law: on a
+    # basis vector, that of the coordinate.
     prior = PriorSpec(alpha=1.0, tau=1.0, trunc=20)
     fwd = ForwardSpec.polynomial(p=1.0, trunc=20)
-    obs = generate_observation(4, make_truth("demo", 20), fwd, n=100.0)
+    truth = make_truth("demo", 20)
+    obs = generate_observation(4, truth, fwd, n=100.0)
     post = coordinate_posterior(prior, fwd, obs)
     e1 = np.zeros(20)
     e1[0] = 1.0
-    marg = functional_marginal(post, Functional(coeffs=e1, q=math.inf))
+    marg = functional_marginal(post, e1)
     assert marg.mean == pytest.approx(post.mean[0])
     assert marg.s_n_sq == pytest.approx(post.var[0])
+    s_n, _, _ = functional_interval(prior, fwd, Functional(coeffs=e1, q=1.0),
+                                    truth, 100.0)
+    assert s_n * s_n == pytest.approx(marg.s_n_sq, rel=1e-15)
 
-    zero = functional_marginal(post, Functional(coeffs=np.zeros(20), q=math.inf))
-    assert zero == (0.0, 0.0)
+    zero = Functional(coeffs=np.zeros(20), q=math.inf)
+    assert functional_marginal(post, zero.coeffs) == (0.0, 0.0)
+    assert functional_interval(prior, fwd, zero, truth, 100.0) == (0.0, 0.0,
+                                                                   0.0)
 
 
 def test_functional_marginal_linearity():
@@ -158,10 +165,16 @@ def test_functional_marginal_linearity():
     rng = np.random.default_rng(6)
     l1 = rng.standard_normal(30)
     l2 = rng.standard_normal(30)
-    a = functional_marginal(post, Functional(coeffs=l1, q=0.0))
-    b = functional_marginal(post, Functional(coeffs=l2, q=0.0))
-    c = functional_marginal(post, Functional(coeffs=2.0 * l1 - l2, q=0.0))
+    a = functional_marginal(post, l1)
+    b = functional_marginal(post, l2)
+    c = functional_marginal(post, 2.0 * l1 - l2)
     assert c.mean == pytest.approx(2.0 * a.mean - b.mean, rel=1e-10, abs=1e-12)
+    # The interval's bias is linear in the functional too.
+    truth = make_truth("demo", 30)
+    bias = [functional_interval(prior, fwd, Functional(coeffs=c, q=0.0),
+                                truth, 100.0)[2] for c in (l1, l2, 2.0 * l1 - l2)]
+    assert bias[2] == pytest.approx(2.0 * bias[0] - bias[1], rel=1e-10,
+                                    abs=1e-12)
 
 
 def test_functional_marginal_matches_draws():
@@ -170,7 +183,7 @@ def test_functional_marginal_matches_draws():
     obs = generate_observation(7, make_truth("demo", 50), fwd, n=50.0)
     post = coordinate_posterior(prior, fwd, obs)
     lcoef = np.exp(-0.1 * np.arange(1, 51))
-    marg = functional_marginal(post, Functional(coeffs=lcoef, q=math.inf))
+    marg = functional_marginal(post, lcoef)
 
     draws = posterior_draws(8, post, 100_000)
     vals = draws @ lcoef
@@ -195,30 +208,31 @@ def test_posterior_draws_reproducible_and_degenerate():
         posterior_draws(1, post, 0)
 
 
-def test_functional_bias_var_zero_truth_and_sign():
+def test_functional_interval_zero_truth_and_sign():
     prior = PriorSpec(alpha=1.0, tau=1.0, trunc=40)
     fwd = ForwardSpec.polynomial(p=1.0, trunc=40)
     zero = make_truth("custom", 40, beta=1.0, coeffs=np.zeros(40))
-    lcoef = np.ones(40)
-    acc = functional_bias_var(prior, fwd, zero, Functional(coeffs=lcoef, q=-0.5),
-                              n=100.0)
-    assert acc.bias == 0.0
-    assert acc.t_n_sq > 0.0
+    l = Functional(coeffs=np.ones(40), q=-0.5)
+    _, t_n, bias = functional_interval(prior, fwd, l, zero, 100.0)
+    assert bias == 0.0
+    assert t_n > 0.0
 
     pos = make_truth("smooth", 40, beta=1.0, eps=0.1)
-    acc = functional_bias_var(prior, fwd, pos, Functional(coeffs=lcoef, q=-0.5),
-                              n=100.0)
-    assert acc.bias < 0.0
+    assert functional_interval(prior, fwd, l, pos, 100.0)[2] < 0.0
+    with pytest.raises(DimensionMismatchError):
+        functional_interval(prior, fwd, l, make_truth("demo", 39), 100.0)
 
 
-def test_sampling_sd_consistent_with_bias_var():
+def test_functional_interval_matches_bvm_diagnostics():
+    # One set of sums serves both: the bvm row's s_n, t_n and bias are the
+    # interval's, bit for bit.
     prior = PriorSpec(alpha=0.5, tau=2.0, trunc=60)
     fwd = ForwardSpec.volterra(trunc=60)
     truth = make_truth("demo", 60)
     l = Functional(coeffs=np.arange(1, 61, dtype=float) ** -1.5, q=1.0)
-    acc = functional_bias_var(prior, fwd, truth, l, n=1e4)
-    assert functional_sampling_sd(prior, fwd, l, 1e4) == pytest.approx(
-        math.sqrt(acc.t_n_sq), rel=1e-15)
+    diag = bvm_diagnostics(prior, fwd, l, truth, 1e4, beta=1.0)
+    assert functional_interval(prior, fwd, l, truth, 1e4) == (
+        diag.s_n, diag.t_n, diag.bias)
 
 
 @settings(max_examples=60, deadline=None)
@@ -236,8 +250,5 @@ def test_variance_never_exceeds_spread(alpha, tau, p, log_n):
     assert risk.variance <= risk.spread
 
     l = Functional(coeffs=np.ones(trunc), q=-0.5)
-    acc = functional_bias_var(prior, fwd, truth, l, n=n)
-    lam = prior.eigenvalues()
-    g = n * lam * fwd.singular_values() ** 2
-    s_n_sq = stable_sum(l.coeffs ** 2 * lam / (1.0 + g))
-    assert acc.t_n_sq <= s_n_sq
+    s_n, t_n, _ = functional_interval(prior, fwd, l, truth, n)
+    assert t_n <= s_n

@@ -8,17 +8,12 @@ from scipy import integrate, special
 
 from seqinv import rates
 from seqinv.harness import DEFAULT_LEMMA_COMBOS
-from seqinv.model import make_truth
-from seqinv.posterior import Functional
 from seqinv.rates import (
     RegimeParams,
     SequenceFamily,
     SlowlyVarying,
-    contraction_exponents,
     contraction_rate,
     contraction_terms,
-    fixed_bias_smallness_check,
-    functional_rate,
     functional_rate_terms,
     functional_tau_balance_factor,
     optimal_tau_exponent,
@@ -29,12 +24,7 @@ from seqinv.rates import (
     series_order_exponent,
     slowly_varying_corrections,
 )
-from seqinv.util import (
-    DegenerateInputError,
-    DimensionMismatchError,
-    RegimeError,
-    TruncationError,
-)
+from seqinv.util import RegimeError, TruncationError
 
 
 def test_regime_params_validation():
@@ -89,15 +79,13 @@ def test_contraction_budget_guard():
 
 
 def test_contraction_exponents():
-    rp = RegimeParams(alpha=1.0, beta=1.0, p=1.0)
-    e = contraction_exponents(rp)
-    assert e.term1 == pytest.approx(-0.2)
-    assert e.term2 == pytest.approx(-0.2)
-
-    scaled = RegimeParams(alpha=3.0, beta=1.0, p=1.0, tau_exponent=0.4)
-    e = contraction_exponents(scaled)
-    assert e.term1 == pytest.approx(-0.2)
-    assert e.term2 == pytest.approx(-0.2)
+    # Both terms are powers of n: their log-log slopes are the exponents,
+    # -0.2 each here, with and without tau scaling.
+    for rp in (RegimeParams(alpha=1.0, beta=1.0, p=1.0),
+               RegimeParams(alpha=3.0, beta=1.0, p=1.0, tau_exponent=0.4)):
+        lo, hi = contraction_terms(rp, 1e4), contraction_terms(rp, 1e8)
+        for a, b in zip(lo, hi):
+            assert math.log(b / a) / math.log(1e4) == pytest.approx(-0.2)
 
 
 def test_optimal_tau_exponent_values():
@@ -148,7 +136,8 @@ def test_functional_rate_supersmooth_representer():
     # q > p with beta + q below saturation: the variance term is exactly
     # n^(-1/2) and dominates, so rate * sqrt(n) decreases to 1.
     rp = RegimeParams(alpha=1.0, beta=2.0, p=1.0, q=2.0)
-    vals = [functional_rate(rp, n) * math.sqrt(n) for n in (1e4, 1e6, 1e8)]
+    vals = [sum(functional_rate_terms(rp, n)[:2]) * math.sqrt(n)
+            for n in (1e4, 1e6, 1e8)]
     assert vals[0] > vals[1] > vals[2] > 1.0
     assert vals[0] < 1.1
     t = functional_rate_terms(rp, 1e8)
@@ -159,7 +148,7 @@ def test_functional_rate_supersmooth_representer():
 def test_functional_rate_needs_q():
     rp = RegimeParams(alpha=1.0, beta=1.0, p=1.0)
     with pytest.raises(RegimeError):
-        functional_rate(rp, 1e4)
+        functional_rate_terms(rp, 1e4)
     with pytest.raises(RegimeError):
         slowly_varying_corrections(rp, 1e4)
 
@@ -437,58 +426,6 @@ def test_series_hopeless_callable_and_array_refused_up_front(monkeypatch):
     assert series_lemma_sum_auto(xi, 1.0, 2.0, 1.0, 1e3, **envelope) \
         == pytest.approx(series_lemma_sum_auto(fam, 1.0, 2.0, 1.0, 1e3),
                          rel=1e-15)
-
-
-def test_fixed_bias_smallness_check():
-    # Point evaluation at the midpoint: bounded coefficients, q = -1/2.
-    trunc = 2000
-    truth = make_truth("demo", trunc)
-    i = np.arange(1.0, trunc + 1)
-    l = Functional(coeffs=math.sqrt(2.0) * np.cos((i - 0.5) * math.pi * 0.5),
-                   q=-0.5)
-    rp = RegimeParams(alpha=1.0, beta=1.0, p=1.0)
-    report = fixed_bias_smallness_check(truth, l, rp,
-                                        (1e3, 1e4, 1e5, 1e6, 1e7))
-    assert report.decreasing
-    assert all(r > 0 for r in report.ratio)
-    assert len(report.series) == 5
-
-
-def test_fixed_bias_single_coordinate_scaling():
-    # Spike truth and functional on one coordinate: the ratio against the
-    # ball-wide envelope scales like N^((t+2q)/(2u) - 1).
-    trunc = 50
-    coeffs = np.zeros(trunc)
-    coeffs[0] = 1.0
-    truth = make_truth("custom", trunc, beta=1.0, coeffs=coeffs)
-    l = Functional(coeffs=coeffs, q=1.0)
-    rp = RegimeParams(alpha=1.0, beta=1.0, p=1.0)
-    report = fixed_bias_smallness_check(truth, l, rp, (1e4, 1e6, 1e8))
-    u = rp.resolution_exponent
-    slope = (2.0 * truth.beta + 2.0 * l.q) / (2.0 * u) - 1.0
-    for a, b, na, nb in ((report.ratio[0], report.ratio[1], 1e4, 1e6),
-                         (report.ratio[1], report.ratio[2], 1e6, 1e8)):
-        assert b / a == pytest.approx((nb / na) ** slope, rel=1e-3)
-
-
-def test_fixed_bias_validation():
-    trunc = 100
-    truth = make_truth("demo", trunc)
-    l = Functional(coeffs=np.zeros(trunc), q=0.0)
-    rp = RegimeParams(alpha=1.0, beta=1.0, p=1.0)
-    with pytest.raises(DegenerateInputError):
-        fixed_bias_smallness_check(truth, l, rp, (1e3, 1e4))
-    good = Functional(coeffs=np.ones(trunc), q=0.0)
-    with pytest.raises(ValueError):
-        fixed_bias_smallness_check(truth, good, rp, (1e4,))
-    with pytest.raises(ValueError):
-        fixed_bias_smallness_check(truth, good, rp, (1e4, 1e4))
-    steep = Functional(coeffs=np.ones(trunc), q=6.0)
-    with pytest.raises(RegimeError):
-        fixed_bias_smallness_check(truth, steep, rp, (1e3, 1e4))
-    short = Functional(coeffs=np.ones(trunc - 1), q=0.0)
-    with pytest.raises(DimensionMismatchError):
-        fixed_bias_smallness_check(truth, short, rp, (1e3, 1e4))
 
 
 def test_sequence_family_and_slowly_varying_values():

@@ -35,8 +35,7 @@ from seqinv.posterior import (
     Functional,
     bias_coordinates,
     coordinate_posterior,
-    functional_bias_var,
-    functional_sampling_sd,
+    functional_interval,
     risk_decomposition,
 )
 from seqinv.rates import RegimeParams
@@ -121,19 +120,17 @@ def test_blocked_pass_is_bit_identical(trunc, kind):
         posterior.RiskDecomposition(stable_sum(b * b), stable_sum(ref.t),
                                     stable_sum(ref.s))
 
-    t_terms = (l_sq * (ref.lam / ref.denom)) * ref.shrink
-    acc = functional_bias_var(prior, fwd, truth, l, N)
-    assert acc.bias == -stable_sum(lcoef * mu / ref.denom)
-    assert acc.t_n_sq == stable_sum(t_terms)
-    assert functional_sampling_sd(prior, fwd, l, N) == \
-        math.sqrt(stable_sum(t_terms))
+    s_n = math.sqrt(stable_sum(l_sq * ref.s))
+    t_n = math.sqrt(stable_sum(l_sq * ref.t))
+    bias = -stable_sum(lcoef * mu / ref.denom)
+    assert functional_interval(prior, fwd, l, truth, N) == (s_n, t_n, bias)
 
-    s_n = math.sqrt(stable_sum(l_sq * (ref.lam / ref.denom)))
-    t_n = math.sqrt(stable_sum(l_sq * (ref.lam / ref.denom) * ref.shrink))
     sup = math.sqrt(stable_sum(
         l_sq * ref.i ** (-2.0 * BETA) / (ref.denom * ref.denom)))
-    assert bvm_diagnostics(prior, fwd, l, N, BETA) == credible.BvmDiagnostics(
-        s_n / t_n, sup, credible._tv_centered_normals(s_n, t_n))
+    assert bvm_diagnostics(prior, fwd, l, truth, N, BETA) == \
+        credible.BvmDiagnostics(s_n, t_n, bias, s_n / t_n, sup,
+                                credible._tv_centered_normals(s_n, t_n),
+                                stable_sum(l_sq / ref.kap ** 2))
 
     ext = ref.i ** (-2.0 * BETA) * lcoef / (1.0 + ref.g)
     norm = math.sqrt(stable_sum(ext * ext * ref.i ** (2.0 * BETA)))
@@ -173,8 +170,8 @@ def _cell_config(kind, trunc, truth_spec, functional_spec):
 @pytest.mark.parametrize("trunc", [8191, 3 * 8192 + 5])
 def test_interval_cells_are_bit_identical(trunc):
     # The bvm and coverage-functional rows, against the cell bodies that
-    # took s_n and t_n from credible_weights beside bvm_diagnostics and
-    # functional_bias_var.
+    # took s_n and t_n from credible_weights beside bvm_diagnostics and the
+    # functional's bias sum. Every column sums t_n^2 as sum l^2 t.
     spec = {"kind": "power", "q": 1.0}
     cfg = _cell_config("bvm", trunc, {"pattern": "demo"}, spec)
     prior = PriorSpec(alpha=0.8, tau=1.0, trunc=trunc)
@@ -187,13 +184,12 @@ def test_interval_cells_are_bit_identical(trunc):
     t_n = math.sqrt(stable_sum(l_sq * ref.t))
     bias = -stable_sum(l.coeffs * truth.coeffs / ref.denom)
     cov = credible.interval_coverage(bias, s_n, t_n, cfg.gamma)
-    t_diag = math.sqrt(stable_sum(l_sq * (ref.lam / ref.denom) * ref.shrink))
     sup = math.sqrt(stable_sum(
         l_sq * ref.i ** (-2.0 * BETA) / (ref.denom * ref.denom)))
     plugin = stable_sum(l_sq / ref.kap ** 2)
     row = run_bvm(cfg).rows[0]
-    assert row[:12] == (N, trunc, s_n, t_n, s_n / t_diag, sup, sup / t_n,
-                        credible._tv_centered_normals(s_n, t_diag), bias, cov,
+    assert row[:12] == (N, trunc, s_n, t_n, s_n / t_n, sup, sup / t_n,
+                        credible._tv_centered_normals(s_n, t_n), bias, cov,
                         N * t_n * t_n, plugin)
     cfg = _cell_config("coverage-functional", trunc, {"pattern": "demo"}, spec)
     row = run_functional_coverage(cfg).rows[0]
@@ -221,8 +217,8 @@ def test_late_block_overflow_is_regime_error():
     for call in (lambda: gain(prior, fwd, 1.0),
                  lambda: credible_weights(prior, fwd, 1.0),
                  lambda: risk_decomposition(prior, fwd, truth, 1.0),
-                 lambda: functional_bias_var(prior, fwd, truth, l, 1.0),
-                 lambda: bvm_diagnostics(prior, fwd, l, 1.0, 1.0),
+                 lambda: functional_interval(prior, fwd, l, truth, 1.0),
+                 lambda: bvm_diagnostics(prior, fwd, l, truth, 1.0, 1.0),
                  lambda: extremal_truth_functional(l.coeffs, 1.0, prior,
                                                    fwd, 1.0)):
         with pytest.raises(RegimeError):

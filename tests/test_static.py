@@ -8,11 +8,15 @@ else would raise NameError when that line runs.
 The package needs only scipy.special at import time: no module imports
 scipy.stats, and scipy.optimize is loaded by the two functions that call
 brentq, when they run.
+
+Every public name is used: something besides its own definition and the
+package's `__init__.py` refers to it.
 """
 import ast
 import builtins
 import json
 import os
+import re
 import subprocess
 import symtable
 import sys
@@ -20,7 +24,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "seqinv"
+import seqinv
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "seqinv"
 MODULE_DUNDERS = {"__name__", "__doc__", "__file__", "__spec__", "__loader__",
                   "__package__", "__path__", "__builtins__", "__dict__"}
 
@@ -93,3 +100,35 @@ def test_fresh_import_loads_neither_stats_nor_optimize(tmp_path):
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen == {"scipy.stats": False, "scipy.optimize": False,
                     "optimize_after_bvm": False}
+
+
+def names_used_in_package() -> set[str]:
+    """Names read (as a name or an attribute) in src/seqinv, each outside
+    the top-level definition that binds it; __init__.py is left out."""
+    used = set()
+    for path in SRC.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        spans = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                spans[node.name] = (node.lineno, node.end_lineno)
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else \
+                node.attr if isinstance(node, ast.Attribute) else None
+            lo, hi = spans.get(name, (0, -1))
+            if name is not None and not lo <= node.lineno <= hi:
+                used.add(name)
+    return used
+
+
+def test_every_public_name_is_used():
+    # A public name must serve the package, the README or an acceptance
+    # criterion; one that only its own unit tests call is dead surface.
+    text = (ROOT / "README.md").read_text() \
+        + (ROOT / "tests" / "test_acceptance.py").read_text()
+    used = names_used_in_package()
+    dead = [name for name in seqinv.__all__ if name not in used
+            and not re.search(rf"\b{re.escape(name)}\b", text)]
+    assert dead == []

@@ -15,8 +15,7 @@ from seqinv.model import (
     generate_observation,
     make_truth,
 )
-from seqinv.posterior import coordinate_posterior, functional_marginal, \
-    posterior_draws
+from seqinv.posterior import coordinate_posterior, posterior_draws
 from seqinv.util import ConfigError, DimensionMismatchError, child_seed, \
     format_cell
 from seqinv import volterra
@@ -26,40 +25,37 @@ from seqinv.volterra import (
     _cosine_sums,
     _direct_sums,
     _e_matrix,
-    basis_e,
     credible_band,
     figure_demo,
     point_functional,
     synthesize,
-    volterra_kappa,
 )
+
+from helpers import basis_e, functional_marginal
 
 
 def test_kappa_values():
-    np.testing.assert_allclose(volterra_kappa([1, 2]),
+    kappa = ForwardSpec.volterra(trunc=1_000_000).singular_values()
+    np.testing.assert_allclose(kappa[:2],
                                [2.0 / math.pi, 2.0 / (3.0 * math.pi)],
                                rtol=1e-15)
-    fwd = ForwardSpec.volterra(trunc=1_000_000)
-    np.testing.assert_array_equal(fwd.singular_values(),
-                                  volterra_kappa(np.arange(1, 1_000_001)))
-    with pytest.raises(ValueError):
-        volterra_kappa([0])
+    i = np.arange(1, 1_000_001, dtype=float)
+    np.testing.assert_array_equal(kappa, 1.0 / ((i - 0.5) * math.pi))
 
 
 def test_basis_endpoint_values():
-    i = np.arange(1, 101)
-    np.testing.assert_allclose(basis_e(i, 0.0), np.full(100, math.sqrt(2.0)),
+    mat = _e_matrix(100, np.array([0.0, 1.0]))
+    np.testing.assert_allclose(mat[:, 0], np.full(100, math.sqrt(2.0)),
                                rtol=1e-15)
     # Every unknown-side eigenfunction vanishes at the right endpoint.
-    assert np.max(np.abs(basis_e(i, 1.0))) <= 1e-12
+    assert np.max(np.abs(mat[:, 1])) <= 1e-12
     with pytest.raises(ValueError):
-        basis_e(1, -0.1)
+        synthesize([1.0], [-0.1])
 
 
 def test_basis_orthonormality():
     xs = np.linspace(0.0, 1.0, 10_001)
-    i = np.arange(1, 21)
-    mat = basis_e(i[:, None], xs[None, :])
+    mat = _e_matrix(20, xs)
     gram = np.empty((20, 20))
     for a in range(20):
         for b in range(20):
@@ -94,7 +90,7 @@ def test_marginal_matches_band_at_a_point():
     fwd = ForwardSpec.volterra(trunc)
     obs = generate_observation(21, make_truth("demo", trunc), fwd, 1e4)
     post = coordinate_posterior(prior, fwd, obs)
-    marg = functional_marginal(post, point_functional(x, trunc))
+    marg = functional_marginal(post, point_functional(x, trunc).coeffs)
 
     band = credible_band(prior, fwd, obs, [x], gamma=0.05)
     center = band.values[0]
