@@ -69,7 +69,6 @@ from .rates import (
     functional_tau_balance_factor,
     optimal_tau_exponent,
     optimal_tau_functional,
-    series_lemma_sum,
     series_lemma_sum_auto,
     series_limit_value,
     series_order_exponent,

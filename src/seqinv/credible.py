@@ -415,7 +415,11 @@ def _tv_centered_normals(s: float, t: float) -> float:
     2 (Phi(x*/lo) - Phi(x*/hi)) = erfc(x*/(hi sqrt 2)) - erfc(x*/(lo sqrt 2)).
     Both arguments depend only on rho = lo/hi through
     x*/lo = sqrt(2 log(1/rho) / (1 - rho^2)) and x*/hi = rho x*/lo, so the
-    result is scale-free; d = (hi - lo)/hi keeps rho -> 1 accurate.
+    result is scale-free; d = (hi - lo)/hi keeps rho -> 1 accurate. For
+    d < 1/2 the two erfc values are close, and their difference is taken as
+    the integral of (2/sqrt(pi)) e^(-x^2) between the two arguments, over a
+    width of d x*/(lo sqrt 2) that is formed without cancellation, by the
+    16-node Gauss-Legendre rule of the Imhof panels.
     """
     if s == t:
         return 0.0
@@ -426,7 +430,11 @@ def _tv_centered_normals(s: float, t: float) -> float:
     d = (hi - lo) / hi
     log_inv = -math.log1p(-d) if d < 0.5 else -math.log(rho)
     a = math.sqrt(2.0 * log_inv / (d * (2.0 - d)))
-    return math.erfc(rho * a / math.sqrt(2.0)) - math.erfc(a / math.sqrt(2.0))
+    if d >= 0.5:
+        return math.erfc(rho * a / math.sqrt(2.0)) - math.erfc(a / math.sqrt(2.0))
+    half, mid = a * d / math.sqrt(8.0), a * (2.0 - d) / math.sqrt(8.0)
+    x = mid + half * _GL_T
+    return half * float(_GL_W @ np.exp(-x * x)) * (2.0 / math.sqrt(math.pi))
 
 
 def bvm_diagnostics(prior: PriorSpec, fwd: ForwardSpec, l: Functional,

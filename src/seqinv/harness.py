@@ -190,8 +190,9 @@ class ResultTable:
 def _spec_value(what: str, spec, key: str, default=None, kind=float):
     """kind(spec[key]), or default if absent; bad input is a ConfigError.
 
-    A bool is refused whatever the kind (JSON true is a typo, not 1), and so
-    is a fractional number where kind is int (2.7 is not truncated to 2).
+    A bool is refused whatever the kind (JSON true is a typo, not 1), a
+    string where kind is int or float ("1.0" is quoted by mistake, not read),
+    and a fractional number where kind is int (2.7 is not truncated to 2).
     """
     if not isinstance(spec, dict):
         raise ConfigError(f"{what} must be an object, got {spec!r}")
@@ -201,7 +202,8 @@ def _spec_value(what: str, spec, key: str, default=None, kind=float):
         return default
     value = spec[key]
     try:
-        if isinstance(value, bool):
+        if isinstance(value, bool) or (
+                kind in (int, float) and isinstance(value, str)):
             raise TypeError
         out = kind(value)
         if kind is int and isinstance(value, float) and out != value:
@@ -517,7 +519,7 @@ def run_lemma_order(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
     """Normalized series values across the N grid for each (q,t,u,v) combo.
 
     The metadata's series_diagnostics has one entry per row: how the value
-    was evaluated (method, head terms, zeta terms, remainder bound).
+    was evaluated (head terms, zeta terms, remainder bound).
     """
     cells = []
     for combo in _spec_value("extras", cfg.extras, "combos",
@@ -552,6 +554,14 @@ def run_lemma_order(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
 
 
 def demo_config_from(cfg: ExperimentConfig, out_dir) -> volterra.DemoConfig:
+    """The demo's DemoConfig; a config field the demo would ignore is refused."""
+    default = default_config("volterra-demo")
+    for name in ("regime", "truth_spec", "functional_spec", "trunc_policy"):
+        if getattr(cfg, name) != getattr(default, name):
+            raise ConfigError(
+                f"volterra-demo does not read {name}: it takes its priors "
+                "from extras.alphas and extras.tau and its truncation from "
+                "extras.trunc")
     extras = dict(cfg.extras)
     extras.pop("kappa_kind", None)
     if len(cfg.n_grid) != 1:
@@ -657,10 +667,6 @@ def _load_config(args, kind: str) -> ExperimentConfig:
                         ("p", args.p), ("tau_exponent", args.tau_exp)):
         if value is not None:
             regime_updates[name] = value
-    if regime_updates and kind == "volterra-demo":
-        raise ConfigError("volterra-demo takes its priors from extras.alphas "
-                          "and extras.tau, not from --alpha, --beta, --p or "
-                          "--tau-exp")
     updates = {}
     if regime_updates:
         try:
@@ -707,11 +713,11 @@ def cli_main(argv=None) -> int:
     try:
         cfg = _load_config(args, args.command)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "volterra-demo":
-            # figure_demo writes its own manifest.json into out_dir
+            # figure_demo makes out_dir and writes its own manifest.json there
             paths = run_volterra_demo(cfg, out_dir)
         else:
+            out_dir.mkdir(parents=True, exist_ok=True)
             runner = {
                 "contraction": run_contraction,
                 "coverage-ball": run_ball_coverage,

@@ -6,13 +6,10 @@ effective frequency rho = N^(1/(1+2 alpha+2p)). The workhorse bound is for
 
     sum_i xi_i^2 i^(-t) / (1 + N i^(-u))^v
 
-with xi_i = i^(-q-1/2) S(i) for a slowly varying S: the sum is of exact
-order N^(-min((t+2q)/u, v)) (S == 1), with a logarithmic factor on the
-boundary. For S == 1 the sum is evaluated exactly: a short head plus a
-binomial series of Hurwitz zeta values for the tail. Otherwise truncated
-evaluation is guarded by an integral tail bound, and an operation that would
-return a visibly biased sum raises instead, naming the truncation that would
-have sufficed.
+with xi_i = c i^(-q-1/2): the sum is of exact order N^(-min((t+2q)/u, v)),
+with a logarithmic factor on the boundary. It is evaluated exactly, as a
+short head plus a binomial series of scaled Hurwitz zeta values for the
+tail; a head too long to sum raises TruncationError before any term.
 """
 
 from __future__ import annotations
@@ -29,7 +26,11 @@ from .util import RegimeError, TruncationError
 _EULER_GAMMA = float(np.euler_gamma)
 _EVAL_CHUNK = 1_000_000
 _ZETA_REL_TOL = 1e-16
-_TINY = float(np.finfo(float).tiny)
+_MAX_HEAD = 40_000_000  # longest series head summed term by term
+# B_2k / (2k)! for k = 1..8, the Euler-Maclaurin corrections of _scaled_zeta
+_EM_COEFS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+             -691 / 1307674368000, 1 / 74724249600,
+             -3617 / 10670622842880000)
 
 
 @dataclass(frozen=True)
@@ -48,18 +49,10 @@ class SlowlyVarying:
 
 @dataclass(frozen=True)
 class SequenceFamily:
-    """xi_i = scale * i^(-q-1/2) * (log(i+1))^log_power."""
+    """xi_i = scale * i^(-q-1/2)."""
 
     q: float
-    log_power: float = 0.0
     scale: float = 1.0
-
-    def __call__(self, idx):
-        i = np.asarray(idx, dtype=float)
-        out = self.scale * i ** (-self.q - 0.5)
-        if self.log_power != 0.0:
-            out = out * np.log(i + 1.0) ** self.log_power
-        return out
 
 
 @dataclass(frozen=True)
@@ -130,7 +123,6 @@ class FunctionalRateTerms(NamedTuple):
 class SeriesDiagnostics(NamedTuple):
     """How series_lemma_sum_auto reached its value."""
 
-    method: str             # "hurwitz" (exact) or "truncated" (tail-guarded)
     head_terms: int         # terms summed one by one
     zeta_terms: int         # Hurwitz zeta terms of the tail expansion
     remainder_bound: float  # bound on |exact sum - value|
@@ -273,180 +265,74 @@ def functional_tau_balance_factor(rp: RegimeParams, n: float,
     return math.exp(root)
 
 
-# --- truncated series with tail guards -------------------------------------
+# --- the lemma series --------------------------------------------------------
 
-def _resolve_tail(xi, tail_q, tail_log_power, tail_scale):
-    if isinstance(xi, SequenceFamily):
-        return xi.q, xi.log_power, xi.scale
-    if tail_q is None:
-        raise ValueError("tail_q is required unless xi is a SequenceFamily")
-    return float(tail_q), float(tail_log_power or 0.0), float(tail_scale or 1.0)
-
-
-def _xi_values(xi, i: np.ndarray) -> np.ndarray:
-    if isinstance(xi, (SequenceFamily,)) or callable(xi):
-        return np.asarray(xi(i), dtype=float)
-    arr = np.asarray(xi, dtype=float)
-    lo = int(i[0]) - 1
-    hi = int(i[-1])
-    if hi > arr.size:
-        raise TruncationError("xi array shorter than requested truncation",
-                              required_trunc=None)
-    return arr[lo:hi]
-
-
-def _tail_bound(q: float, lp: float, sc: float, t: float, trunc: int) -> float:
-    """Integral bound on sum_{i>trunc} xi_i^2 i^(-t) (denominator dropped)."""
-    s_exp = t + 2.0 * q
-    log_t = math.log(trunc + 1.0)
-    if lp > 0:
-        # the x2 slack covers the growing log factor once log(T) >= 4 lp/s.
-        if log_t < 4.0 * lp / s_exp:
-            return math.inf
-        slack = 2.0
-    else:
-        slack = 1.0
-    return sc * sc * slack * log_t ** (2.0 * lp) * trunc ** (-s_exp) / s_exp
-
-
-def _required_trunc(q: float, lp: float, sc: float, t: float,
-                    budget: float) -> int:
-    s_exp = t + 2.0 * q
-    base = (sc * sc * 2.0 / (s_exp * budget)) ** (1.0 / s_exp)
-    if lp > 0 and base > 1.0:
-        base *= math.log(base + 1.0) ** (2.0 * lp / s_exp)
-    return int(math.ceil(1.2 * max(base, 10.0)))
-
-
-def _refuse_unreachable(fam: SequenceFamily, t: float, u: float, v: float,
-                        N: float, max_trunc: int, rel_tail_tol: float) -> None:
-    """Raise TruncationError when no truncation up to max_trunc can pass.
-
-    fam is the series' envelope (xi itself for a SequenceFamily).
-    series_lemma_sum needs the tail bound at its truncation to be at most
-    rel_tail_tol of the head. Every term of the series is at most
-    sc^2 L i^(-s-1) min(1, N^(-v) i^(uv)), s = t + 2q, with L the largest
-    (log(i+1))^(2 log_power) on [1, max_trunc]. The sum of i^(-s-1) is at
-    most zeta(s+1); that of i^e, e = uv - s - 1, over i <= T is at most
-    (T+1)^(e+1)/(e+1) for e >= 0 and 1 + int_1^T x^e dx for e < 0. When the
-    tail bound at max_trunc exceeds rel_tail_tol of that bound on every head,
-    it does so at each smaller truncation too; required_trunc is then the
-    first doubling of max_trunc whose tail bound would not.
-    """
-    q, lp, sc = fam.q, fam.log_power, fam.scale
-    s_exp = t + 2.0 * q
-    if not (s_exp > 0 and sc != 0.0 and rel_tail_tol > 0.0
-            and max_trunc >= 1):
-        return
-    log_head = math.log(special.zeta(s_exp + 1.0))
-    if v != 0.0 and N != 0.0:
-        e = u * v - s_exp - 1.0
-        if e >= 0.0:
-            log_p = (e + 1.0) * math.log(max_trunc + 1.0) - math.log(e + 1.0)
-        elif e == -1.0:
-            log_p = math.log1p(math.log(max_trunc))
-        else:
-            log_p = math.log1p(math.expm1((e + 1.0) * math.log(max_trunc))
-                               / (e + 1.0))
-        log_head = min(log_head, log_p - v * math.log(N))
-    log_head += 2.0 * math.log(abs(sc)) + max(
-        2.0 * lp * math.log(math.log(k + 1.0)) for k in (1, max_trunc))
-    log_budget = math.log(rel_tail_tol) + log_head
-
-    def short(trunc: int) -> bool:
-        tail = _tail_bound(q, lp, sc, t, trunc)
-        return tail > 0.0 and math.log(tail) > log_budget
-
-    if not short(max_trunc):
-        return
-    need = 2 * max_trunc
-    while need < 2 ** 1000 and short(need):
-        need *= 2
-    raise TruncationError(
-        f"no truncation up to the cap {max_trunc} bounds the series tail by "
-        f"{rel_tail_tol:.0e} of the head",
-        required_trunc=need if need < 2 ** 1000 else None)
-
-
-def _check_series_args(u: float, v: float, N: float) -> None:
-    if not (u > 0):
-        raise ValueError("u must be positive")
-    if v < 0:
-        raise ValueError("v must be nonnegative")
-    if not (0.0 <= N < math.inf):
-        raise ValueError("N must be finite and nonnegative")
-
-
-def _head_sum(xi, t: float, u: float, v: float, N: float, stop: int) -> float:
-    """sum_{i<=stop} xi_i^2 i^(-t) / (1 + N i^(-u))^v, chunked."""
+def _head_sum(q: float, t: float, u: float, v: float, N: float,
+              stop: int) -> float:
+    """sum_{i<=stop} i^(-2q-1-t) / (1 + N i^(-u))^v, chunked."""
     partials = []
     for start in range(1, stop + 1, _EVAL_CHUNK):
         i = np.arange(start, min(start + _EVAL_CHUNK, stop + 1), dtype=float)
-        vals = _xi_values(xi, i)
-        terms = vals * vals * i ** (-t)
+        xi = i ** (-q - 0.5)
+        terms = xi * xi * i ** (-t)
         if v != 0.0 and N != 0.0:
             terms = terms / (1.0 + N * i ** (-u)) ** v
         partials.append(float(terms.sum()))
     return math.fsum(partials)
 
 
-def series_lemma_sum(xi, t: float, u: float, v: float, N: float, trunc: int, *,
-                     tail_q: float | None = None,
-                     tail_log_power: float | None = None,
-                     tail_scale: float | None = None,
-                     rel_tail_tol: float = 1e-6) -> float:
-    """sum_{i<=trunc} xi_i^2 i^(-t) / (1 + N i^(-u))^v, tail-checked.
+def _scaled_zeta(s: float, a: float) -> float:
+    """Z(s, a) = a^s zeta(s, a) = sum_{j>=0} (1 + j/a)^(-s), s > 1, a >= 1.
 
-    xi is a SequenceFamily (decay read off directly), a callable on index
-    arrays, or a plain array; for the latter two the envelope
-    |xi_i| <= tail_scale * i^(-tail_q-1/2) (log(i+1))^tail_log_power must be
-    declared, and it must bound every |xi_i|, not only the tail:
-    series_lemma_sum_auto also bounds the head by it. Raises TruncationError
-    when the analytic tail bound exceeds rel_tail_tol of the computed head,
-    reporting a sufficient truncation.
+    Z lies in [1, 1 + a/(s-1)], so it is finite where zeta(s, a) underflows.
+    While a^s < e^700 it is that product. Past it the first
+    M = max(0, ceil(2(s+16) - a)) terms are summed directly and the rest is
+    (b/a)^(-s) sum_j (1 + j/b)^(-s), b = a + M, by Euler-Maclaurin with eight
+    Bernoulli corrections (DLMF 2.10.1). (1 + x/b)^(-s) is completely
+    monotone, so the error is below the first omitted correction, which
+    b >= 2(s+16) holds under 1e-19 of the sum. Terms past
+    j = a (e^(750/s) - 1) round to 0; where that comes before M, the sum
+    stops there, so at most about 1500 terms are summed directly.
     """
-    _check_series_args(u, v, N)
-    trunc = int(trunc)
-    if trunc < 1:
-        raise ValueError("trunc must be positive")
-    q, lp, sc = _resolve_tail(xi, tail_q, tail_log_power, tail_scale)
-    s_exp = t + 2.0 * q
-    if s_exp <= 0:
-        raise TruncationError(
-            "series tail is not summable (t + 2q <= 0)", required_trunc=None)
-
-    head = _head_sum(xi, t, u, v, N, trunc)
-    tail = _tail_bound(q, lp, sc, t, trunc)
-    if head == 0.0:
-        if tail > 0.0:
-            raise TruncationError(
-                "zero head with nonzero tail bound", required_trunc=None)
-        return 0.0
-    if tail > rel_tail_tol * abs(head):
-        needed = _required_trunc(q, lp, sc, t, rel_tail_tol * abs(head))
-        raise TruncationError(
-            f"trunc={trunc} leaves tail bound {tail:.3e} > "
-            f"{rel_tail_tol:.0e} of head {head:.6e}",
-            required_trunc=needed)
-    return head
+    if s * math.log(a) < 700.0:
+        return float(special.zeta(s, a)) * a ** s
+    m = max(0, math.ceil(2.0 * (s + 16.0) - a))
+    zero = math.ceil(a * math.expm1(750.0 / s))
+    j = np.arange(min(m, zero), dtype=float)
+    direct = math.fsum(np.exp(-s * np.log1p(j / a)))
+    if m > zero:
+        return direct
+    b = a + m
+    tail, rise = b / (s - 1.0) + 0.5, s / b  # rise = (s)_(2k-1) / b^(2k-1)
+    for k, coef in enumerate(_EM_COEFS, start=1):
+        tail += coef * rise
+        rise *= (s + 2.0 * k - 1.0) * (s + 2.0 * k) / (b * b)
+    return direct + math.exp(-s * math.log1p(m / a)) * tail
 
 
-def _hurwitz_sum(fam: SequenceFamily, t: float, u: float, v: float, N: float,
-                 max_trunc: int) -> tuple[float, SeriesDiagnostics] | None:
-    """The whole series for log_power == 0, exact to about 1e-16.
+def series_lemma_sum_auto(fam: SequenceFamily, t: float, u: float, v: float,
+                          N: float, *, full_output: bool = False):
+    """The full series sum_i xi_i^2 i^(-t) / (1 + N i^(-u))^v, exact to ~1e-16.
 
-    Each term is sc^2 i^(-s) (1 + N i^(-u))^(-v) with s = t + 2q + 1. The
+    Each term is c^2 i^(-s) (1 + N i^(-u))^(-v) with s = t + 2q + 1. The
     head i <= K is summed directly, K + 1 being the first index with
-    x_i = N i^(-u) <= 1/(4 max(1, v)). Past K the binomial series of
+    x_i = N i^(-u) <= 1/(4 max(1, v)); TruncationError is raised before any
+    term is summed when K would exceed 4e7. Past K the binomial series of
     (1 + x_i)^(-v) turns the tail into sum_k binom(-v, k) N^k zeta(s+ku, K+1)
-    (Hurwitz zeta, DLMF 25.11.1). Consecutive terms shrink by at most
+    (Hurwitz zeta, DLMF 25.11.1), each term evaluated as
+    (K+1)^(-s) binom(-v, k) x_(K+1)^k Z(s+ku, K+1) (see _scaled_zeta), so no
+    factor overflows or underflows. Consecutive terms shrink by at most
     r = x_(K+1) max(1, (v+k)/(k+1)) <= 1/4, so |term_k| r/(1-r) bounds the
     remainder; the absolute terms add up to at most e^(1/2) times the tail,
-    so the alternating signs cancel no digits. binom(-v, k) N^k is carried as
-    a mantissa and a power of two, so no factor overflows. Returns None when
-    a zeta value underflows (a huge N or q), leaving the sum to the guarded
-    path.
+    so the alternating signs cancel no digits. With full_output the result
+    is (value, SeriesDiagnostics).
     """
+    if not (u > 0):
+        raise ValueError("u must be positive")
+    if v < 0:
+        raise ValueError("v must be nonnegative")
+    if not (0.0 <= N < math.inf):
+        raise ValueError("N must be finite and nonnegative")
     s_exp = t + 2.0 * fam.q
     if s_exp <= 0:
         raise TruncationError(
@@ -454,29 +340,25 @@ def _hurwitz_sum(fam: SequenceFamily, t: float, u: float, v: float, N: float,
     s = s_exp + 1.0
     sc2 = fam.scale * fam.scale
     if v == 0.0 or N == 0.0:
-        return sc2 * float(special.zeta(s)), SeriesDiagnostics(
-            "hurwitz", 0, 1, 0.0)
+        value, diag = sc2 * float(special.zeta(s)), SeriesDiagnostics(0, 1, 0.0)
+        return (value, diag) if full_output else value
 
     x_max = 0.25 / max(1.0, v)
     log_first = (math.log(N) - math.log(x_max)) / u
-    if log_first > math.log(max_trunc + 1.0):
+    if log_first > math.log(_MAX_HEAD + 1.0):
         needed = math.ceil(math.exp(log_first)) - 1 if log_first < 700 else None
         raise TruncationError(
             f"series head of about 1e{log_first / math.log(10.0):.1f} terms "
-            f"exceeds cap {max_trunc}", required_trunc=needed)
+            f"exceeds cap {_MAX_HEAD}", required_trunc=needed)
     first = max(1, math.ceil(math.exp(log_first)))
-    head = _head_sum(SequenceFamily(q=fam.q), t, u, v, N, first - 1)
+    head = _head_sum(fam.q, t, u, v, N, first - 1)
 
     x0 = math.exp(math.log(N) - u * math.log(first))
-    n_mant, n_exp = math.frexp(N)
-    coef, coef_exp = 1.0, 0  # binom(-v, k) N^k = coef * 2^coef_exp
+    unit = first ** -s  # 0.0 only where the whole tail is below 1e-300
+    coef = 1.0  # binom(-v, k) x0^k
     terms, total, k = [head], head, 0
     while True:
-        z = float(special.zeta(s + k * u, first))
-        if z < _TINY:
-            return None
-        z_mant, z_exp = math.frexp(z)
-        term = math.ldexp(coef * z_mant, coef_exp + z_exp)
+        term = unit * coef * _scaled_zeta(s + k * u, first)
         terms.append(term)
         total += term
         ratio = x0 * max(1.0, (v + k) / (k + 1.0))
@@ -484,61 +366,10 @@ def _hurwitz_sum(fam: SequenceFamily, t: float, u: float, v: float, N: float,
         k += 1
         if bound <= _ZETA_REL_TOL * total:
             break
-        coef, e = math.frexp(-coef * n_mant * (v + k - 1.0) / k)
-        coef_exp += e + n_exp
-    return sc2 * math.fsum(terms), SeriesDiagnostics(
-        "hurwitz", first - 1, k, sc2 * bound)
-
-
-def series_lemma_sum_auto(xi, t: float, u: float, v: float, N: float, *,
-                          max_trunc: int = 40_000_000,
-                          rel_tail_tol: float = 1e-6,
-                          full_output: bool = False, **tail_kw):
-    """The full series sum_i xi_i^2 i^(-t) / (1 + N i^(-u))^v.
-
-    For a SequenceFamily with log_power == 0 the sum is exact (a head of
-    O(N^(1/u)) terms plus a Hurwitz-zeta tail); TruncationError is raised at
-    once when that head would exceed max_trunc. Otherwise series_lemma_sum
-    runs with automatic truncation growth up to max_trunc, and its tail bound
-    is rel_tail_tol of the value; a series whose envelope (see
-    series_lemma_sum) shows that no truncation up to max_trunc can pass is
-    refused before any term is summed. With full_output the result is
-    (value, SeriesDiagnostics).
-    """
-    _check_series_args(u, v, N)
-    if isinstance(xi, SequenceFamily) and xi.log_power == 0.0:
-        exact = _hurwitz_sum(xi, t, u, v, N, max_trunc)
-        if exact is not None:
-            return exact if full_output else exact[0]
-    q, lp, sc = _resolve_tail(xi, tail_kw.get("tail_q"),
-                              tail_kw.get("tail_log_power"),
-                              tail_kw.get("tail_scale"))
-    _refuse_unreachable(SequenceFamily(q=q, log_power=lp, scale=sc), t, u, v,
-                        N, max_trunc, rel_tail_tol)
-    guess = 1000 if N <= 1.0 else 50.0 * math.exp(
-        min(math.log(N) / u, math.log(max_trunc)))
-    trunc = int(min(max_trunc, max(1000, math.ceil(guess))))
-    for _ in range(8):
-        try:
-            value = series_lemma_sum(xi, t, u, v, N, trunc,
-                                     rel_tail_tol=rel_tail_tol, **tail_kw)
-            break
-        except TruncationError as err:
-            if err.required_trunc is None:
-                raise
-            nxt = max(2 * trunc, err.required_trunc)
-            if nxt > max_trunc:
-                raise TruncationError(
-                    f"required truncation {nxt} exceeds cap {max_trunc}",
-                    required_trunc=nxt) from err
-            trunc = nxt
-    else:
-        raise TruncationError("tail tolerance not reached",
-                              required_trunc=trunc)
-    if not full_output:
-        return value
-    return value, SeriesDiagnostics("truncated", trunc, 0,
-                                    _tail_bound(q, lp, sc, t, trunc))
+        coef *= -x0 * (v + k - 1.0) / k
+    value = sc2 * math.fsum(terms)
+    diag = SeriesDiagnostics(first - 1, k, sc2 * bound)
+    return (value, diag) if full_output else value
 
 
 def series_order_exponent(q: float, t: float, u: float, v: float) -> float:
@@ -546,14 +377,11 @@ def series_order_exponent(q: float, t: float, u: float, v: float) -> float:
     return min((t + 2.0 * q) / u, v)
 
 
-def series_limit_value(xi, t: float, u: float, v: float, *,
-                       max_trunc: int = 40_000_000,
-                       rel_tail_tol: float = 1e-6, **tail_kw) -> float:
+def series_limit_value(fam: SequenceFamily, t: float, u: float,
+                       v: float) -> float:
     """lim_N N^v * sum: equals sum_i xi_i^2 i^(u v - t) on the v-branch.
 
     Only meaningful when (t + 2q)/u > v; the reduced series must itself be
     summable (t + 2q > u v).
     """
-    return series_lemma_sum_auto(xi, t - u * v, u, 0.0, 0.0,
-                                 max_trunc=max_trunc,
-                                 rel_tail_tol=rel_tail_tol, **tail_kw)
+    return series_lemma_sum_auto(fam, t - u * v, u, 0.0, 0.0)

@@ -60,6 +60,22 @@ def replicate_loop_risk(bias, noise_sd, replicates, master_seed, cell):
     return float(vals.mean())
 
 
+def direct_series_sum(q, t, u, v, big_n, trunc, scale=1.0):
+    """sum_{i<=trunc} scale^2 i^(-2q-1-t) / (1 + N i^(-u))^v, term by term.
+
+    The lemma series cut at trunc, each term formed on its own and summed
+    with math.fsum a million terms at a time; it lies below the full series
+    by the tail past trunc.
+    """
+    partials = []
+    for start in range(1, trunc + 1, 1_000_000):
+        i = np.arange(start, min(start + 1_000_000, trunc + 1), dtype=float)
+        terms = np.exp(-(t + 2.0 * q + 1.0) * np.log(i)
+                       - v * np.log1p(big_n * i ** -u))
+        partials.append(math.fsum(terms))
+    return scale * scale * math.fsum(partials)
+
+
 def basis_e(i, x):
     """Unknown-side eigenfunctions sqrt(2) cos((i-1/2) pi x) of the
     integration operator, evaluated elementwise."""

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -346,6 +347,21 @@ def test_tv_accurate_at_ratio_1e_minus_4(k):
     ref = stats.chi2.cdf(x_lo_sq, 1) - stats.chi2.cdf(rho * rho * x_lo_sq, 1)
     assert _tv_centered_normals(lo, hi) == pytest.approx(ref, abs=1e-12)
     assert _tv_centered_normals(hi, lo) == pytest.approx(ref, abs=1e-12)
+
+
+def test_tv_relative_accuracy_against_mpmath():
+    # As rho = lo/hi -> 1 the two erfc values agree in all but the last
+    # log10(1/d) digits, d = 1 - rho; the distance keeps its relative digits.
+    mpmath.mp.dps = 50
+    for d in [*np.logspace(-15.0, math.log10(0.999), 60), 0.4999, 0.5, 0.5001]:
+        for scale in (1e-200, 1.0, 1e200):
+            lo, hi = scale * (1.0 - d), scale
+            rho = mpmath.mpf(lo) / mpmath.mpf(hi)
+            a = mpmath.sqrt(2 * mpmath.log(1 / rho) / (1 - rho * rho))
+            ref = (mpmath.erfc(rho * a / mpmath.sqrt(2))
+                   - mpmath.erfc(a / mpmath.sqrt(2)))
+            got = _tv_centered_normals(lo, hi)
+            assert abs(got - ref) <= 1e-14 * ref, (d, scale)
 
 
 def test_bvm_diagnostics_basis_vector():

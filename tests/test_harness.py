@@ -352,7 +352,7 @@ def test_run_lemma_order_branches(monkeypatch):
         assert np.isfinite(row["ratio"])
         assert (diag["q"], diag["t"], diag["u"], diag["v"], diag["N"]) == \
             (row["q"], row["t"], row["u"], row["v"], row["N"])
-        assert diag["method"] == "hurwitz" and diag["zeta_terms"] >= 1
+        assert diag["zeta_terms"] >= 1
         assert 0 < diag["head_terms"] < 1000
         assert 0.0 <= diag["remainder_bound"] <= 1e-15 * row["value"]
     # The limit does not depend on N: one evaluation per limit-branch combo.
@@ -560,6 +560,14 @@ MALFORMED_CONFIGS = {
     "spike-truth-target-zero": (
         "coverage-ball", {"truth_spec": {"pattern": "spike",
                                          "target_bias_sq": 0.0}}),
+    "smooth-truth-quoted-numbers": (
+        "contraction", {"truth_spec": {"pattern": "smooth", "beta": "1.0",
+                                       "eps": "0.01"}}),
+    "fixed-trunc-quoted": (
+        "contraction", {"trunc_policy": {"mode": "fixed", "value": "1000"}}),
+    "lemma-combo-quoted-q": (
+        "lemma-order", {"extras": {"combos": [{"q": "1.0", "t": 1.0,
+                                               "u": 2.5, "v": 2.0}]}}),
     "point-functional-outside-unit-interval": (
         "coverage-functional", {"functional_spec": {"kind": "point",
                                                     "x": 1.5}}),
@@ -597,6 +605,28 @@ def test_cli_volterra_demo_refuses_regime_flags(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert "extras.alphas" in err and "extras.tau" in err
+    assert not (tmp_path / "demo").exists()
+
+
+def test_cli_volterra_demo_refuses_unread_config_fields(tmp_path, capsys):
+    # The demo reads its priors, truth and truncation from extras and its own
+    # defaults; a config that sets the table runners' fields would be run as
+    # the default demo.
+    default = default_config("volterra-demo").to_dict()
+    for field, value in (
+            ("regime", {"alpha": 7.0, "beta": 1.0, "p": 3.0, "q": None,
+                        "tau_exponent": 0.3}),
+            ("truth_spec", {"pattern": "zero"}),
+            ("functional_spec", {"kind": "power", "q": 1.0}),
+            ("trunc_policy", {"mode": "fixed", "value": 50})):
+        path = tmp_path / f"{field}.json"
+        path.write_text(json.dumps(default | {field: value}))
+        assert cli_main(["volterra-demo", "--config", str(path), "--out",
+                         str(tmp_path / "demo")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and field in err
+        assert all(k in err for k in ("extras.alphas", "extras.tau",
+                                      "extras.trunc"))
     assert not (tmp_path / "demo").exists()
 
 

@@ -1,11 +1,12 @@
-import itertools
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
 
+from helpers import direct_series_sum
 from seqinv import rates
 from seqinv.harness import DEFAULT_LEMMA_COMBOS
 from seqinv.rates import (
@@ -18,7 +19,6 @@ from seqinv.rates import (
     functional_tau_balance_factor,
     optimal_tau_exponent,
     optimal_tau_functional,
-    series_lemma_sum,
     series_lemma_sum_auto,
     series_limit_value,
     series_order_exponent,
@@ -215,58 +215,49 @@ def test_functional_tau_balance_factor():
 
 
 def test_series_lemma_sum_plain_reduction():
-    # v = 0 (or N = 0) reduces to sum xi_i^2 i^(-t).
+    # v = 0 (or N = 0) reduces to sum xi_i^2 i^(-t); the sum past 1e5 terms
+    # is below 1e5^(-4)/4 = 2.5e-21.
     fam = SequenceFamily(q=1.0)
-    direct = math.fsum(float(i) ** -5.0 for i in range(1, 1001))
-    got = series_lemma_sum(fam, 2.0, 2.0, 0.0, 123.0, 1000)
-    assert got == pytest.approx(direct, rel=1e-12)
-    got0 = series_lemma_sum(fam, 2.0, 2.0, 2.0, 0.0, 1000)
-    assert got0 == pytest.approx(direct, rel=1e-12)
-
-
-def test_series_lemma_sum_array_and_callable():
-    xs = np.arange(1.0, 2001.0) ** -1.5
-    a = series_lemma_sum(xs, 2.0, 2.0, 1.0, 50.0, 2000, tail_q=1.0)
-    b = series_lemma_sum(lambda i: i ** -1.5, 2.0, 2.0, 1.0, 50.0, 2000,
-                         tail_q=1.0)
-    assert a == pytest.approx(b, rel=1e-15)
-    with pytest.raises(TruncationError):
-        series_lemma_sum(xs, 2.0, 2.0, 1.0, 50.0, 5000, tail_q=1.0)
+    direct = direct_series_sum(1.0, 2.0, 2.0, 0.0, 0.0, 100_000)
+    assert series_lemma_sum_auto(fam, 2.0, 2.0, 0.0, 123.0) == \
+        pytest.approx(direct, rel=1e-15)
+    assert series_lemma_sum_auto(fam, 2.0, 2.0, 2.0, 0.0) == \
+        pytest.approx(direct, rel=1e-15)
 
 
 def test_series_lemma_sum_validation():
     fam = SequenceFamily(q=1.0)
     with pytest.raises(ValueError):
-        series_lemma_sum(fam, 2.0, 0.0, 1.0, 10.0, 100)
+        series_lemma_sum_auto(fam, 2.0, 0.0, 1.0, 10.0)
     with pytest.raises(ValueError):
-        series_lemma_sum(fam, 2.0, 2.0, -1.0, 10.0, 100)
+        series_lemma_sum_auto(fam, 2.0, 2.0, -1.0, 10.0)
     with pytest.raises(ValueError):
-        series_lemma_sum(fam, 2.0, 2.0, 1.0, -10.0, 100)
-    with pytest.raises(ValueError):
-        series_lemma_sum(fam, 2.0, 2.0, 1.0, 10.0, 0)
+        series_lemma_sum_auto(fam, 2.0, 2.0, 1.0, -10.0)
     with pytest.raises(TruncationError):
-        series_lemma_sum(SequenceFamily(q=-1.0), 2.0, 2.0, 1.0, 10.0, 100)
+        series_lemma_sum_auto(SequenceFamily(q=-1.0), 2.0, 2.0, 1.0, 10.0)
 
 
-def test_series_truncation_guard_reports_requirement():
-    fam = SequenceFamily(q=0.25)  # slow decay: s_exp = t + 2q = 1.0
+def test_series_truncation_guard_reports_requirement(monkeypatch):
+    # The head runs to K = ceil((4 max(1, v) N)^(1/u)) - 1 = 2828 terms here.
+    # Under a cap of 1000 the refusal names K, and a cap of K sums it.
+    fam = SequenceFamily(q=0.25)  # slow decay: t + 2q = 1.0
+    full, diag = series_lemma_sum_auto(fam, 0.5, 2.0, 2.0, 1e6,
+                                       full_output=True)
+    assert diag.head_terms == 2828
+    monkeypatch.setattr(rates, "_MAX_HEAD", 1000)
     with pytest.raises(TruncationError) as exc:
-        series_lemma_sum(fam, 0.5, 2.0, 2.0, 10.0, 1000)
-    assert exc.value.required_trunc is not None
-    assert exc.value.required_trunc > 1000
-    # The auto variant grows past the guard and agrees with a manual call.
-    val = series_lemma_sum_auto(fam, 0.5, 2.0, 2.0, 10.0)
-    manual = series_lemma_sum(fam, 0.5, 2.0, 2.0, 10.0,
-                              4 * exc.value.required_trunc)
-    assert val == pytest.approx(manual, rel=1e-5)
+        series_lemma_sum_auto(fam, 0.5, 2.0, 2.0, 1e6)
+    assert exc.value.required_trunc == 2828
+    monkeypatch.setattr(rates, "_MAX_HEAD", 2828)
+    assert series_lemma_sum_auto(fam, 0.5, 2.0, 2.0, 1e6) == full
 
 
 def test_series_monotonicity():
     fam = SequenceFamily(q=1.0)
-    vals = [series_lemma_sum(fam, 1.0, 2.0, 2.0, N, 100_000)
+    vals = [series_lemma_sum_auto(fam, 1.0, 2.0, 2.0, N)
             for N in (1e2, 1e4, 1e6)]
     assert vals[0] > vals[1] > vals[2] > 0.0
-    low = series_lemma_sum(fam, 1.0, 2.0, 2.0, 1e2, 50_000)
+    low = direct_series_sum(1.0, 1.0, 2.0, 2.0, 1e2, 50_000)
     assert vals[0] >= low
 
 
@@ -285,10 +276,10 @@ def test_series_order_ratio_band():
 
 def test_series_limit_value():
     # (t + 2q)/u = 2 > v = 1: N^v * sum converges to sum xi^2 i^(uv - t),
-    # here zeta(3) truncated.
+    # here zeta(3).
     fam = SequenceFamily(q=1.0)
     limit = series_limit_value(fam, 2.0, 2.0, 1.0)
-    assert limit == pytest.approx(1.2020569, rel=1e-5)
+    assert limit == special.zeta(3.0)
     val = series_lemma_sum_auto(fam, 2.0, 2.0, 1.0, 1e10)
     assert val * 1e10 == pytest.approx(limit, rel=1e-3)
 
@@ -308,16 +299,50 @@ def _series_reference(q, t, u, v, big_n, head_terms=20000):
     return head + tail
 
 
-@pytest.mark.parametrize("big_n", [1e2, 1e6, 1e10])
+@pytest.mark.parametrize("big_n", [1e2, 1e6, 1e10, 1e12, 1e16, 1e20, 1e26,
+                                   1e30])
 def test_series_exact_matches_reference(big_n):
-    for combo in DEFAULT_LEMMA_COMBOS:
+    # Every default combo, and {q 1, t 1, u 5, v 1}, whose head fits under
+    # the cap; {q 1, t 2, u 4, v 1.5} at 1e26 and {q 1, t 1, u 5, v 1} at
+    # 1e30 once failed on an underflowing zeta value.
+    extra = {"q": 1.0, "t": 1.0, "u": 5.0, "v": 1.0}
+    for combo in (*DEFAULT_LEMMA_COMBOS, extra):
         q, t, u, v = (combo[k] for k in ("q", "t", "u", "v"))
+        if (4.0 * max(1.0, v) * big_n) ** (1.0 / u) >= rates._MAX_HEAD:
+            continue
         val, diag = series_lemma_sum_auto(SequenceFamily(q=q), t, u, v, big_n,
                                           full_output=True)
-        assert diag.method == "hurwitz"
         assert diag.remainder_bound <= 1e-15 * val
         assert val == pytest.approx(_series_reference(q, t, u, v, big_n),
                                     rel=1e-9)
+
+
+@pytest.mark.parametrize("q", [100.0, 300.0, 1e9])
+def test_series_huge_q_is_exact(q):
+    # zeta(s, K+1) underflows for s = t + 2q + 1 in the hundreds; the scaled
+    # zeta keeps the tail. Past i = 50 the terms are below 50^(-200). At
+    # q = 1e9 the scaled zeta sums one term, not 4e9.
+    val, diag = series_lemma_sum_auto(SequenceFamily(q=q), 1.0, 2.0, 1.0, 1e4,
+                                      full_output=True)
+    assert diag.head_terms == 200 and diag.zeta_terms >= 1
+    assert val == pytest.approx(direct_series_sum(q, 1.0, 2.0, 1.0, 1e4, 50),
+                                rel=1e-15)
+
+
+@pytest.mark.parametrize("s", [1.0001, 1.5, 3.0, 41.0, 100.0, 150.0, 300.0,
+                               603.0, 2000.0])
+def test_scaled_zeta_matches_mpmath(s):
+    # mpmath's zeta(s, a) loses about s log10(a) digits, so its precision is
+    # raised by as much; past s log10(a) = 2700 it takes minutes (91 s at
+    # s = 2000, a = 4e7), so those corners are left out. At a = 2(s + 16)
+    # the Euler-Maclaurin part is the whole sum and needs all eight
+    # corrections.
+    for a in (1.0, 2.5, 20.0, 1000.0, 2.0 * (s + 16.0), 4.9e6, 4e7):
+        if s * math.log10(a) > 2700.0:
+            continue
+        mpmath.mp.dps = 40 + math.ceil(s * math.log10(a))
+        ref = mpmath.zeta(s, a) * mpmath.mpf(a) ** s
+        assert abs(rates._scaled_zeta(s, a) - ref) <= 2e-15 * ref, (s, a)
 
 
 def test_series_exact_zeta_reduction_and_scale():
@@ -336,19 +361,9 @@ def test_series_exact_zeta_reduction_and_scale():
 def test_series_exact_agrees_with_truncated_sum():
     fam = SequenceFamily(q=1.0)
     exact = series_lemma_sum_auto(fam, 1.0, 2.0, 1.5, 1e4)
-    guarded = series_lemma_sum(fam, 1.0, 2.0, 1.5, 1e4, 2_000_000)
-    assert guarded < exact
-    assert guarded == pytest.approx(exact, rel=1e-6)
-
-
-def test_series_log_power_takes_truncated_path():
-    fam = SequenceFamily(q=1.0, log_power=1.0)
-    val, diag = series_lemma_sum_auto(fam, 1.0, 2.0, 1.0, 1e4,
-                                      full_output=True)
-    assert diag.method == "truncated" and diag.zeta_terms == 0
-    assert diag.head_terms >= 1000
-    assert 0.0 < diag.remainder_bound <= 1e-6 * val
-    assert val == series_lemma_sum(fam, 1.0, 2.0, 1.0, 1e4, diag.head_terms)
+    truncated = direct_series_sum(1.0, 1.0, 2.0, 1.5, 1e4, 2_000_000)
+    assert truncated < exact
+    assert truncated == pytest.approx(exact, rel=1e-6)
 
 
 def test_series_rejects_nonfinite_and_huge_n(monkeypatch):
@@ -356,10 +371,8 @@ def test_series_rejects_nonfinite_and_huge_n(monkeypatch):
     for bad in (math.inf, math.nan, -1.0):
         with pytest.raises(ValueError):
             series_lemma_sum_auto(fam, 1.0, 2.0, 1.0, bad)
-        with pytest.raises(ValueError):
-            series_lemma_sum(fam, 1.0, 2.0, 1.0, bad, 100)
 
-    # A head beyond max_trunc is refused before any term is evaluated.
+    # A head beyond the cap is refused before any term is evaluated.
     def no_head(*args):
         raise AssertionError("head evaluated")
 
@@ -372,66 +385,13 @@ def test_series_rejects_nonfinite_and_huge_n(monkeypatch):
     assert exc.value.required_trunc is None
 
 
-def test_series_unreachable_tolerance_refused_up_front(monkeypatch):
-    # log_power != 0 takes the truncated path. A bound on every head against
-    # the tail bound at max_trunc shows that no truncation can pass, so no
-    # term is summed (this used to sum 40M terms and then raise).
-    def no_head(*args):
-        raise AssertionError("head evaluated")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(rates, "_head_sum", no_head)
-        with pytest.raises(TruncationError) as exc:
-            series_lemma_sum_auto(SequenceFamily(q=1.0, log_power=1.0),
-                                  1.0, 2.0, 1.0, 1e300)
-    assert exc.value.required_trunc > 40_000_000
-
-    # Sound: where the refusal fires for a cap, the guarded sum fails at
-    # every truncation up to that cap.
-    cap, fired, grid = 2000, 0, itertools.product(
-        (0.5, 1.0), (-1.0, 0.5, 2.0), (1.0, 1e3), (0.0, 1.0), (1.5, 3.0),
-        (0.0, 1.0, 2.5), (1e2, 1e8, 1e20))
-    for q, lp, sc, t, u, v, big_n in grid:
-        fam = SequenceFamily(q=q, log_power=lp, scale=sc)
-        try:
-            rates._refuse_unreachable(fam, t, u, v, big_n, cap, 1e-6)
-        except TruncationError as err:
-            fired += 1
-            assert err.required_trunc is None or err.required_trunc > cap
-            for trunc in (1, 50, cap):
-                with pytest.raises(TruncationError):
-                    series_lemma_sum(fam, t, u, v, big_n, trunc)
-    assert fired > 0
-
-
-def test_series_hopeless_callable_and_array_refused_up_front(monkeypatch):
-    # The declared envelope bounds every |xi_i|, so a callable or an array
-    # is refused before any term is summed, as a SequenceFamily is (this
-    # used to sum 40M terms and then raise).
-    def no_head(*args):
-        raise AssertionError("head evaluated")
-
-    def xi(i):
-        return i ** -1.5 * np.log(i + 1.0)
-
-    envelope = dict(tail_q=1.0, tail_log_power=1.0)
-    with monkeypatch.context() as patch:
-        patch.setattr(rates, "_head_sum", no_head)
-        for seq in (xi, xi(np.arange(1.0, 101.0))):
-            with pytest.raises(TruncationError) as exc:
-                series_lemma_sum_auto(seq, 1.0, 2.0, 1.0, 1e300, **envelope)
-            assert exc.value.required_trunc > 40_000_000
-    # A reachable series is summed as before.
-    fam = SequenceFamily(q=1.0, log_power=1.0)
-    assert series_lemma_sum_auto(xi, 1.0, 2.0, 1.0, 1e3, **envelope) \
-        == pytest.approx(series_lemma_sum_auto(fam, 1.0, 2.0, 1.0, 1e3),
-                         rel=1e-15)
-
-
 def test_sequence_family_and_slowly_varying_values():
-    fam = SequenceFamily(q=1.5, log_power=1.0, scale=2.0)
-    i = np.array([1.0, 4.0])
-    np.testing.assert_allclose(fam(i), 2.0 * i ** -2.0 * np.log(i + 1.0))
+    # xi_i = scale * i^(-q-1/2): the series is scale^2 times the direct sum
+    # of i^(-2q-1-t) / (1 + N i^(-u))^v, whose tail past 1e5 is below 1e-20.
+    fam = SequenceFamily(q=1.5, scale=2.0)
+    assert series_lemma_sum_auto(fam, 1.0, 2.0, 1.0, 10.0) == pytest.approx(
+        direct_series_sum(1.5, 1.0, 2.0, 1.0, 10.0, 100_000, scale=2.0),
+        rel=1e-14)
     sv = SlowlyVarying()
     assert sv.is_unit
     np.testing.assert_allclose(sv(np.array([10.0])), [1.0])

@@ -6,8 +6,8 @@ module level (assignment, import, def or class) or be a builtin; anything
 else would raise NameError when that line runs.
 
 The package needs only scipy.special at import time: no module imports
-scipy.stats, and scipy.optimize is loaded by the two functions that call
-brentq, when they run.
+scipy.stats, scipy.optimize is loaded by the two functions that call
+brentq, when they run, and mpmath (a test-only reference) is never loaded.
 
 Every public name is used: something besides its own definition and the
 package's `__init__.py` refers to it.
@@ -89,9 +89,11 @@ def test_fresh_import_loads_neither_stats_nor_optimize(tmp_path):
         "import json, sys\n"
         "import seqinv\n"
         "seen = {m: m in sys.modules\n"
-        "        for m in ('scipy.stats', 'scipy.optimize')}\n"
+        "        for m in ('scipy.stats', 'scipy.optimize', 'mpmath')}\n"
         "assert seqinv.cli_main(['bvm', '--out', sys.argv[1]]) == 0\n"
         "seen['optimize_after_bvm'] = 'scipy.optimize' in sys.modules\n"
+        "assert seqinv.cli_main(['lemma-order', '--out', sys.argv[1]]) == 0\n"
+        "seen['mpmath_after_lemma'] = 'mpmath' in sys.modules\n"
         "print(json.dumps(seen))\n")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
@@ -99,7 +101,8 @@ def test_fresh_import_loads_neither_stats_nor_optimize(tmp_path):
                           timeout=120, check=True)
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen == {"scipy.stats": False, "scipy.optimize": False,
-                    "optimize_after_bvm": False}
+                    "mpmath": False, "optimize_after_bvm": False,
+                    "mpmath_after_lemma": False}
 
 
 def names_used_in_package() -> set[str]:
