@@ -25,14 +25,8 @@ from scipy import special
 
 from .model import ForwardSpec, PriorSpec, Truth, _spectral_blocks
 from .posterior import Functional, _interval_terms
-from .util import (
-    DegenerateInputError,
-    DimensionMismatchError,
-    rng_for,
-    seed_tag,
-    stable_sum,
-    stable_sums,
-)
+from .util import DegenerateInputError, DimensionMismatchError, rng_for, \
+    stable_sums
 
 _MC_CHUNK = 8192          # rows per keyed stream rng_for(seed, chunk)
 _MC_BLOCK = 1 << 20       # normals drawn at once (8 MB), whatever the trunc
@@ -85,23 +79,9 @@ class EigenWeights:
         return EigenWeights(s_w=self.t_w, t_w=self.t_w, n=self.n)
 
 
-@dataclass(frozen=True)
-class CoverageReport:
-    radius_or_halfwidth: float
-    coverage: float
-    method: str  # "exact-normal" | "monte-carlo"
-    mc_stderr: float | None = None
-    mc_samples: int | None = None
-    seed_key: str | None = None
-
-    def __post_init__(self):
-        if self.method not in ("exact-normal", "monte-carlo"):
-            raise ValueError(f"unknown method {self.method!r}")
-        is_mc = self.method == "monte-carlo"
-        if is_mc != (self.mc_stderr is not None):
-            raise ValueError("mc_stderr must be present exactly for monte-carlo")
-        if not (0.0 <= self.coverage <= 1.0):
-            raise ValueError("coverage must lie in [0, 1]")
+class CoverageReport(NamedTuple):
+    coverage: float   # share of Monte Carlo draws inside the ball
+    mc_stderr: float  # its binomial standard error
 
 
 class BvmDiagnostics(NamedTuple):
@@ -313,21 +293,19 @@ class _WeightedChiSquare:
         return x * self.scale, err * self.scale
 
 
-def ball_radius(w: EigenWeights, gamma: float, method: str = "monte-carlo",
+def ball_radius(w: EigenWeights, gamma: float, method: str = "imhof",
                 mc_samples: int = 200_000, seed: int = 0,
                 full_output: bool = False):
     """Radius r with P(sum_i s_i Z_i^2 <= r^2) = 1 - gamma.
 
-    method "monte-carlo" (default): empirical quantile with a fixed seed.
-    method "imhof": exact inversion of the weighted chi-square law (Imhof
-    1961); its error bound is near 1e-10 relative or below. mc_samples and
-    seed are not used.
-    method "satterthwaite": moment-matched scaled chi-square, for use as a
-    cross-check, not as the primary path.
+    method "imhof" (default): exact inversion of the weighted chi-square law
+    (Imhof 1961); its error bound is near 1e-10 relative or below.
+    mc_samples and seed are not used.
+    method "monte-carlo": empirical quantile of mc_samples draws from seed.
 
     With full_output the result is (r, abserr): abserr bounds |r - exact r|
     from the integral's cut-off and the root tolerance for "imhof", and is
-    None for the other methods.
+    None for "monte-carlo".
     """
     if not (0.0 < gamma < 1.0):
         raise ValueError("gamma must lie in (0, 1)")
@@ -347,15 +325,6 @@ def ball_radius(w: EigenWeights, gamma: float, method: str = "monte-carlo",
         # r - sqrt(r^2 - err), the larger side of the error, without cancelling
         lower = math.sqrt(max(r_sq - r_sq_err, 0.0))
         abserr = r_sq_err / (r + lower) if r > 0 else math.sqrt(r_sq_err)
-    elif method == "satterthwaite":
-        m1 = stable_sum(s)
-        m2 = stable_sum(s * s)
-        scale = m2 / m1
-        dof = m1 * m1 / m2
-        # the chi-square quantile chi2.ppf(1 - gamma, dof), as scipy.stats
-        # computes it
-        chi2_q = 2.0 * special.gammaincinv(dof / 2.0, 1.0 - gamma)
-        r = math.sqrt(scale * chi2_q)
     else:
         raise ValueError(f"unknown method {method!r}")
     return (r, abserr) if full_output else r
@@ -363,7 +332,8 @@ def ball_radius(w: EigenWeights, gamma: float, method: str = "monte-carlo",
 
 def ball_coverage(w: EigenWeights, bias, r: float, mc_samples: int = 2000,
                   seed: int = 0) -> CoverageReport:
-    """P(sum_i (sqrt(t_i) Z_i + b_i)^2 <= r^2) for the posterior-mean law.
+    """P(sum_i (sqrt(t_i) Z_i + b_i)^2 <= r^2) for the posterior-mean law,
+    estimated from mc_samples draws of the stream `seed`.
 
     `bias` is the coordinatewise posterior-mean bias at the truth of
     interest (see posterior.bias_coordinates).
@@ -385,10 +355,7 @@ def ball_coverage(w: EigenWeights, bias, r: float, mc_samples: int = 2000,
         np.square(z, out=z)
         hits += int(np.count_nonzero(z.sum(axis=1) <= r_sq))
     p_hat = hits / m
-    stderr = math.sqrt(p_hat * (1.0 - p_hat) / m)
-    return CoverageReport(radius_or_halfwidth=float(r), coverage=p_hat,
-                          method="monte-carlo", mc_stderr=stderr,
-                          mc_samples=m, seed_key=seed_tag(seed))
+    return CoverageReport(p_hat, math.sqrt(p_hat * (1.0 - p_hat) / m))
 
 
 def interval_coverage(bias: float, s_n: float, t_n: float, gamma: float) -> float:

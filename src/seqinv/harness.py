@@ -87,22 +87,21 @@ class ExperimentConfig:
                     f"{name} must be an integer >= {low}, got {value!r}")
         mode = _spec_value("trunc_policy", self.trunc_policy, "mode", kind=str)
         if mode == "auto":
-            extra = set(self.trunc_policy) - {"mode", "floor", "factor"}
+            _only_keys("trunc_policy", self.trunc_policy,
+                       "mode", "floor", "factor")
         elif mode == "fixed":
-            extra = set(self.trunc_policy) - {"mode", "value"}
+            _only_keys("trunc_policy", self.trunc_policy, "mode", "value")
             if _spec_value("fixed trunc_policy", self.trunc_policy, "value",
                            kind=int) < 1:
                 raise ConfigError("fixed trunc_policy needs a positive value")
         else:
             raise ConfigError("trunc_policy mode must be 'auto' or 'fixed'")
-        if extra:
-            raise ConfigError(f"unknown trunc_policy keys: {sorted(extra)}")
         if not isinstance(self.extras, dict):
             raise ConfigError(f"extras must be an object, got {self.extras!r}")
         # the extras keys some runner reads; volterra-demo's go to DemoConfig
-        unknown = set(self.extras) - {"kappa_kind", "sv_log_power", "combos"}
-        if unknown and self.kind != "volterra-demo":
-            raise ConfigError(f"unknown extras keys: {sorted(unknown)}")
+        if self.kind != "volterra-demo":
+            _only_keys("extras", self.extras,
+                       "kappa_kind", "sv_log_power", "combos")
 
     def to_dict(self) -> dict:
         return {
@@ -165,10 +164,6 @@ class ResultTable:
             if len(row) != len(self.columns):
                 raise ValueError("row width does not match columns")
 
-    def column(self, name: str) -> list:
-        idx = self.columns.index(name)
-        return [row[idx] for row in self.rows]
-
     def to_csv(self, path) -> Path:
         path = Path(path)
         write_csv(path, self.columns,
@@ -213,6 +208,13 @@ def _spec_value(what: str, spec, key: str, default=None, kind=float):
         raise ConfigError(f"{what}: bad {key!r} value {value!r}") from None
 
 
+def _only_keys(what: str, spec: dict, *keys: str) -> None:
+    """Refuse a key of spec outside keys: a typo would run with a default."""
+    unknown = set(spec) - set(keys)
+    if unknown:
+        raise ConfigError(f"{what}: unknown keys {sorted(unknown)}")
+
+
 def _trunc_for(cfg: ExperimentConfig, n: float) -> int:
     policy = cfg.trunc_policy
     if policy["mode"] == "fixed":
@@ -240,23 +242,28 @@ def _functional_for(cfg: ExperimentConfig, trunc: int) -> posterior.Functional:
         raise ConfigError(f"experiment kind {cfg.kind!r} needs functional_spec")
     kind = _spec_value("functional_spec", spec, "kind", kind=str)
     get = functools.partial(_spec_value, f"{kind} functional", spec)
+    only = functools.partial(_only_keys, f"{kind} functional", spec, "kind")
     if kind == "power":
+        only("q", "scale")
         q = get("q")
         coeffs = np.arange(1, trunc + 1, dtype=float)
         coeffs **= -q - 0.5  # in place: no trunc-long temporary
         coeffs *= get("scale", 1.0)
         return posterior.Functional(coeffs=coeffs, q=q)
     if kind == "exp":
+        only("rate", "q")
         coeffs = np.arange(1, trunc + 1, dtype=float)
         coeffs *= -get("rate", 1.0)
         return posterior.Functional(coeffs=np.exp(coeffs, out=coeffs),
                                     q=get("q", math.inf))
     if kind == "point":
+        only("x")
         x = get("x")
         if not (0.0 <= x <= 1.0):
             raise ConfigError(f"point functional x {x!r} outside [0, 1]")
         return volterra.point_functional(x, trunc)
     if kind == "coordinate":
+        only("index", "q")
         idx = get("index", kind=int)
         if not (1 <= idx <= trunc):
             raise ConfigError("coordinate index outside truncation")
@@ -264,6 +271,7 @@ def _functional_for(cfg: ExperimentConfig, trunc: int) -> posterior.Functional:
         coeffs[idx - 1] = 1.0
         return posterior.Functional(coeffs=coeffs, q=get("q", -0.5))
     if kind == "custom":
+        only("coeffs", "q")
         coeffs = get("coeffs", kind=functools.partial(np.asarray, dtype=float))
         if coeffs.size > trunc:
             raise ConfigError("custom functional longer than truncation")
@@ -279,17 +287,22 @@ def _truth_for(cfg: ExperimentConfig, n: float, trunc: int,
     spec = cfg.truth_spec
     pattern = _spec_value("truth_spec", spec, "pattern", kind=str)
     get = functools.partial(_spec_value, f"{pattern} truth", spec)
+    only = functools.partial(_only_keys, f"{pattern} truth", spec, "pattern")
     if pattern == "demo":
+        only()
         return model.make_truth("demo", trunc)
     if pattern == "smooth":
+        only("beta", "eps")
         eps = get("eps")
         if not (eps > 0):
             raise ConfigError(f"smooth truth needs eps > 0, got {eps!r}")
         return model.make_truth("smooth", trunc, beta=get("beta"), eps=eps)
     if pattern == "zero":
+        only()
         return model.make_truth("custom", trunc, beta=cfg.regime.beta,
                                 coeffs=np.zeros(trunc))
     if pattern == "custom":
+        only("coeffs", "beta")
         coeffs = get("coeffs", kind=functools.partial(np.asarray, dtype=float))
         if coeffs.size > trunc:
             raise ConfigError("custom truth longer than truncation")
@@ -297,6 +310,7 @@ def _truth_for(cfg: ExperimentConfig, n: float, trunc: int,
         full[:coeffs.size] = coeffs
         return model.make_truth("custom", trunc, beta=get("beta"), coeffs=full)
     if pattern == "spike":
+        only("target_bias_sq", "beta")
         target = get("target_bias_sq")
         if not (target > 0):
             raise ConfigError(f"spike truth needs target_bias_sq > 0, "
@@ -304,6 +318,7 @@ def _truth_for(cfg: ExperimentConfig, n: float, trunc: int,
         return model.spike_truth_ball(
             prior, fwd, n, get("beta", cfg.regime.beta), target)
     if pattern == "extremal":
+        only()
         if l is None:
             raise ConfigError("extremal truth needs a functional")
         return model.extremal_truth_functional(l.coeffs, cfg.regime.beta,
@@ -461,7 +476,7 @@ def run_ball_coverage(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
                 "radius_method": "imhof", "radius_abserr": r_err,
                 "noise_radius_abserr": r_noise_err}
         row = (n, rp.alpha, rp.beta, rp.p, prior.tau, cfg.gamma, "ball",
-               r, report.coverage, report.mc_stderr, report.method,
+               r, report.coverage, report.mc_stderr, "monte-carlo",
                seed_tag(cfg.master_seed, j))
         return row, diag
 
@@ -526,6 +541,7 @@ def run_lemma_order(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
                              DEFAULT_LEMMA_COMBOS, list):
         q, t, u, v = (_spec_value("lemma-order combo", combo, k)
                       for k in ("q", "t", "u", "v"))
+        _only_keys("lemma-order combo", combo, "q", "t", "u", "v")
         on_sup = (t + 2.0 * q) / u < v
         limit_value = None if on_sup else rates.series_limit_value(
             rates.SequenceFamily(q=q), t, u, v)
@@ -748,3 +764,7 @@ def cli_main(argv=None) -> int:
 
 def main() -> None:
     sys.exit(cli_main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -87,11 +87,7 @@ class PriorSpec:
 
 @dataclass(frozen=True)
 class ForwardSpec:
-    """Singular values of the forward map, decaying like i^(-p).
-
-    The declared band constant C >= 1 satisfies
-    C^-1 i^-p <= kappa_i <= C i^-p over the stored range.
-    """
+    """Singular values of the forward map, decaying like i^(-p)."""
 
     p: float
     kind: KappaKind
@@ -144,15 +140,6 @@ class ForwardSpec:
         if self.kind is KappaKind.VOLTERRA:
             return 1.0 / ((i - 0.5) * math.pi)
         return self._custom[sl]
-
-    def band_constant(self) -> float:
-        if self.kind is KappaKind.EXACT_POLYNOMIAL:
-            return 1.0
-        if self.kind is KappaKind.VOLTERRA:
-            # i * kappa_i ranges over (1/pi, 2/pi]; pi covers both sides.
-            return math.pi
-        ratio = self.singular_values() * self.indices() ** self.p
-        return float(max(ratio.max(), 1.0 / ratio.min(), 1.0))
 
 
 @dataclass(frozen=True)

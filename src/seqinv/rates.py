@@ -42,10 +42,6 @@ class SlowlyVarying:
     def __call__(self, x):
         return np.log(np.asarray(x, dtype=float) + 1.0) ** self.log_power
 
-    @property
-    def is_unit(self) -> bool:
-        return self.log_power == 0.0
-
 
 @dataclass(frozen=True)
 class SequenceFamily:
@@ -97,9 +93,6 @@ class RegimeParams:
     def noise_budget(self, n: float) -> float:
         tau = self.tau(n)
         return float(n) * tau * tau
-
-    def effective_frequency(self, n: float) -> float:
-        return self.noise_budget(n) ** (1.0 / self.resolution_exponent)
 
     def _require_budget(self, n: float) -> float:
         big_n = self.noise_budget(n)

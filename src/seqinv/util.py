@@ -1,4 +1,4 @@
-"""Shared plumbing: stable summation, seed derivation, errors, table IO."""
+"""Shared plumbing: stable summation, seed derivation, errors, table output."""
 
 from __future__ import annotations
 
@@ -89,34 +89,19 @@ def child_seed(master_seed: int, *key: int) -> np.random.SeedSequence:
 
 
 def rng_for(seed, *key: int) -> np.random.Generator:
-    """Generator for `seed`, descending through `key` if given.
-
-    Accepts a plain integer, a SeedSequence, or an existing spawn path.
-    """
-    if isinstance(seed, np.random.Generator):
-        if key:
-            raise ValueError("cannot re-key an already constructed generator")
-        return seed
-    if isinstance(seed, np.random.SeedSequence):
-        ss = seed if not key else np.random.SeedSequence(
-            seed.entropy, spawn_key=tuple(seed.spawn_key) + key)
-        return np.random.default_rng(ss)
-    if key:
-        return np.random.default_rng(child_seed(int(seed), *key))
-    return np.random.default_rng(int(seed))
+    """Generator for `seed`, an integer or a SeedSequence, descending
+    through `key` if given."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(int(seed))
+    return np.random.default_rng(np.random.SeedSequence(
+        seed.entropy, spawn_key=tuple(seed.spawn_key) + key))
 
 
-def seed_tag(seed, *key: int) -> str:
+def seed_tag(seed: int, *key: int) -> str:
     """Printable tag for the stream (master seed plus spawn path)."""
-    if isinstance(seed, np.random.SeedSequence):
-        base = seed.entropy
-        path = tuple(seed.spawn_key) + key
-    else:
-        base = int(seed)
-        path = key
-    if not path:
-        return str(base)
-    return f"{base}:" + ".".join(str(k) for k in path)
+    if not key:
+        return str(int(seed))
+    return f"{int(seed)}:" + ".".join(str(k) for k in key)
 
 
 def format_cell(value) -> str:
@@ -131,7 +116,7 @@ def format_cell(value) -> str:
 
 
 # csv.writer renders str as itself and float by repr, exactly as format_cell
-# does; only rows holding other types (numpy scalars, int, bool, None) need it.
+# does, so a line of these cells can be written without either.
 _NATIVE_CELLS = frozenset((str, float))
 
 
@@ -163,8 +148,6 @@ def write_csv(path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
             line = _plain_line(row)
             if line is not None:
                 fh.write(line)
-            elif _NATIVE_CELLS.issuperset(map(type, row)):
-                writer.writerow(row)
             else:
                 writer.writerow([format_cell(v) for v in row])
 
@@ -186,9 +169,3 @@ def write_manifest(out_dir, config: dict, master_seed: int, started_at: str,
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
-
-def read_csv(path) -> tuple[list[str], list[list[str]]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        return header, [row for row in reader]

@@ -154,8 +154,7 @@ _TAIL_REL_TOL = 1e-3
 
 
 def credible_band(prior: PriorSpec, fwd: ForwardSpec, obs: Observation,
-                  xs, gamma: float,
-                  tail_rel_tol: float = _TAIL_REL_TOL) -> GridFunction:
+                  xs, gamma: float) -> GridFunction:
     """Posterior mean curve with a pointwise (1-gamma) credible band.
 
     At each x the posterior law of f(x) is N(sum m_i e_i(x), sum v_i e_i(x)^2);
@@ -169,12 +168,11 @@ def credible_band(prior: PriorSpec, fwd: ForwardSpec, obs: Observation,
         raise ValueError("gamma must lie in (0, 1)")
     summary = coordinate_posterior(prior, fwd, obs)
     xs = np.asarray(xs, dtype=float)
-    center, lo, hi = _band(prior, summary, xs, gamma, tail_rel_tol)
+    center, lo, hi = _band(prior, summary, xs, gamma)
     return GridFunction(xs=xs, values=center, band_lo=lo, band_hi=hi)
 
 
-def _band(prior: PriorSpec, summary, xs: np.ndarray, gamma: float,
-          tail_rel_tol: float):
+def _band(prior: PriorSpec, summary, xs: np.ndarray, gamma: float):
     """(center, lo, hi) of the pointwise band on the grid xs."""
     center = _cosine_sums(summary.mean, xs)
     # Every e_i vanishes at x = 1, where the folded sum cancels to rounding
@@ -188,10 +186,10 @@ def _band(prior: PriorSpec, summary, xs: np.ndarray, gamma: float,
     tail = 2.0 * prior.tau ** 2 * prior.trunc ** (-2.0 * prior.alpha) \
         / (2.0 * prior.alpha)
     floor = float(np.median(var_curve))
-    if floor > 0 and tail / floor > tail_rel_tol:
+    if floor > 0 and tail / floor > _TAIL_REL_TOL:
         warnings.warn(
             f"truncated prior-variance tail is {tail / floor:.2e} of the "
-            f"band variance (tolerance {tail_rel_tol:.0e}); increase trunc "
+            f"band variance (tolerance {_TAIL_REL_TOL:.0e}); increase trunc "
             "for quantitative band widths")
     half = -special.ndtri(gamma / 2.0) * np.sqrt(var_curve)
     return center, center - half, center + half
@@ -279,8 +277,7 @@ def figure_demo(config: DemoConfig) -> list[Path]:
         for ai, alpha in enumerate(config.alphas):
             prior = PriorSpec(alpha=alpha, tau=config.tau, trunc=config.trunc)
             summary = coordinate_posterior(prior, fwd, obs)
-            center, lo, hi = _band(prior, summary, xs, config.gamma,
-                                   _TAIL_REL_TOL)
+            center, lo, hi = _band(prior, summary, xs, config.gamma)
             curves = []
             if config.draws:
                 curves = _cosine_sums(posterior_draws(

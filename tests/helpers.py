@@ -3,6 +3,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from scipy import stats
 
 
 def grid_posterior(n, lam, kappa, y):
@@ -94,3 +95,15 @@ def functional_marginal(summary, coeffs):
     l = np.asarray(coeffs, dtype=float)
     return FunctionalMarginal(mean=math.fsum(l * summary.mean),
                               s_n_sq=math.fsum(l * l * summary.var))
+
+
+def satterthwaite_radius(weights, gamma):
+    """Moment-matched radius for sum_i w_i Z_i^2: sqrt of the (1 - gamma)
+    quantile of c chi^2_d with c = m2/m1 and d = m1^2/m2, m_k = sum_i w_i^k.
+
+    Exact for one weight or equal weights; otherwise a cross-check on the
+    exact (Imhof) radius, not a reference for its digits.
+    """
+    w = np.asarray(weights, dtype=float)
+    m1, m2 = math.fsum(w), math.fsum(w * w)
+    return math.sqrt(m2 / m1 * stats.chi2.ppf(1.0 - gamma, m1 * m1 / m2))

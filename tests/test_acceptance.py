@@ -157,7 +157,7 @@ def test_criterion_06_zero_truth_ball_never_undercovers():
             prior = PriorSpec(alpha=alpha, tau=1.0, trunc=500)
             fwd = ForwardSpec.polynomial(p=p, trunc=500)
             w = credible_weights(prior, fwd, 1e4)
-            r = ball_radius(w, 0.05, mc_samples=20_000,
+            r = ball_radius(w, 0.05, method="monte-carlo", mc_samples=20_000,
                             seed=child_seed(606, j, 0))
             rep = ball_coverage(w, np.zeros(500), r, mc_samples=2000,
                                 seed=child_seed(606, j, 1))

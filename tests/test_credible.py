@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from helpers import satterthwaite_radius
 from seqinv import credible
 from seqinv.credible import (
     BvmDiagnostics,
-    CoverageReport,
     EigenWeights,
     _tv_centered_normals,
     _WeightedChiSquare,
@@ -24,7 +24,7 @@ from seqinv.credible import (
 from seqinv.model import ForwardSpec, PriorSpec, make_truth
 from seqinv.posterior import Functional
 from seqinv.util import DegenerateInputError, DimensionMismatchError, \
-    RegimeError, child_seed, stable_sum
+    RegimeError, child_seed
 
 
 def _weights(alpha=1.0, tau=1.0, p=1.0, trunc=500, n=1e4):
@@ -100,12 +100,12 @@ def test_weights_at_gain_extremes():
 
 def test_ball_radius_single_weight_chi_square():
     w = EigenWeights(s_w=[1.0], t_w=[0.5], n=1.0)
-    r = ball_radius(w, gamma=0.05, mc_samples=200_000, seed=0)
+    r = ball_radius(w, gamma=0.05, method="monte-carlo", mc_samples=200_000,
+                    seed=0)
     assert abs(r * r - 3.841459) <= 0.05
 
     # Satterthwaite on one weight is the exact scaled chi-square.
-    w2 = EigenWeights(s_w=[2.0], t_w=[1.0], n=1.0)
-    r2 = ball_radius(w2, gamma=0.05, method="satterthwaite")
+    r2 = satterthwaite_radius([2.0], gamma=0.05)
     assert r2 * r2 == pytest.approx(2.0 * 3.841459, rel=1e-6)
 
 
@@ -115,30 +115,22 @@ def test_ball_radius_equal_weights_chi_square():
     c = 5.0
     w = EigenWeights(s_w=np.full(7, c), t_w=np.zeros(7), n=1.0)
     exact = c * stats.chi2.ppf(0.95, 7)
-    r_sat = ball_radius(w, gamma=0.05, method="satterthwaite")
+    r_sat = satterthwaite_radius(w.s_w, gamma=0.05)
     assert r_sat * r_sat == pytest.approx(exact, rel=1e-12)
-    r_mc = ball_radius(w, gamma=0.05, mc_samples=200_000, seed=1)
+    r_mc = ball_radius(w, gamma=0.05, method="monte-carlo", mc_samples=200_000,
+                       seed=1)
     assert r_mc * r_mc == pytest.approx(exact, rel=0.01)
-
-
-def test_satterthwaite_radius_matches_scipy_stats_bitwise():
-    for w in (_weights(trunc=50), _weights(alpha=3.0, p=0.0, trunc=2000),
-              EigenWeights(s_w=[2.0], t_w=[1.0], n=1.0)):
-        m1, m2 = stable_sum(w.s_w), stable_sum(w.s_w * w.s_w)
-        for gamma in (1e-12, 0.01, 0.05, 0.5, 0.9):
-            ref = math.sqrt(m2 / m1 * stats.chi2.ppf(1.0 - gamma, m1 * m1 / m2))
-            assert ball_radius(w, gamma, method="satterthwaite") == ref
 
 
 def test_ball_radius_monotone_in_gamma_and_weights():
     w = _weights()
-    radii = [ball_radius(w, gamma=g, mc_samples=20_000, seed=5)
-             for g in (0.01, 0.05, 0.2)]
+    mc = dict(method="monte-carlo", mc_samples=20_000, seed=5)
+    radii = [ball_radius(w, gamma=g, **mc) for g in (0.01, 0.05, 0.2)]
     assert radii[0] > radii[1] > radii[2] > 0.0
 
     doubled = EigenWeights(s_w=2.0 * w.s_w, t_w=2.0 * w.t_w, n=w.n)
-    r1 = ball_radius(w, gamma=0.05, mc_samples=20_000, seed=5)
-    r2 = ball_radius(doubled, gamma=0.05, mc_samples=20_000, seed=5)
+    r1 = ball_radius(w, gamma=0.05, **mc)
+    r2 = ball_radius(doubled, gamma=0.05, **mc)
     assert r2 == pytest.approx(math.sqrt(2.0) * r1, rel=1e-12)
 
 
@@ -147,7 +139,7 @@ def test_ball_radius_validation():
     with pytest.raises(ValueError):
         ball_radius(w, gamma=1.0)
     with pytest.raises(ValueError):
-        ball_radius(w, gamma=0.05, mc_samples=5000)
+        ball_radius(w, gamma=0.05, method="monte-carlo", mc_samples=5000)
     with pytest.raises(ValueError):
         ball_radius(w, gamma=0.05, method="exact")
     zero = EigenWeights(s_w=np.zeros(3), t_w=np.zeros(3), n=1.0)
@@ -181,7 +173,8 @@ def test_imhof_radius_matches_monte_carlo():
     w = _weights(alpha=1.0, p=1.0, trunc=1000, n=1e5)
     m = 20_000
     r = ball_radius(w, 0.05, method="imhof")
-    r_mc = ball_radius(w, 0.05, mc_samples=m, seed=child_seed(8, 6))
+    r_mc = ball_radius(w, 0.05, method="monte-carlo", mc_samples=m,
+                       seed=child_seed(8, 6))
     law = _WeightedChiSquare(w.s_w)
     x = r * r / law.scale
     h = 1e-3 * law.sd
@@ -200,7 +193,7 @@ def test_imhof_radius_extreme_weights_finite():
             r, abserr = ball_radius(ws, 0.05, method="imhof", full_output=True)
             assert math.isfinite(r) and r > 0.0
             assert math.isfinite(abserr) and abserr <= 1e-8 * r
-            r_sat = ball_radius(ws, 0.05, method="satterthwaite")
+            r_sat = satterthwaite_radius(ws.s_w, 0.05)
             assert r == pytest.approx(r_sat, rel=1e-3)
 
 
@@ -208,19 +201,20 @@ def test_ball_coverage_self_consistency():
     # Radius calibrated on the sampling law itself covers at 1 - gamma.
     w = _weights(trunc=500, n=1e4)
     noise = w.noise_only()
-    r = ball_radius(noise, gamma=0.05, mc_samples=200_000, seed=child_seed(8, 2))
+    r = ball_radius(noise, gamma=0.05, method="monte-carlo",
+                    mc_samples=200_000, seed=child_seed(8, 2))
     report = ball_coverage(w, np.zeros(500), r, mc_samples=20_000,
                            seed=child_seed(8, 3))
-    assert report.method == "monte-carlo"
-    assert report.mc_stderr is not None
+    assert report.mc_stderr == pytest.approx(
+        math.sqrt(report.coverage * (1.0 - report.coverage) / 20_000))
     assert abs(report.coverage - 0.95) <= 0.01
-    assert report.seed_key
 
 
 def test_ball_coverage_separation():
     # Bias norm far beyond radius + sampling spread forces coverage ~ 0.
     w = _weights(trunc=500, n=1e4)
-    r = ball_radius(w, gamma=0.05, mc_samples=20_000, seed=child_seed(8, 4))
+    r = ball_radius(w, gamma=0.05, method="monte-carlo", mc_samples=20_000,
+                    seed=child_seed(8, 4))
     total = r * r + float(w.t_w.sum())
     bias = np.zeros(500)
     bias[0] = math.sqrt(100.0 * total)
@@ -233,13 +227,13 @@ def test_monte_carlo_does_not_depend_on_block_size(monkeypatch):
     # chunk into many row blocks (and single rows) of the same streams.
     w = _weights(trunc=300, n=1e4)
     bias = np.full(300, 1e-3)
-    r = ball_radius(w, 0.05, mc_samples=10_000, seed=child_seed(8, 7))
+    mc = dict(method="monte-carlo", mc_samples=10_000, seed=child_seed(8, 7))
+    r = ball_radius(w, 0.05, **mc)
     report = ball_coverage(w, bias, 0.9 * r, mc_samples=10_000,
                            seed=child_seed(8, 8))
     for budget in (1000, 1):
         monkeypatch.setattr(credible, "_MC_BLOCK", budget)
-        assert ball_radius(w, 0.05, mc_samples=10_000,
-                           seed=child_seed(8, 7)) == r
+        assert ball_radius(w, 0.05, **mc) == r
         assert ball_coverage(w, bias, 0.9 * r, mc_samples=10_000,
                              seed=child_seed(8, 8)) == report
 
@@ -262,18 +256,6 @@ def test_ball_coverage_validation():
         ball_coverage(w, np.zeros(10), -1.0)
     with pytest.raises(DimensionMismatchError):
         ball_coverage(w, np.zeros(9), 1.0)
-
-
-def test_coverage_report_validation():
-    with pytest.raises(ValueError):
-        CoverageReport(radius_or_halfwidth=1.0, coverage=0.5, method="guess")
-    with pytest.raises(ValueError):
-        CoverageReport(radius_or_halfwidth=1.0, coverage=0.5,
-                       method="monte-carlo")  # stderr missing
-    with pytest.raises(ValueError):
-        CoverageReport(radius_or_halfwidth=1.0, coverage=1.5,
-                       method="exact-normal")
-    CoverageReport(radius_or_halfwidth=1.0, coverage=0.5, method="exact-normal")
 
 
 def test_interval_coverage_values():

@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -571,6 +575,15 @@ MALFORMED_CONFIGS = {
     "point-functional-outside-unit-interval": (
         "coverage-functional", {"functional_spec": {"kind": "point",
                                                     "x": 1.5}}),
+    "exp-functional-key-typo": (
+        "coverage-functional", {"functional_spec": {"kind": "exp",
+                                                    "rte": 0.5}}),
+    "smooth-truth-extra-key": (
+        "contraction", {"truth_spec": {"pattern": "smooth", "beta": 1.0,
+                                       "eps": 0.01, "bta": 3}}),
+    "lemma-combo-extra-key": (
+        "lemma-order", {"extras": {"combos": [{"q": 1.0, "t": 1.0, "u": 2.5,
+                                               "v": 2.0, "w": 1.0}]}}),
 }
 
 
@@ -587,12 +600,12 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys, kind, update):
 def test_integral_float_spec_values_are_read_as_integers():
     cfg = ExperimentConfig(
         kind="contraction", regime=RegimeParams(alpha=1.0, beta=1.0, p=1.0),
-        truth_spec={"pattern": "demo"}, n_grid=(1e3,), replicates=2,
-        trunc_policy={"mode": "fixed", "value": 20.0})
-    assert run_contraction(cfg).column("trunc") == [20]
-    auto = dataclasses.replace(cfg, trunc_policy={"mode": "auto",
-                                                  "floor": 2000.0})
-    assert run_contraction(auto).column("trunc") == [2000]
+        truth_spec={"pattern": "demo"}, n_grid=(1e3,), replicates=2)
+    for policy, trunc in (({"mode": "fixed", "value": 20.0}, 20),
+                          ({"mode": "auto", "floor": 2000.0}, 2000)):
+        table = run_contraction(dataclasses.replace(cfg, trunc_policy=policy))
+        (row,) = table.rows
+        assert dict(zip(table.columns, row))["trunc"] == trunc
 
 
 def test_cli_volterra_demo_refuses_regime_flags(tmp_path, capsys):
@@ -654,3 +667,17 @@ def test_cli_error_exit_codes(tmp_path):
     broken.write_text(json.dumps(cfg.to_dict()))
     assert cli_main(["lemma-order", "--config", str(broken), "--out",
                      str(tmp_path / "x")]) == 1
+
+
+def test_python_m_entry_points_match_cli_main(tmp_path):
+    # `python -m seqinv` and `python -m seqinv.harness` run the same command
+    # line as cli_main, and write the same table.
+    assert cli_main(["contraction", "--out", str(tmp_path / "lib")]) == 0
+    expected = (tmp_path / "lib" / "contraction.csv").read_bytes()
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]))
+    for module in ("seqinv", "seqinv.harness"):
+        out = tmp_path / module
+        subprocess.run([sys.executable, "-m", module, "contraction", "--out",
+                        str(out)], env=env, capture_output=True, timeout=120,
+                       check=True)
+        assert (out / "contraction.csv").read_bytes() == expected

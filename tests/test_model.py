@@ -56,12 +56,10 @@ def test_forward_polynomial_and_custom():
     fwd = ForwardSpec.polynomial(p=2.0, trunc=5)
     np.testing.assert_allclose(fwd.singular_values(),
                                np.arange(1.0, 6.0) ** -2.0)
-    assert fwd.band_constant() == 1.0
 
     custom = ForwardSpec.custom([1.0, 0.3, 0.1], p=1.0)
     assert custom.trunc == 3
     np.testing.assert_allclose(custom.singular_values(), [1.0, 0.3, 0.1])
-    assert custom.band_constant() >= 1.0
     with pytest.raises(ValueError):
         ForwardSpec.custom([1.0, -0.5], p=1.0)
     with pytest.raises(ValueError):
@@ -78,7 +76,6 @@ def test_forward_volterra_band():
     # i * kappa_i = i / ((i - 1/2) pi) decreases from 2/pi toward 1/pi.
     assert ratio.max() == pytest.approx(2.0 / math.pi)
     assert np.all(ratio > 1.0 / math.pi)
-    assert fwd.band_constant() == pytest.approx(math.pi)
 
 
 def test_truth_and_observation_validation():

@@ -9,11 +9,15 @@ The package needs only scipy.special at import time: no module imports
 scipy.stats, scipy.optimize is loaded by the two functions that call
 brentq, when they run, and mpmath (a test-only reference) is never loaded.
 
-Every public name is used: something besides its own definition and the
-package's `__init__.py` refers to it.
+Every public name, public function and public method is used: something
+besides its own definition and the package's `__init__.py` refers to it
+(see dead_surface).
+
+The parameters that perfbench/tracing.py binds by name keep their names.
 """
 import ast
 import builtins
+import inspect
 import json
 import os
 import re
@@ -25,6 +29,7 @@ from pathlib import Path
 import pytest
 
 import seqinv
+from seqinv import credible, util
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "seqinv"
@@ -105,14 +110,18 @@ def test_fresh_import_loads_neither_stats_nor_optimize(tmp_path):
                     "mpmath_after_lemma": False}
 
 
-def names_used_in_package() -> set[str]:
-    """Names read (as a name or an attribute) in src/seqinv, each outside
-    the top-level definition that binds it; __init__.py is left out."""
+def package_sources() -> dict[str, str]:
+    return {path.name: path.read_text() for path in SRC.glob("*.py")}
+
+
+def names_used_in_package(sources: dict[str, str]) -> set[str]:
+    """Names read (as a name or an attribute) in the package sources, each
+    outside the top-level definition that binds it; __init__.py is left out."""
     used = set()
-    for path in SRC.glob("*.py"):
-        if path.name == "__init__.py":
+    for filename, source in sources.items():
+        if filename == "__init__.py":
             continue
-        tree = ast.parse(path.read_text())
+        tree = ast.parse(source)
         spans = {}
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -126,12 +135,77 @@ def names_used_in_package() -> set[str]:
     return used
 
 
+def public_members(sources: dict[str, str]):
+    """(module.name, name) of each public module-level function and
+    (module.Class.name, name) of each public method of a public class."""
+    for filename, source in sources.items():
+        module = filename.removesuffix(".py")
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("_"):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                yield f"{module}.{node.name}", node.name
+                continue
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) \
+                        and not sub.name.startswith("_"):
+                    yield f"{module}.{node.name}.{sub.name}", sub.name
+
+
+# Kept though only the unit tests call it: the reference lambda_i that the
+# spectral blocks are checked against.
+UNUSED_BY_DESIGN = {"model.PriorSpec.eigenvalues"}
+
+# Where a name may be used outside the package.
+USE_TEXT = "".join((ROOT / name).read_text() for name in (
+    "README.md", "tests/test_acceptance.py", "pyproject.toml"))
+
+
+def dead_surface(sources: dict[str, str], exported) -> list[str]:
+    """The public surface that nothing uses.
+
+    A name in seqinv.__all__ is used when the package refers to it or README,
+    the acceptance tests or pyproject.toml mention it. Any other public
+    function, and every public method of a public class, is used when the
+    package refers to it or those files call it as `name(`: one that only its
+    own unit tests call is dead surface.
+    """
+    used = names_used_in_package(sources)
+    dead = [name for name in exported if name not in used
+            and not re.search(rf"\b{re.escape(name)}\b", USE_TEXT)]
+    return dead + [qual for qual, name in public_members(sources)
+                   if name not in exported and name not in used
+                   and qual not in UNUSED_BY_DESIGN
+                   and not re.search(rf"\b{re.escape(name)}\(", USE_TEXT)]
+
+
 def test_every_public_name_is_used():
-    # A public name must serve the package, the README or an acceptance
-    # criterion; one that only its own unit tests call is dead surface.
-    text = (ROOT / "README.md").read_text() \
-        + (ROOT / "tests" / "test_acceptance.py").read_text()
-    used = names_used_in_package()
-    dead = [name for name in seqinv.__all__ if name not in used
-            and not re.search(rf"\b{re.escape(name)}\b", text)]
-    assert dead == []
+    assert dead_surface(package_sources(), seqinv.__all__) == []
+
+
+def test_guard_catches_unused_member():
+    sources = package_sources()
+    sources["snippet.py"] = (
+        "class Probe:\n"
+        "    def planted_read(self):\n"
+        "        return 1\n"
+        "    def planted_method(self):\n"
+        "        return 2\n"
+        "    def _private(self):\n"
+        "        return 3\n"
+        "def planted_function():\n"
+        "    return Probe().planted_read()\n")
+    assert dead_surface(sources, seqinv.__all__) == [
+        "snippet.Probe.planted_method", "snippet.planted_function"]
+
+
+def test_traced_parameter_names_are_kept():
+    # perfbench/tracing.py counts work from these arguments, bound by name
+    # (perfbench/run.py --trace 1); renaming one breaks the traced run.
+    for func, names in ((credible.ball_radius, {"w", "method", "mc_samples"}),
+                        (credible.ball_coverage, {"w", "mc_samples"}),
+                        (util.stable_sum, {"values"}),
+                        (util.write_csv, {"path", "rows"})):
+        assert names <= set(inspect.signature(func).parameters), func
+    assert isinstance(credible.EigenWeights.trunc, property)
