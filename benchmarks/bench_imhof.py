@@ -1,0 +1,61 @@
+"""Layer bench: the Imhof law of the credible-ball radius.
+
+A `coverage-ball` cell of `seqinv` inverts two weighted chi-square laws,
+sum_i s_i Z_i^2 for the radius and sum_i t_i Z_i^2 for the noise radius,
+with `credible._WeightedChiSquare` (Imhof 1961). The bench times, for both
+weight sequences at trunc 1e3, 1e5 and 1e6 (polynomial forward map and
+prior, alpha = p = 1, tau = 1, n = 1e6):
+
+- `test_law_build`: the law, i.e. the tail search and the panel tables;
+- `test_ball_radius`: `credible.ball_radius(w, 0.05, full_output=True)`,
+  the law and its 0.95 quantile, as the cell computes it.
+
+Each radius is checked after its bench: its error bound is below 1e-8
+relative, and r^2 lies in the Cantelli bracket of the 0.95 quantile, from
+mean - sd sqrt(0.05/0.95) to mean + sd sqrt(0.95/0.05). The file sits
+outside tests/, so the test suite does not collect it. Run it from the
+repository root with one BLAS thread, as the benchmark runs seqinv:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest \\
+        benchmarks/bench_imhof.py --benchmark-json=BENCH.json
+
+Pointing PYTHONPATH at the src/ of another checkout times that version of
+the same two calls, which is how before/after numbers are taken.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from seqinv import credible
+from seqinv.model import ForwardSpec, PriorSpec
+
+N = 1e6
+GAMMA = 0.05
+TRUNCS = {"1e3": 1_000, "1e5": 100_000, "1e6": 1_000_000}
+
+
+@pytest.fixture(scope="module", params=sorted(TRUNCS))
+def weights(request):
+    trunc = TRUNCS[request.param]
+    w = credible.credible_weights(PriorSpec(alpha=1.0, tau=1.0, trunc=trunc),
+                                  ForwardSpec.polynomial(1.0, trunc), N)
+    return {"spread": w, "noise": w.noise_only()}
+
+
+@pytest.mark.parametrize("law", ["spread", "noise"])
+def test_law_build(benchmark, weights, law):
+    built = benchmark(credible._WeightedChiSquare, weights[law].s_w)
+    assert built.tail <= 1e-10
+
+
+@pytest.mark.parametrize("law", ["spread", "noise"])
+def test_ball_radius(benchmark, weights, law):
+    w = weights[law]
+    r, abserr = benchmark(credible.ball_radius, w, GAMMA, full_output=True)
+    assert abserr <= 1e-8 * r
+    mean = float(w.s_w.sum())
+    sd = math.sqrt(2.0 * float(np.sum(w.s_w * w.s_w)))
+    assert mean - sd * math.sqrt(GAMMA / (1.0 - GAMMA)) <= r * r \
+        <= mean + sd * math.sqrt((1.0 - GAMMA) / GAMMA)

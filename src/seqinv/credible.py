@@ -143,50 +143,89 @@ def _chi_bar_quantile_mc(weights: np.ndarray, prob: float, mc_samples: int,
     return float(np.quantile(draws, prob))
 
 
-def _imhof_sums(lam: np.ndarray, u: np.ndarray):
-    """Coordinate sums of the Imhof integrand at the points u > 0.
+class _ImhofTerms(NamedTuple):
+    u: np.ndarray        # the points, u > 0
+    blocks: list         # column blocks of the coordinates summed directly
+    t: np.ndarray        # u / max(u)
+    u_max: float
+    even_sums: list      # (k, sum mu^k), mu = lam * max(u), k even
+    odd_sums: list       # the same for odd k, if asked for
 
-    Returns A = 1/2 sum atan(lam u), its derivative 1/2 sum lam/(1+lam^2 u^2),
-    log rho = 1/4 sum log(1+lam^2 u^2) and
-    beta = 1/2 sum lam^2 u^2/(1+lam^2 u^2), one value per point. Coordinates
-    with lam * max(u) >= _SERIES_EDGE are summed in blocks; the others enter
-    through power series in lam u, formed as power sums of mu = lam * max(u)
-    times (u / max(u))^k so that no power of lam or of u alone is taken (those
-    underflow and overflow).
+
+def _imhof_terms(lam: np.ndarray, u: np.ndarray,
+                 phase: bool) -> _ImhofTerms:
+    """Split the coordinate sums of the Imhof integrand at the points u.
+
+    Coordinates with lam * max(u) >= _SERIES_EDGE are summed directly, in
+    column blocks; the others enter through power series in lam u, formed as
+    power sums of mu = lam * max(u) times (u / max(u))^k so that no power of
+    lam or of u alone is taken (those underflow and overflow). The decay
+    reads the even power sums, the phase the odd ones, which are formed only
+    for a pass that reads the phase; both come from one loop of products
+    mu^k, k <= 2 _SERIES_TERMS + 1.
     """
-    u = np.asarray(u, dtype=float)
     u_max = float(u.max())
     mu = lam * u_max
     small = mu < _SERIES_EDGE
-    out = np.zeros((4, u.size))
     big = lam[~small]
     step = max(1, _BLOCK // u.size)
-    for lo in range(0, big.size, step):
-        blk = big[lo:lo + step, None]
+    blocks = [big[lo:lo + step, None] for lo in range(0, big.size, step)]
+    sums = ([], [])   # even k, odd k
+    mu = mu[small]
+    last = 2 * _SERIES_TERMS + (1 if phase else 0)
+    if mu.size:
+        power = mu.copy()
+        for k in range(1, last + 1):
+            if phase or k % 2 == 0:
+                sums[k % 2].append((k, float(power.sum())))
+            if k < last:
+                power *= mu
+    return _ImhofTerms(u, blocks, u / u_max, u_max, *sums)
+
+
+def _imhof_phase(terms: _ImhofTerms):
+    """A = 1/2 sum atan(lam u) and A' = 1/2 sum lam/(1+lam^2 u^2).
+
+    The series part holds the odd terms (-1)^m v^(2m+1) of atan v and
+    v/(1+v^2), v = lam u.
+    """
+    u, t, u_max = terms.u, terms.t, terms.u_max
+    a = np.zeros(u.size)
+    d_a = np.zeros(u.size)
+    for blk in terms.blocks:
         v = blk * u
         v2 = v * v
-        out[0] += np.arctan(v).sum(axis=0)
-        out[1] += (blk / (1.0 + v2)).sum(axis=0)
-        out[2] += np.log1p(v2).sum(axis=0)
-        out[3] += (v2 / (1.0 + v2)).sum(axis=0)
-    mu = mu[small]
-    if mu.size:
-        t = u / u_max
-        power = mu.copy()
-        for k in range(1, 2 * _SERIES_TERMS + 2):
-            s_k = float(power.sum())
-            m = k // 2
-            if k % 2:   # atan v and v/(1+v^2): (-1)^m v^(2m+1) terms
-                sign = -1.0 if m % 2 else 1.0
-                out[0] += (sign * s_k / k) * t ** k
-                out[1] += (sign * s_k / u_max) * t ** (k - 1)
-            else:       # log1p(v^2) and v^2/(1+v^2): (-1)^(m+1) v^(2m) terms
-                sign = 1.0 if m % 2 else -1.0
-                t_k = t ** k
-                out[2] += (sign * s_k / m) * t_k
-                out[3] += (sign * s_k) * t_k
-            power *= mu
-    return 0.5 * out[0], 0.5 * out[1], 0.25 * out[2], 0.5 * out[3]
+        a += np.arctan(v).sum(axis=0)
+        d_a += (blk / (1.0 + v2)).sum(axis=0)
+    for k, s_k in terms.odd_sums:
+        sign = -1.0 if (k // 2) % 2 else 1.0
+        a += (sign * s_k / k) * t ** k
+        d_a += (sign * s_k / u_max) * t ** (k - 1)
+    return 0.5 * a, 0.5 * d_a
+
+
+def _imhof_decay(terms: _ImhofTerms):
+    """log rho = 1/4 sum log(1+lam^2 u^2) and
+    beta = 1/2 sum lam^2 u^2/(1+lam^2 u^2).
+
+    The series part holds the even terms (-1)^(m+1) v^(2m) of log1p(v^2)
+    and v^2/(1+v^2), v = lam u.
+    """
+    u, t = terms.u, terms.t
+    log_rho = np.zeros(u.size)
+    beta = np.zeros(u.size)
+    for blk in terms.blocks:
+        v = blk * u
+        v2 = v * v
+        log_rho += np.log1p(v2).sum(axis=0)
+        beta += (v2 / (1.0 + v2)).sum(axis=0)
+    for k, s_k in terms.even_sums:
+        m = k // 2
+        sign = 1.0 if m % 2 else -1.0
+        t_k = t ** k
+        log_rho += (sign * s_k / m) * t_k
+        beta += (sign * s_k) * t_k
+    return 0.25 * log_rho, 0.5 * beta
 
 
 class _WeightedChiSquare:
@@ -196,19 +235,22 @@ class _WeightedChiSquare:
 
         P(Q <= x) = 1/2 - (1/pi) int_0^inf sin(A(u) - x u/2) / (u rho(u)) du,
 
-    A and log rho as in _imhof_sums. The integral is cut at U, where
+    and its derivative, the density, is
+    f(x) = (1/(2 pi)) int_0^inf cos(A(u) - x u/2) / rho(u) du; A and log rho
+    as in _imhof_phase and _imhof_decay. The integral is cut at U, where
     log rho(u) >= log rho(U) + beta(U) log(u/U) bounds the rest by
     exp(-log rho(U)) / (pi beta(U)) <= _IMHOF_TAIL. [0, U] is split into
     panels that double in width from 1/||lam||_2, each cut evenly until A
     leaves its chord (slope s) by at most _IMHOF_PHASE (A is concave, so the
     gap is at most width * (A'(a) - A'(b)) / 4) and log rho grows by at most
-    _IMHOF_DECAY. On a panel the x-free factor exp(i(A(u) - s u))/(u rho(u))
-    is then smooth; it is tabulated once as a Legendre series from
-    Gauss-Legendre values, and the x-dependent factor exp(-i(x/2 - s)u) is
-    integrated against each Legendre polynomial exactly (a Filon-type rule),
-    so a CDF value costs O(panels x nodes) however fast it oscillates. On the
-    first panel [0, b] the 1/u pole is split off and integrated in closed
-    form, as the sine integral Si((x/2 - s) b).
+    _IMHOF_DECAY. On a panel the x-free factors exp(i(A(u) - s u))/rho(u)
+    and that over u are then smooth; each is tabulated once as a Legendre
+    series from Gauss-Legendre values, and the x-dependent factor
+    exp(-i(x/2 - s)u) is integrated against each Legendre polynomial exactly
+    (a Filon-type rule), so a CDF and density value cost O(panels x nodes)
+    however fast they oscillate. On the first panel [0, b] the 1/u pole of
+    the CDF integrand is split off and integrated in closed form, as the
+    sine integral Si((x/2 - s) b).
     """
 
     def __init__(self, weights: np.ndarray):
@@ -221,14 +263,17 @@ class _WeightedChiSquare:
         u = math.sqrt(2.0) / self.sd
         edges = [0.0, u]
         while True:
-            _, _, log_rho, beta = _imhof_sums(lam, np.array([u]))
+            log_rho, beta = _imhof_decay(
+                _imhof_terms(lam, np.array([u]), False))
             self.tail = math.exp(-log_rho[0]) / (math.pi * beta[0])
             if self.tail <= _IMHOF_TAIL:
                 break
             u *= 2.0
             edges.append(u)
         edges = np.array(edges)
-        _, d_a, log_rho, _ = _imhof_sums(lam, edges[1:])
+        terms = _imhof_terms(lam, edges[1:], True)
+        _, d_a = _imhof_phase(terms)
+        log_rho, _ = _imhof_decay(terms)
         d_a = np.concatenate(([0.5 * self.mean], d_a))
         log_rho = np.concatenate(([0.0], log_rho))
         width = np.diff(edges)
@@ -243,52 +288,76 @@ class _WeightedChiSquare:
         self.half = 0.5 * (cuts[1:] - cuts[:-1])
         nodes = self.center[:, None] + self.half[:, None] * _GL_T
         panels = self.center.size
-        a, _, log_rho, _ = _imhof_sums(
-            lam, np.concatenate((cuts[1:], nodes.ravel())))
+        terms = _imhof_terms(lam, np.concatenate((cuts[1:], nodes.ravel())),
+                             True)
+        a, _ = _imhof_phase(terms)
+        log_rho, _ = _imhof_decay(terms)
         a_cut = np.concatenate(([0.0], a[:panels]))
         self.slope = np.diff(a_cut) / (2.0 * self.half)
         phase = a[panels:].reshape(panels, -1) - self.slope[:, None] * nodes
         z = 1j * phase - log_rho[panels:].reshape(panels, -1)
-        f = np.exp(z)
+        g = np.exp(z)
+        f = g.copy()
         f[0] = np.expm1(z[0])
         f /= nodes
-        coef = (f[:, None, :] * _LEG_PROJECT).sum(axis=2)
-        self.moments = coef * _LEG_MOMENT * self.half[:, None]
+        self.moments, self.density_moments = (
+            (v[:, None, :] * _LEG_PROJECT).sum(axis=2) * _LEG_MOMENT
+            * self.half[:, None] for v in (f, g))
 
-    def cdf(self, x: float) -> float:
-        """P(Q <= x), x in the units of lam (weights / max weight)."""
+    def cdf_pdf(self, x: float) -> tuple[float, float]:
+        """P(Q <= x) and the density at x, in the units of lam."""
         nu = 0.5 * x - self.slope
         z = nu * self.half
         j = special.spherical_jn(np.arange(_IMHOF_NODES), np.abs(z)[:, None])
         j[:, 1::2] *= np.sign(z)[:, None]   # j_k(-z) = (-1)^k j_k(z)
-        panel = (self.moments * j).sum(axis=1) * np.exp(-1j * nu * self.center)
+        turn = np.exp(-1j * nu * self.center)
+        panel = (self.moments * j).sum(axis=1) * turn
         integral = float(panel.imag.sum()) \
             - float(special.sici(2.0 * z[0])[0])
-        return 0.5 - integral / math.pi
+        density = float(((self.density_moments * j).sum(axis=1)
+                          * turn).real.sum())
+        return 0.5 - integral / math.pi, density / (2.0 * math.pi)
 
     def quantile(self, prob: float) -> tuple[float, float]:
         """x with P(Q <= x) = prob, in the units of w, and its error bound.
 
+        Safeguarded Newton on the CDF inside Cantelli's bracket [lo, hi],
+        from the normal approximation: a step that leaves the bracket of
+        the points seen so far goes to a bracket end not yet evaluated, or
+        else bisects. It stops when the step is within the root tolerance;
+        if F(lo) >= prob it returns lo, and if F(hi) <= prob it returns hi.
         The bound adds the root tolerance to the cut-off's CDF error divided
-        by the density (a central difference of the CDF).
+        by the closed-form density at the last point evaluated.
         """
         m, sd = self.mean, self.sd
         # Cantelli's inequality puts the quantile inside [lo, hi]
         lo = max(0.0, m - sd * math.sqrt((1.0 - prob) / prob))
         hi = m + sd * math.sqrt(prob / (1.0 - prob))
-        f_lo = self.cdf(lo) - prob
-        f_hi = self.cdf(hi) - prob
         xtol = _IMHOF_ROOT_RTOL * hi
-        if f_lo >= 0.0:
-            x = lo
-        elif f_hi <= 0.0:
-            x = hi
-        else:
-            from scipy import optimize
-            x = optimize.brentq(lambda v: self.cdf(v) - prob, lo, hi,
-                                xtol=xtol, rtol=_IMHOF_ROOT_RTOL)
-        below, above = max(x - 1e-4 * sd, 0.0), x + 1e-4 * sd
-        density = (self.cdf(above) - self.cdf(below)) / (above - below)
+        a, b = lo, hi            # the root lies in [a, b]
+        seen_a = seen_b = False  # whether F has been evaluated at a, at b
+        x = min(max(m + sd * float(special.ndtri(prob)), lo), hi)
+        while True:
+            cdf, density = self.cdf_pdf(x)
+            if (x == lo and cdf >= prob) or (x == hi and cdf <= prob) \
+                    or cdf == prob:
+                break
+            if cdf < prob:
+                a, seen_a = x, True
+            else:
+                b, seen_b = x, True
+            tol = xtol + _IMHOF_ROOT_RTOL * x
+            step = (prob - cdf) / density if density > 0.0 \
+                else math.copysign(math.inf, prob - cdf)
+            new = x + step
+            if not (abs(step) <= tol or a < new < b):
+                # out of the bracket (or not a number): its end that way if
+                # not yet seen, or else the midpoint
+                end, seen = (b, seen_b) if step > 0.0 else (a, seen_a)
+                new = 0.5 * (a + b) if seen else end
+            x, step = new, new - x
+            if abs(step) <= tol:
+                break
         err = xtol + _IMHOF_ROOT_RTOL * x + self.tail / max(density, 1e-300)
         return x * self.scale, err * self.scale
 
@@ -299,13 +368,15 @@ def ball_radius(w: EigenWeights, gamma: float, method: str = "imhof",
     """Radius r with P(sum_i s_i Z_i^2 <= r^2) = 1 - gamma.
 
     method "imhof" (default): exact inversion of the weighted chi-square law
-    (Imhof 1961); its error bound is near 1e-10 relative or below.
-    mc_samples and seed are not used.
+    (Imhof 1961), a safeguarded Newton search on its CDF with the density
+    from the same Filon tables; its error bound is near 1e-10 relative or
+    below. mc_samples and seed are not used.
     method "monte-carlo": empirical quantile of mc_samples draws from seed.
 
-    With full_output the result is (r, abserr): abserr bounds |r - exact r|
-    from the integral's cut-off and the root tolerance for "imhof", and is
-    None for "monte-carlo".
+    With full_output the result is (r, abserr): for "imhof", abserr bounds
+    |r - exact r| by the root tolerance plus the integral's cut-off error
+    over the closed-form density at the root, and it is None for
+    "monte-carlo".
     """
     if not (0.0 < gamma < 1.0):
         raise ValueError("gamma must lie in (0, 1)")

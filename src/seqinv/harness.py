@@ -31,6 +31,15 @@ from .util import ConfigError, DimensionMismatchError, child_seed, seed_tag, \
 
 KINDS = ("contraction", "coverage-ball", "coverage-functional", "bvm",
          "volterra-demo", "lemma-order")
+# the extras keys each kind's runner reads: the forward map of a realized
+# cell, the rate table's slowly varying factor, the lemma combos
+_EXTRAS_READ = {
+    "contraction": ("kappa_kind", "sv_log_power"),
+    "coverage-ball": ("kappa_kind",),
+    "coverage-functional": ("kappa_kind",),
+    "bvm": ("kappa_kind",),
+    "lemma-order": ("combos",),
+}
 
 # branch-separated (q, t, u, v) grid for the series order check: six combos
 # on each side of min((t+2q)/u, v), gaps >= 0.3, truncations tractable.
@@ -98,10 +107,10 @@ class ExperimentConfig:
             raise ConfigError("trunc_policy mode must be 'auto' or 'fixed'")
         if not isinstance(self.extras, dict):
             raise ConfigError(f"extras must be an object, got {self.extras!r}")
-        # the extras keys some runner reads; volterra-demo's go to DemoConfig
+        # volterra-demo's extras go to DemoConfig
         if self.kind != "volterra-demo":
-            _only_keys("extras", self.extras,
-                       "kappa_kind", "sv_log_power", "combos")
+            _only_keys(f"{self.kind} extras", self.extras,
+                       *_EXTRAS_READ[self.kind])
 
     def to_dict(self) -> dict:
         return {

@@ -107,3 +107,50 @@ def satterthwaite_radius(weights, gamma):
     w = np.asarray(weights, dtype=float)
     m1, m2 = math.fsum(w), math.fsum(w * w)
     return math.sqrt(m2 / m1 * stats.chi2.ppf(1.0 - gamma, m1 * m1 / m2))
+
+
+def imhof_sums(lam, u, series_edge, series_terms, block):
+    """A, A', log rho and beta of the Imhof integrand at the points u > 0,
+    all four from one loop.
+
+    The combined evaluator the credible-ball law used before its phase and
+    decay sums were split: A = 1/2 sum atan(lam u),
+    A' = 1/2 sum lam/(1+lam^2 u^2), log rho = 1/4 sum log(1+lam^2 u^2) and
+    beta = 1/2 sum lam^2 u^2/(1+lam^2 u^2). Coordinates with
+    lam * max(u) >= series_edge are summed in column blocks of about
+    block / u.size; the others through series_terms + 1 terms of the power
+    series in lam u, as power sums of mu = lam * max(u) times (u/max(u))^k.
+    """
+    u = np.asarray(u, dtype=float)
+    u_max = float(u.max())
+    mu = lam * u_max
+    small = mu < series_edge
+    out = np.zeros((4, u.size))
+    big = lam[~small]
+    step = max(1, block // u.size)
+    for lo in range(0, big.size, step):
+        blk = big[lo:lo + step, None]
+        v = blk * u
+        v2 = v * v
+        out[0] += np.arctan(v).sum(axis=0)
+        out[1] += (blk / (1.0 + v2)).sum(axis=0)
+        out[2] += np.log1p(v2).sum(axis=0)
+        out[3] += (v2 / (1.0 + v2)).sum(axis=0)
+    mu = mu[small]
+    if mu.size:
+        t = u / u_max
+        power = mu.copy()
+        for k in range(1, 2 * series_terms + 2):
+            s_k = float(power.sum())
+            m = k // 2
+            if k % 2:   # atan v and v/(1+v^2): (-1)^m v^(2m+1) terms
+                sign = -1.0 if m % 2 else 1.0
+                out[0] += (sign * s_k / k) * t ** k
+                out[1] += (sign * s_k / u_max) * t ** (k - 1)
+            else:       # log1p(v^2) and v^2/(1+v^2): (-1)^(m+1) v^(2m) terms
+                sign = 1.0 if m % 2 else -1.0
+                t_k = t ** k
+                out[2] += (sign * s_k / m) * t_k
+                out[3] += (sign * s_k) * t_k
+            power *= mu
+    return 0.5 * out[0], 0.5 * out[1], 0.25 * out[2], 0.5 * out[3]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from helpers import satterthwaite_radius
+from helpers import imhof_sums, satterthwaite_radius
 from seqinv import credible
 from seqinv.credible import (
     BvmDiagnostics,
@@ -152,7 +152,7 @@ def test_imhof_radius_chi_square_laws():
     for weights, dof in (([2.0], 1), (np.full(7, 5.0), 7),
                          (np.full(60, 0.3), 60)):
         w = EigenWeights(s_w=weights, t_w=np.zeros(len(weights)), n=1.0)
-        for gamma in (0.01, 0.05, 0.5):
+        for gamma in (0.01, 0.05, 0.5, 0.99):
             exact = weights[0] * stats.chi2.ppf(1.0 - gamma, dof)
             r = ball_radius(w, gamma, method="imhof")
             assert r * r == pytest.approx(exact, rel=1e-8)
@@ -176,11 +176,116 @@ def test_imhof_radius_matches_monte_carlo():
     r_mc = ball_radius(w, 0.05, method="monte-carlo", mc_samples=m,
                        seed=child_seed(8, 6))
     law = _WeightedChiSquare(w.s_w)
-    x = r * r / law.scale
-    h = 1e-3 * law.sd
-    density = (law.cdf(x + h) - law.cdf(x - h)) / (2.0 * h) / law.scale
+    density = law.cdf_pdf(r * r / law.scale)[1] / law.scale
     se_sq = math.sqrt(0.95 * 0.05 / m) / density
     assert abs(r_mc * r_mc - r * r) <= 6.0 * se_sq
+
+
+def _imhof_laws():
+    """One weight, equal weights, the spread and noise laws of a trunc-1000
+    cell, and a noise law with a single dominant weight."""
+    cell = _weights(alpha=1.0, p=1.0, trunc=1000, n=1e5)
+    dominant = _weights(alpha=10.0, p=2.0, n=1e4, trunc=500).t_w
+    return {"one": np.array([2.0]), "equal": np.full(7, 5.0),
+            "trunc-1000": cell.s_w, "trunc-1000-noise": cell.t_w,
+            "dominant": dominant}
+
+
+IMHOF_LAWS = _imhof_laws()
+
+
+@pytest.mark.parametrize("weights", IMHOF_LAWS.values(), ids=IMHOF_LAWS.keys())
+def test_imhof_density_matches_cdf_difference(weights):
+    # The closed-form density against a central difference of the CDF at
+    # quantiles from 0.01 to 0.99; for one weight and equal weights also
+    # against the scaled chi-square density. The density's own cut-off error
+    # is largest for a dominant weight, whose integrand decays like u^(-1/2).
+    law = _WeightedChiSquare(weights)
+    for prob in (0.01, 0.05, 0.5, 0.95, 0.99):
+        x = law.quantile(prob)[0] / law.scale
+        _, density = law.cdf_pdf(x)
+        h = 1e-5 * min(x, law.sd)
+        diff = (law.cdf_pdf(x + h)[0] - law.cdf_pdf(x - h)[0]) / (2.0 * h)
+        assert density == pytest.approx(diff, rel=1e-7), prob
+        if np.all(weights == weights[0]):
+            ref = stats.chi2.pdf(x * law.scale / weights[0], weights.size) \
+                * law.scale / weights[0]
+            assert density == pytest.approx(ref, rel=1e-7), prob
+
+
+@pytest.mark.parametrize("weights", IMHOF_LAWS.values(), ids=IMHOF_LAWS.keys())
+def test_imhof_quantile_is_a_root(weights):
+    # At the returned x, F(x) - p is within the density times the root
+    # tolerance, plus the cut-off's CDF error. At gamma = 0.99 the lower
+    # Cantelli end m - sd sqrt(99) is negative and is clamped at 0.
+    law = _WeightedChiSquare(weights)
+    assert law.mean - law.sd * math.sqrt(99.0) < 0.0
+    for gamma in (0.01, 0.05, 0.5, 0.99):
+        prob = 1.0 - gamma
+        x = law.quantile(prob)[0] / law.scale
+        cdf, density = law.cdf_pdf(x)
+        hi = law.mean + law.sd * math.sqrt(prob / gamma)
+        tol = credible._IMHOF_ROOT_RTOL * (hi + x)
+        assert abs(cdf - prob) <= density * tol + law.tail, gamma
+
+
+def test_imhof_quantile_returns_bracket_ends():
+    # With the bracket moved off the root, F(lo) >= p gives lo and
+    # F(hi) <= p gives hi, as before the Newton search.
+    prob = 0.95
+    above = _WeightedChiSquare(np.full(7, 5.0))
+    above.mean *= 50.0
+    lo = above.mean - above.sd * math.sqrt((1.0 - prob) / prob)
+    assert above.cdf_pdf(lo)[0] >= prob
+    assert above.quantile(prob)[0] == lo * above.scale
+    below = _WeightedChiSquare(np.full(7, 5.0))
+    below.mean *= 0.5
+    below.sd *= 1e-3
+    hi = below.mean + below.sd * math.sqrt(prob / (1.0 - prob))
+    assert below.cdf_pdf(hi)[0] <= prob
+    assert below.quantile(prob)[0] == hi * below.scale
+
+
+def test_imhof_quantile_needs_few_cdf_evaluations(monkeypatch):
+    # Newton from the normal approximation: at most six CDF and density
+    # evaluations per radius of a trunc-1000 cell, spread and noise laws.
+    calls = []
+    cdf_pdf = _WeightedChiSquare.cdf_pdf
+    monkeypatch.setattr(_WeightedChiSquare, "cdf_pdf",
+                        lambda law, x: calls.append(x) or cdf_pdf(law, x))
+    for n in (1e3, 1e5, 1e7):
+        w = _weights(alpha=1.0, p=1.0, trunc=1000, n=n)
+        for weights in (w.s_w, w.t_w):
+            law = _WeightedChiSquare(weights)
+            calls.clear()
+            law.quantile(0.95)
+            assert 1 <= len(calls) <= 6, n
+
+
+def test_imhof_phase_and_decay_match_the_combined_sums():
+    # The split sums do the arithmetic of the combined loop, bit for bit,
+    # whether or not the pass forms the phase's power sums too:
+    # one point (the tail search), a few edges, and enough points that the
+    # directly summed coordinates come in several column blocks.
+    rng = np.random.default_rng(11)
+    lams = [IMHOF_LAWS[name] for name in
+            ("trunc-1000", "trunc-1000-noise", "dominant")]
+    lams.append(rng.exponential(size=300))
+    for weights in lams:
+        lam = weights[weights > 0] / weights.max()
+        for u in (np.array([0.7]), np.geomspace(0.05, 80.0, 12),
+                  np.sort(rng.uniform(0.0, 3e3, 2000)) + 1e-3):
+            a, d_a, log_rho, beta = imhof_sums(
+                lam, u, credible._SERIES_EDGE, credible._SERIES_TERMS,
+                credible._BLOCK)
+            both = credible._imhof_terms(lam, u, True)
+            decay = credible._imhof_terms(lam, u, False)
+            assert decay.odd_sums == []
+            for got, ref in zip(credible._imhof_phase(both)
+                                + credible._imhof_decay(both)
+                                + credible._imhof_decay(decay),
+                                (a, d_a, log_rho, beta, log_rho, beta)):
+                np.testing.assert_array_equal(got, ref)
 
 
 def test_imhof_radius_extreme_weights_finite():

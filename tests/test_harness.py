@@ -262,10 +262,11 @@ def test_rate_table_contraction_and_functional():
     harmonic = math.fsum(1.0 / i for i in range(1, m + 1))
     assert frow["delta_n"] ** 2 == pytest.approx(harmonic, rel=1e-12)
 
+    # only the contraction run writes a rate table, so only it reads
+    # sv_log_power
     sv_cfg = ExperimentConfig(
-        kind="coverage-functional",
+        kind="contraction",
         regime=RegimeParams(alpha=1.0, beta=1.0, p=1.0, q=0.5),
-        functional_spec={"kind": "power", "q": 0.5},
         n_grid=(1e8,), extras={"sv_log_power": 1.0})
     svrow = dict(zip(rate_table(sv_cfg).columns, rate_table(sv_cfg).rows[0]))
     assert svrow["gamma_n"] > 1.0
@@ -551,6 +552,13 @@ MALFORMED_CONFIGS = {
     "lemma-combo-without-t": (
         "lemma-order", {"extras": {"combos": [{"q": 1.0, "u": 2.5, "v": 2.0}]}}),
     "extras-typo": ("contraction", {"extras": {"kapa_kind": "volterra"}}),
+    # an extras key that another kind's runner reads
+    "extras-combos-on-ball": (
+        "coverage-ball", {"extras": {"combos": [{"q": 1.0, "t": 1.0,
+                                                  "u": 2.5, "v": 2.0}]}}),
+    "extras-kappa-kind-on-lemma": (
+        "lemma-order", {"extras": {"kappa_kind": "volterra"}}),
+    "extras-sv-log-power-on-bvm": ("bvm", {"extras": {"sv_log_power": 5.0}}),
     "replicates-float": ("contraction", {"replicates": 2.5}),
     "replicates-integral-float": ("contraction", {"replicates": 2.0}),
     "replicates-bool": ("contraction", {"replicates": True}),

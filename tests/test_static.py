@@ -6,8 +6,9 @@ module level (assignment, import, def or class) or be a builtin; anything
 else would raise NameError when that line runs.
 
 The package needs only scipy.special at import time: no module imports
-scipy.stats, scipy.optimize is loaded by the two functions that call
-brentq, when they run, and mpmath (a test-only reference) is never loaded.
+scipy.stats, scipy.optimize is loaded only by
+rates.functional_tau_balance_factor, the one function that calls brentq,
+when it runs, and mpmath (a test-only reference) is never loaded.
 
 Every public name, public function and public method is used: something
 besides its own definition and the package's `__init__.py` refers to it
@@ -97,6 +98,9 @@ def test_fresh_import_loads_neither_stats_nor_optimize(tmp_path):
         "        for m in ('scipy.stats', 'scipy.optimize', 'mpmath')}\n"
         "assert seqinv.cli_main(['bvm', '--out', sys.argv[1]]) == 0\n"
         "seen['optimize_after_bvm'] = 'scipy.optimize' in sys.modules\n"
+        "assert seqinv.cli_main(['coverage-ball', '--out',\n"
+        "                        sys.argv[1]]) == 0\n"
+        "seen['optimize_after_ball'] = 'scipy.optimize' in sys.modules\n"
         "assert seqinv.cli_main(['lemma-order', '--out', sys.argv[1]]) == 0\n"
         "seen['mpmath_after_lemma'] = 'mpmath' in sys.modules\n"
         "print(json.dumps(seen))\n")
@@ -107,6 +111,7 @@ def test_fresh_import_loads_neither_stats_nor_optimize(tmp_path):
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen == {"scipy.stats": False, "scipy.optimize": False,
                     "mpmath": False, "optimize_after_bvm": False,
+                    "optimize_after_ball": False,
                     "mpmath_after_lemma": False}
 
 
