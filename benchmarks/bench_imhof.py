@@ -1,18 +1,24 @@
-"""Layer bench: the Imhof law of the credible-ball radius.
+"""Layer bench: the Imhof laws of the credible ball.
 
 A `coverage-ball` cell of `seqinv` inverts two weighted chi-square laws,
 sum_i s_i Z_i^2 for the radius and sum_i t_i Z_i^2 for the noise radius,
-with `credible._WeightedChiSquare` (Imhof 1961). The bench times, for both
-weight sequences at trunc 1e3, 1e5 and 1e6 (polynomial forward map and
-prior, alpha = p = 1, tau = 1, n = 1e6):
+with `credible._WeightedChiSquare` (Imhof 1961), and evaluates the
+noncentral law of sum_i (sqrt(t_i) Z_i + b_i)^2 at the radius for the
+coverage. The bench times, at trunc 1e3, 1e5 and 1e6 (polynomial forward
+map and prior, alpha = p = 1, tau = 1, n = 1e6):
 
-- `test_law_build`: the law, i.e. the tail search and the panel tables;
+- `test_law_build`: the law of either weight sequence, i.e. the tail
+  search and the panel tables;
 - `test_ball_radius`: `credible.ball_radius(w, 0.05, full_output=True)`,
-  the law and its 0.95 quantile, as the cell computes it.
+  the law and its 0.95 quantile, as the cell computes it;
+- `test_ball_coverage`: `credible.ball_coverage(w, bias, r, 500, seed)` at
+  the smooth truth mu_i = i^(-1.51) (beta = 1, eps = 0.01), as the cell
+  computes it with 500 replicates.
 
 Each radius is checked after its bench: its error bound is below 1e-8
 relative, and r^2 lies in the Cantelli bracket of the 0.95 quantile, from
-mean - sd sqrt(0.05/0.95) to mean + sd sqrt(0.95/0.05). The file sits
+mean - sd sqrt(0.05/0.95) to mean + sd sqrt(0.95/0.05). Each coverage is a
+share of the 500 draws with its binomial standard error. The file sits
 outside tests/, so the test suite does not collect it. Run it from the
 repository root with one BLAS thread, as the benchmark runs seqinv:
 
@@ -20,7 +26,7 @@ repository root with one BLAS thread, as the benchmark runs seqinv:
         benchmarks/bench_imhof.py --benchmark-json=BENCH.json
 
 Pointing PYTHONPATH at the src/ of another checkout times that version of
-the same two calls, which is how before/after numbers are taken.
+the same calls, which is how before/after numbers are taken.
 """
 
 import math
@@ -29,19 +35,24 @@ import numpy as np
 import pytest
 
 from seqinv import credible
-from seqinv.model import ForwardSpec, PriorSpec
+from seqinv.model import ForwardSpec, PriorSpec, make_truth
+from seqinv.posterior import bias_coordinates
 
 N = 1e6
 GAMMA = 0.05
+REPLICATES = 500
 TRUNCS = {"1e3": 1_000, "1e5": 100_000, "1e6": 1_000_000}
 
 
 @pytest.fixture(scope="module", params=sorted(TRUNCS))
 def weights(request):
     trunc = TRUNCS[request.param]
-    w = credible.credible_weights(PriorSpec(alpha=1.0, tau=1.0, trunc=trunc),
-                                  ForwardSpec.polynomial(1.0, trunc), N)
-    return {"spread": w, "noise": w.noise_only()}
+    prior = PriorSpec(alpha=1.0, tau=1.0, trunc=trunc)
+    fwd = ForwardSpec.polynomial(1.0, trunc)
+    w = credible.credible_weights(prior, fwd, N)
+    truth = make_truth("smooth", trunc, beta=1.0, eps=0.01)
+    return {"spread": w, "noise": w.noise_only(),
+            "bias": bias_coordinates(prior, fwd, truth, N)}
 
 
 @pytest.mark.parametrize("law", ["spread", "noise"])
@@ -59,3 +70,14 @@ def test_ball_radius(benchmark, weights, law):
     sd = math.sqrt(2.0 * float(np.sum(w.s_w * w.s_w)))
     assert mean - sd * math.sqrt(GAMMA / (1.0 - GAMMA)) <= r * r \
         <= mean + sd * math.sqrt((1.0 - GAMMA) / GAMMA)
+
+
+def test_ball_coverage(benchmark, weights):
+    w, bias = weights["spread"], weights["bias"]
+    r = credible.ball_radius(w, GAMMA)
+    report = benchmark(credible.ball_coverage, w, bias, r,
+                       mc_samples=REPLICATES, seed=7)
+    hits = report.coverage * REPLICATES
+    assert hits == round(hits) and 0 <= hits <= REPLICATES
+    assert report.mc_stderr == pytest.approx(
+        math.sqrt(report.coverage * (1.0 - report.coverage) / REPLICATES))

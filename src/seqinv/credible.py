@@ -37,6 +37,7 @@ _IMHOF_PHASE = 1.0        # A(u) leaves its chord by at most this on a panel
 _IMHOF_DECAY = 1.0        # log rho(u) grows by at most this on a panel
 _IMHOF_TAIL = 1e-10       # bound on the CDF error of cutting the integral
 _IMHOF_ROOT_RTOL = 1e-13  # relative tolerance of the quantile root search
+_IMHOF_LADDER = 12        # doublings of the tail search per pass
 _SERIES_EDGE = 0.1        # coordinates with lam * u below this: power series
 _SERIES_TERMS = 8         # truncation error <= _SERIES_EDGE^19 per coordinate
 _BLOCK = 1 << 18          # coordinates x points evaluated per block
@@ -82,6 +83,8 @@ class EigenWeights:
 class CoverageReport(NamedTuple):
     coverage: float   # share of Monte Carlo draws inside the ball
     mc_stderr: float  # its binomial standard error
+    exact: float      # the probability P the draws estimate
+    abserr: float     # bound on the error of exact
 
 
 class BvmDiagnostics(NamedTuple):
@@ -145,15 +148,17 @@ def _chi_bar_quantile_mc(weights: np.ndarray, prob: float, mc_samples: int,
 
 class _ImhofTerms(NamedTuple):
     u: np.ndarray        # the points, u > 0
-    blocks: list         # column blocks of the coordinates summed directly
+    blocks: list         # (lam, c or None) column blocks summed directly
     t: np.ndarray        # u / max(u)
     u_max: float
     even_sums: list      # (k, sum mu^k), mu = lam * max(u), k even
     odd_sums: list       # the same for odd k, if asked for
+    c_even_sums: list    # (k, sum c mu^k), k even, if c and asked for
+    c_odd_sums: list     # the same for odd k, if c is given
 
 
-def _imhof_terms(lam: np.ndarray, u: np.ndarray,
-                 phase: bool) -> _ImhofTerms:
+def _imhof_terms(lam: np.ndarray, u: np.ndarray, phase: bool,
+                 c: np.ndarray | None = None) -> _ImhofTerms:
     """Split the coordinate sums of the Imhof integrand at the points u.
 
     Coordinates with lam * max(u) >= _SERIES_EDGE are summed directly, in
@@ -162,15 +167,21 @@ def _imhof_terms(lam: np.ndarray, u: np.ndarray,
     lam or of u alone is taken (those underflow and overflow). The decay
     reads the even power sums, the phase the odd ones, which are formed only
     for a pass that reads the phase; both come from one loop of products
-    mu^k, k <= 2 _SERIES_TERMS + 1.
+    mu^k, k <= 2 _SERIES_TERMS + 1. The noncentral terms (weights c, see
+    _WeightedChiSquare) enter the same way through weighted power sums
+    sum c mu^k, k <= 2 _SERIES_TERMS: the odd ones for the decay, the even
+    ones for the phase.
     """
     u_max = float(u.max())
     mu = lam * u_max
     small = mu < _SERIES_EDGE
     big = lam[~small]
+    c_big = None if c is None else c[~small]
     step = max(1, _BLOCK // u.size)
-    blocks = [big[lo:lo + step, None] for lo in range(0, big.size, step)]
-    sums = ([], [])   # even k, odd k
+    blocks = [(big[lo:lo + step, None],
+               None if c is None else c_big[lo:lo + step, None])
+              for lo in range(0, big.size, step)]
+    sums = ([], [], [], [])   # even k, odd k, then the same weighted by c
     mu = mu[small]
     last = 2 * _SERIES_TERMS + (1 if phase else 0)
     if mu.size:
@@ -180,106 +191,191 @@ def _imhof_terms(lam: np.ndarray, u: np.ndarray,
                 sums[k % 2].append((k, float(power.sum())))
             if k < last:
                 power *= mu
+        if c is not None:
+            power = c[small]
+            last = 2 * _SERIES_TERMS - (0 if phase else 1)
+            for k in range(last + 1):
+                if phase or k % 2:
+                    sums[2 + k % 2].append((k, float(power.sum())))
+                if k < last:
+                    power *= mu
     return _ImhofTerms(u, blocks, u / u_max, u_max, *sums)
 
 
 def _imhof_phase(terms: _ImhofTerms):
-    """A = 1/2 sum atan(lam u) and A' = 1/2 sum lam/(1+lam^2 u^2).
+    """A = 1/2 sum [atan(lam u) + c u/(1+lam^2 u^2)] and the part of A' that
+    falls with u: 1/2 sum lam/(1+lam^2 u^2) and the series part of
+    1/2 sum c (1-v^2)/(1+v^2)^2.
 
     The series part holds the odd terms (-1)^m v^(2m+1) of atan v and
-    v/(1+v^2), v = lam u.
+    v/(1+v^2), v = lam u, and the terms (-1)^m c u v^(2m) of c u/(1+v^2),
+    (-1)^m (2m+1) c v^(2m) of its derivative; all its v lie below
+    _SERIES_EDGE < sqrt 3, where (1-v^2)/(1+v^2)^2 falls. The directly
+    summed c terms of A' do not fall everywhere; _direct_swing bounds them.
     """
     u, t, u_max = terms.u, terms.t, terms.u_max
     a = np.zeros(u.size)
     d_a = np.zeros(u.size)
-    for blk in terms.blocks:
+    for blk, c_blk in terms.blocks:
         v = blk * u
         v2 = v * v
         a += np.arctan(v).sum(axis=0)
         d_a += (blk / (1.0 + v2)).sum(axis=0)
+        if c_blk is not None:
+            a += (c_blk * u / (1.0 + v2)).sum(axis=0)
     for k, s_k in terms.odd_sums:
         sign = -1.0 if (k // 2) % 2 else 1.0
         a += (sign * s_k / k) * t ** k
         d_a += (sign * s_k / u_max) * t ** (k - 1)
+    for k, s_k in terms.c_even_sums:
+        sign = -1.0 if (k // 2) % 2 else 1.0
+        a += (sign * s_k * u_max) * t ** (k + 1)
+        d_a += (sign * (k + 1) * s_k) * t ** k
     return 0.5 * a, 0.5 * d_a
 
 
+def _direct_swing(terms: _ImhofTerms) -> np.ndarray:
+    """Bound on the variation of 1/2 sum c (1-v^2)/(1+v^2)^2, v = lam u,
+    over the directly summed coordinates, between consecutive points of
+    0, terms.u.
+
+    Per coordinate, h(v) = (1-v^2)/(1+v^2)^2 falls to -1/8 at v = sqrt 3
+    and rises to 0 after, so its range over [v_a, v_b] is |h(v_b) - h(v_a)|,
+    or max(h(v_a), h(v_b)) + 1/8 if the interval holds sqrt 3.
+    """
+    u = np.concatenate(([0.0], terms.u))
+    swing = np.zeros(terms.u.size)
+    for blk, c_blk in terms.blocks:
+        v = blk * u
+        v2 = v * v
+        h = (1.0 - v2) / ((1.0 + v2) * (1.0 + v2))
+        turns = (v[:, :-1] < math.sqrt(3.0)) & (v[:, 1:] > math.sqrt(3.0))
+        swing += (c_blk * np.where(
+            turns, np.maximum(h[:, :-1], h[:, 1:]) + 0.125,
+            np.abs(np.diff(h, axis=1)))).sum(axis=0)
+    return 0.5 * swing
+
+
 def _imhof_decay(terms: _ImhofTerms):
-    """log rho = 1/4 sum log(1+lam^2 u^2) and
-    beta = 1/2 sum lam^2 u^2/(1+lam^2 u^2).
+    """log rho = 1/4 sum log(1+lam^2 u^2) + 1/2 sum c lam u^2/(1+lam^2 u^2)
+    and the central beta = 1/2 sum lam^2 u^2/(1+lam^2 u^2).
 
     The series part holds the even terms (-1)^(m+1) v^(2m) of log1p(v^2)
-    and v^2/(1+v^2), v = lam u.
+    and v^2/(1+v^2), v = lam u, and the terms (-1)^m c u v^(2m+1) of
+    c v u/(1+v^2). The c terms are summed at twice their size, as the
+    central ones are, and halved with them.
     """
-    u, t = terms.u, terms.t
+    u, t, u_max = terms.u, terms.t, terms.u_max
     log_rho = np.zeros(u.size)
     beta = np.zeros(u.size)
-    for blk in terms.blocks:
+    for blk, c_blk in terms.blocks:
         v = blk * u
         v2 = v * v
         log_rho += np.log1p(v2).sum(axis=0)
         beta += (v2 / (1.0 + v2)).sum(axis=0)
+        if c_blk is not None:
+            log_rho += 2.0 * (c_blk * v * u / (1.0 + v2)).sum(axis=0)
     for k, s_k in terms.even_sums:
         m = k // 2
         sign = 1.0 if m % 2 else -1.0
         t_k = t ** k
         log_rho += (sign * s_k / m) * t_k
         beta += (sign * s_k) * t_k
+    for k, s_k in terms.c_odd_sums:
+        sign = -1.0 if (k // 2) % 2 else 1.0
+        log_rho += (2.0 * sign * s_k * u_max) * t ** (k + 1)
     return 0.25 * log_rho, 0.5 * beta
 
 
 class _WeightedChiSquare:
-    """Law of Q = sum_j w_j Z_j^2 (w_j >= 0, not all 0) by Imhof's inversion.
+    """Law of Q = sum_j (sqrt(w_j) Z_j + b_j)^2 (w_j >= 0; b = 0 if not
+    given) by Imhof's inversion.
 
-    With lam = w / max(w) and x in those units (Imhof, Biometrika 48, 1961)
+    With lam = w / scale, c = b^2 / scale and x in those units, scale =
+    max(w), or max(w, b^2) if b is given (Imhof, Biometrika 48, 1961; the
+    coordinates with lam_j = 0 add the constant offset = sum c_j to Q, and
+    DegenerateInputError is raised if no lam_j is positive)
 
         P(Q <= x) = 1/2 - (1/pi) int_0^inf sin(A(u) - x u/2) / (u rho(u)) du,
 
     and its derivative, the density, is
     f(x) = (1/(2 pi)) int_0^inf cos(A(u) - x u/2) / rho(u) du; A and log rho
-    as in _imhof_phase and _imhof_decay. The integral is cut at U, where
+    as in _imhof_phase and _imhof_decay, x less the offset. The integral is
+    cut at U, the first of the doublings of sqrt(2)/sd (1/||lam||_2 if
+    b = 0; _IMHOF_LADDER of them are tried per pass) where
     log rho(u) >= log rho(U) + beta(U) log(u/U) bounds the rest by
-    exp(-log rho(U)) / (pi beta(U)) <= _IMHOF_TAIL. [0, U] is split into
-    panels that double in width from 1/||lam||_2, each cut evenly until A
-    leaves its chord (slope s) by at most _IMHOF_PHASE (A is concave, so the
-    gap is at most width * (A'(a) - A'(b)) / 4) and log rho grows by at most
-    _IMHOF_DECAY. On a panel the x-free factors exp(i(A(u) - s u))/rho(u)
-    and that over u are then smooth; each is tabulated once as a Legendre
-    series from Gauss-Legendre values, and the x-dependent factor
-    exp(-i(x/2 - s)u) is integrated against each Legendre polynomial exactly
-    (a Filon-type rule), so a CDF and density value cost O(panels x nodes)
-    however fast they oscillate. On the first panel [0, b] the 1/u pole of
-    the CDF integrand is split off and integrated in closed form, as the
-    sine integral Si((x/2 - s) b).
+    exp(-log rho(U)) / (pi beta(U)) <= _IMHOF_TAIL; beta is the central
+    part's, since the c part of log rho does not fall with u. [0, U] is
+    split into panels at those doublings, each cut evenly until A leaves its
+    chord (slope s) by at most _IMHOF_PHASE and log rho grows by at most
+    _IMHOF_DECAY. The gap to the chord is at most width * (variation of A'
+    on the panel) / 4: the fall of the falling part of A' (_imhof_phase)
+    plus _direct_swing. On a panel the x-free factors
+    exp(i(A(u) - s u))/rho(u) and that over u are then smooth; each is
+    tabulated once as a Legendre series from Gauss-Legendre values, and the
+    x-dependent factor exp(-i(x/2 - s)u) is integrated against each
+    Legendre polynomial exactly (a Filon-type rule), so a CDF and density
+    value cost O(panels x nodes) however fast they oscillate. On the first
+    panel [0, b] the 1/u pole of the CDF integrand is split off and
+    integrated in closed form, as the sine integral Si((x/2 - s) b).
     """
 
-    def __init__(self, weights: np.ndarray):
+    def __init__(self, weights: np.ndarray, bias=None):
         w = np.asarray(weights, dtype=float)
-        w = w[w > 0]
-        self.scale = float(w.max())
-        lam = w / self.scale
-        self.mean = float(lam.sum())
+        if bias is None:
+            self.scale = float(w.max())
+            pos = w > 0
+        else:
+            # units in which no lam or c exceeds 1, so none overflows; a
+            # weight that underflows joins the offset
+            b_sq = np.square(np.asarray(bias, dtype=float))
+            self.scale = float(max(w.max(), b_sq.max()))
+            with np.errstate(invalid="ignore"):   # 0/0 if w = b = 0
+                c_all = b_sq / self.scale
+                pos = w / self.scale > 0
+        if not pos.any():
+            raise DegenerateInputError("no positive weight")
+        lam = w[pos] / self.scale
+        lam_sum = float(lam.sum())
+        self.mean = lam_sum
         self.sd = math.sqrt(2.0 * float((lam * lam).sum()))
+        self.offset = 0.0
+        c = None
+        if bias is not None:
+            c = c_all[pos]
+            self.offset = float(c_all[~pos].sum())
+            self.mean += float(c.sum()) + self.offset
+            self.sd = math.sqrt(self.sd * self.sd
+                                + 4.0 * float((lam * c).sum()))
+        edges = [0.0]
         u = math.sqrt(2.0) / self.sd
-        edges = [0.0, u]
         while True:
-            log_rho, beta = _imhof_decay(
-                _imhof_terms(lam, np.array([u]), False))
-            self.tail = math.exp(-log_rho[0]) / (math.pi * beta[0])
-            if self.tail <= _IMHOF_TAIL:
+            ladder = u * 2.0 ** np.arange(_IMHOF_LADDER)
+            log_rho, beta = _imhof_decay(_imhof_terms(lam, ladder, False, c))
+            with np.errstate(over="ignore"):   # inf: beta is still tiny
+                tail = np.exp(-log_rho) / (math.pi * beta)
+            done = np.flatnonzero(tail <= _IMHOF_TAIL)
+            stop = done[0] if done.size else _IMHOF_LADDER - 1
+            edges.extend(ladder[:stop + 1])
+            if done.size:
+                self.tail = float(tail[stop])
                 break
-            u *= 2.0
-            edges.append(u)
+            u = 2.0 * ladder[-1]
         edges = np.array(edges)
-        terms = _imhof_terms(lam, edges[1:], True)
+        terms = _imhof_terms(lam, edges[1:], True, c)
         _, d_a = _imhof_phase(terms)
         log_rho, _ = _imhof_decay(terms)
-        d_a = np.concatenate(([0.5 * self.mean], d_a))
+        # the falling part of A' at 0: 1/2 (sum lam + the series part's sum c)
+        c_series = terms.c_even_sums[0][1] if terms.c_even_sums else 0.0
+        d_a = np.concatenate(([0.5 * (lam_sum + c_series)], d_a))
         log_rho = np.concatenate(([0.0], log_rho))
         width = np.diff(edges)
+        swing = d_a[:-1] - d_a[1:]
+        if c is not None:
+            swing += _direct_swing(terms)
         pieces = np.ceil(np.maximum.reduce([
             np.ones_like(width),
-            width * (d_a[:-1] - d_a[1:]) / (4.0 * _IMHOF_PHASE),
+            width * swing / (4.0 * _IMHOF_PHASE),
             np.diff(log_rho) / _IMHOF_DECAY])).astype(int)
         cuts = np.concatenate(
             [np.linspace(a, b, k, endpoint=False)
@@ -289,7 +385,7 @@ class _WeightedChiSquare:
         nodes = self.center[:, None] + self.half[:, None] * _GL_T
         panels = self.center.size
         terms = _imhof_terms(lam, np.concatenate((cuts[1:], nodes.ravel())),
-                             True)
+                             True, c)
         a, _ = _imhof_phase(terms)
         log_rho, _ = _imhof_decay(terms)
         a_cut = np.concatenate(([0.0], a[:panels]))
@@ -306,7 +402,7 @@ class _WeightedChiSquare:
 
     def cdf_pdf(self, x: float) -> tuple[float, float]:
         """P(Q <= x) and the density at x, in the units of lam."""
-        nu = 0.5 * x - self.slope
+        nu = 0.5 * (x - self.offset) - self.slope
         z = nu * self.half
         j = special.spherical_jn(np.arange(_IMHOF_NODES), np.abs(z)[:, None])
         j[:, 1::2] *= np.sign(z)[:, None]   # j_k(-z) = (-1)^k j_k(z)
@@ -403,10 +499,16 @@ def ball_radius(w: EigenWeights, gamma: float, method: str = "imhof",
 
 def ball_coverage(w: EigenWeights, bias, r: float, mc_samples: int = 2000,
                   seed: int = 0) -> CoverageReport:
-    """P(sum_i (sqrt(t_i) Z_i + b_i)^2 <= r^2) for the posterior-mean law,
-    estimated from mc_samples draws of the stream `seed`.
+    """Coverage of the ball of radius r about the truth by mc_samples draws
+    of the posterior mean, and the probability P they estimate.
 
-    `bias` is the coordinatewise posterior-mean bias at the truth of
+    P = P(sum_i (sqrt(t_i) Z_i + b_i)^2 <= r^2) is the CDF of the noncentral
+    weighted chi-square law at r^2, by Imhof's inversion
+    (_WeightedChiSquare); its error bound is the integral's cut-off error.
+    The number of draws inside the ball has the exact law
+    Binomial(mc_samples, P), and is drawn as one binomial from rng_for(seed);
+    coverage is that number over mc_samples, with its binomial standard
+    error. `bias` is the coordinatewise posterior-mean bias at the truth of
     interest (see posterior.bias_coordinates).
     """
     if r < 0:
@@ -417,16 +519,18 @@ def ball_coverage(w: EigenWeights, bias, r: float, mc_samples: int = 2000,
     m = int(mc_samples)
     if m < 1:
         raise ValueError("mc_samples must be positive")
-    sd = np.sqrt(w.t_w)
-    r_sq = r * r
-    hits = 0
-    for z in _normal_blocks(seed, m, b.size):
-        z *= sd
-        z += b
-        np.square(z, out=z)
-        hits += int(np.count_nonzero(z.sum(axis=1) <= r_sq))
-    p_hat = hits / m
-    return CoverageReport(p_hat, math.sqrt(p_hat * (1.0 - p_hat) / m))
+    if not np.all(np.isfinite(b)):
+        raise ValueError("bias must be finite")
+    try:
+        law = _WeightedChiSquare(w.t_w, b)
+    except DegenerateInputError:   # no spread: the mean is truth + bias
+        p, abserr = float(float(b @ b) <= r * r), 0.0
+    else:
+        p = min(max(law.cdf_pdf(r * r / law.scale)[0], 0.0), 1.0)
+        abserr = law.tail
+    p_hat = int(rng_for(seed).binomial(m, p)) / m
+    return CoverageReport(p_hat, math.sqrt(p_hat * (1.0 - p_hat) / m), p,
+                          abserr)
 
 
 def interval_coverage(bias: float, s_n: float, t_n: float, gamma: float) -> float:

@@ -32,7 +32,8 @@ from .util import ConfigError, DimensionMismatchError, child_seed, seed_tag, \
 KINDS = ("contraction", "coverage-ball", "coverage-functional", "bvm",
          "volterra-demo", "lemma-order")
 # the extras keys each kind's runner reads: the forward map of a realized
-# cell, the rate table's slowly varying factor, the lemma combos
+# cell, the rate table's slowly varying factor (read only with regime.q),
+# the lemma combos
 _EXTRAS_READ = {
     "contraction": ("kappa_kind", "sv_log_power"),
     "coverage-ball": ("kappa_kind",),
@@ -109,8 +110,10 @@ class ExperimentConfig:
             raise ConfigError(f"extras must be an object, got {self.extras!r}")
         # volterra-demo's extras go to DemoConfig
         if self.kind != "volterra-demo":
-            _only_keys(f"{self.kind} extras", self.extras,
-                       *_EXTRAS_READ[self.kind])
+            keys = _EXTRAS_READ[self.kind]
+            if self.regime.q is None:   # no functional rate to scale
+                keys = tuple(k for k in keys if k != "sv_log_power")
+            _only_keys(f"{self.kind} extras", self.extras, *keys)
 
     def to_dict(self) -> dict:
         return {
@@ -461,9 +464,12 @@ def run_ball_coverage(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
     """Credible-ball radius and frequentist coverage per n.
 
     Both radii (credible and noise-only) are exact quantiles
-    (credible.ball_radius, method "imhof"); replicates is the number of
-    coverage draws. The metadata carries, per n, the noise-quantile ratio
-    diagnostics, the radius method and the error bounds of both radii.
+    (credible.ball_radius, method "imhof"). The coverage column is a Monte
+    Carlo estimate over replicates draws of the posterior mean, drawn from
+    the exact law of its hit count (credible.ball_coverage). The metadata
+    carries, per n, the noise-quantile ratio diagnostics, the radius method,
+    the error bounds of both radii, and the exact coverage probability
+    (coverage_exact) with its error bound (coverage_abserr).
     """
     rp = cfg.regime
 
@@ -483,7 +489,9 @@ def run_ball_coverage(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
                 "noise_radius_ratio": r_noise / r if r > 0 else math.inf,
                 "bias_norm_sq": float(stable_sum(bias * bias)),
                 "radius_method": "imhof", "radius_abserr": r_err,
-                "noise_radius_abserr": r_noise_err}
+                "noise_radius_abserr": r_noise_err,
+                "coverage_exact": report.exact,
+                "coverage_abserr": report.abserr}
         row = (n, rp.alpha, rp.beta, rp.p, prior.tau, cfg.gamma, "ball",
                r, report.coverage, report.mc_stderr, "monte-carlo",
                seed_tag(cfg.master_seed, j))
@@ -773,7 +781,3 @@ def cli_main(argv=None) -> int:
 
 def main() -> None:
     sys.exit(cli_main(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    main()

@@ -5,6 +5,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy import stats
 
+from seqinv.credible import _normal_blocks
+
 
 def grid_posterior(n, lam, kappa, y):
     """Posterior mean/variance of one coordinate by direct grid integration.
@@ -154,3 +156,41 @@ def imhof_sums(lam, u, series_edge, series_terms, block):
                 out[3] += (sign * s_k) * t_k
             power *= mu
     return 0.5 * out[0], 0.5 * out[1], 0.25 * out[2], 0.5 * out[3]
+
+
+def imhof_cutoff(lam, tail_tol, series_edge, series_terms, block):
+    """Cut-off U of the central Imhof integral and its tail bound, by one
+    imhof_sums pass per doubling.
+
+    The tail search the credible-ball law used before it evaluated a ladder
+    of doublings per pass: from u = 1/||lam||_2, double u until
+    exp(-log rho(u)) / (pi beta(u)) <= tail_tol. Returns (U, tail).
+    """
+    u = math.sqrt(2.0) / math.sqrt(2.0 * float((lam * lam).sum()))
+    while True:
+        _, _, log_rho, beta = imhof_sums(lam, np.array([u]), series_edge,
+                                         series_terms, block)
+        tail = math.exp(-log_rho[0]) / (math.pi * beta[0])
+        if tail <= tail_tol:
+            return u, tail
+        u *= 2.0
+
+
+def mc_ball_coverage(w, bias, r, mc_samples, seed):
+    """Share of mc_samples draws with ||sqrt(t) Z + bias||^2 <= r^2, and
+    its binomial standard error, by brute force.
+
+    The credible-ball coverage as a Monte Carlo run: the mc_samples x trunc
+    normals come in row blocks from the keyed streams of
+    credible._normal_blocks, so the cost is mc_samples x trunc normals.
+    """
+    sd = np.sqrt(w.t_w)
+    r_sq = r * r
+    hits = 0
+    for z in _normal_blocks(seed, mc_samples, sd.size):
+        z *= sd
+        z += bias
+        np.square(z, out=z)
+        hits += int(np.count_nonzero(z.sum(axis=1) <= r_sq))
+    p_hat = hits / mc_samples
+    return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / mc_samples)

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from helpers import imhof_sums, satterthwaite_radius
+from helpers import imhof_cutoff, imhof_sums, mc_ball_coverage, \
+    satterthwaite_radius
 from seqinv import credible
 from seqinv.credible import (
     BvmDiagnostics,
@@ -22,7 +23,7 @@ from seqinv.credible import (
     interval_coverage,
 )
 from seqinv.model import ForwardSpec, PriorSpec, make_truth
-from seqinv.posterior import Functional
+from seqinv.posterior import Functional, bias_coordinates
 from seqinv.util import DegenerateInputError, DimensionMismatchError, \
     RegimeError, child_seed
 
@@ -334,13 +335,12 @@ def test_monte_carlo_does_not_depend_on_block_size(monkeypatch):
     bias = np.full(300, 1e-3)
     mc = dict(method="monte-carlo", mc_samples=10_000, seed=child_seed(8, 7))
     r = ball_radius(w, 0.05, **mc)
-    report = ball_coverage(w, bias, 0.9 * r, mc_samples=10_000,
-                           seed=child_seed(8, 8))
+    report = mc_ball_coverage(w, bias, 0.9 * r, 10_000, child_seed(8, 8))
     for budget in (1000, 1):
         monkeypatch.setattr(credible, "_MC_BLOCK", budget)
         assert ball_radius(w, 0.05, **mc) == r
-        assert ball_coverage(w, bias, 0.9 * r, mc_samples=10_000,
-                             seed=child_seed(8, 8)) == report
+        assert mc_ball_coverage(w, bias, 0.9 * r, 10_000,
+                                child_seed(8, 8)) == report
 
 
 def test_ball_coverage_memory_is_bounded():
@@ -355,10 +355,174 @@ def test_ball_coverage_memory_is_bounded():
     assert peak < 64 * 2 ** 20
 
 
+def _coverage_cell(trunc, n=1e4):
+    """Weights, demo-truth bias and 0.95 radius of a ball cell whose
+    coverage lies near 1/3."""
+    prior = PriorSpec(alpha=1.5, tau=1.0, trunc=trunc)
+    fwd = ForwardSpec.polynomial(p=1.0, trunc=trunc)
+    w = credible_weights(prior, fwd, n)
+    bias = bias_coordinates(prior, fwd, make_truth("demo", trunc), n)
+    return w, bias, ball_radius(w, 0.05)
+
+
+def test_noncentral_law_single_weight_closed_form():
+    # (sqrt(w) Z + b)^2 <= x iff |Z + d| <= sqrt(x/w), d = b / sqrt(w); the
+    # density is (phi(s - d) + phi(s + d)) / (2 sqrt(x w)), s = sqrt(x/w).
+    # For one weight the density's integrand decays only like u^(-1/2), so
+    # its cut-off error (up to 3e-9 here) is far above the CDF's.
+    for w, b in ((2.0, 0.0), (2.0, 1.0), (0.5, 3.0), (1.0, 0.1), (3.0, -5.0)):
+        law = _WeightedChiSquare(np.array([w]), np.array([b]))
+        d = b / math.sqrt(w)
+        for x in (0.05, 1.0, 4.0, 20.0, 80.0):
+            s = math.sqrt(x / w)
+            cdf, density = law.cdf_pdf(x / law.scale)
+            assert cdf == pytest.approx(
+                stats.norm.cdf(s - d) - stats.norm.cdf(-s - d), abs=1e-12)
+            ref = (stats.norm.pdf(s - d) + stats.norm.pdf(s + d)) \
+                / (2.0 * math.sqrt(x * w))
+            assert density / law.scale == pytest.approx(ref, abs=1e-8)
+
+
+@pytest.mark.parametrize("weights", IMHOF_LAWS.values(), ids=IMHOF_LAWS.keys())
+def test_noncentral_law_zero_bias_is_central(weights):
+    central = _WeightedChiSquare(weights)
+    law = _WeightedChiSquare(weights, np.zeros(weights.size))
+    assert (law.mean, law.sd, law.offset) == (central.mean, central.sd, 0.0)
+    for prob in (0.05, 0.5, 0.95):
+        x = central.quantile(prob)[0] / central.scale
+        assert law.cdf_pdf(x) == pytest.approx(central.cdf_pdf(x),
+                                               rel=1e-14, abs=1e-15)
+
+
+def test_noncentral_law_zero_weights_shift_by_their_bias():
+    # Coordinates with w_i = 0 add the constant sum b_i^2 to Q; one b_i^2
+    # above every weight and every other b_i^2 also changes the units.
+    w, bias, r = _coverage_cell(300)
+    law = _WeightedChiSquare(w.t_w, bias)
+    for extra in ([0.3, -0.2, 0.1], [3.0, 0.0, 0.0]):
+        shifted = _WeightedChiSquare(np.concatenate((w.t_w, np.zeros(3))),
+                                     np.concatenate((bias, extra)))
+        shift = float(np.sum(np.square(extra)))
+        assert shifted.offset * shifted.scale == pytest.approx(shift,
+                                                               rel=1e-15)
+        for x in (0.5, 1.0, 2.0):
+            x *= r * r
+            cdf, density = shifted.cdf_pdf((x + shift) / shifted.scale)
+            ref_cdf, ref_density = law.cdf_pdf(x / law.scale)
+            assert cdf == pytest.approx(ref_cdf, rel=1e-12, abs=1e-15)
+            assert density / shifted.scale == pytest.approx(
+                ref_density / law.scale, rel=1e-9)
+
+
+def test_noncentral_series_branch_matches_direct_sums(monkeypatch):
+    # The power series of the c terms against summing every coordinate
+    # directly (no coordinate below a zero series edge).
+    w, bias, r = _coverage_cell(1000)
+    law = _WeightedChiSquare(w.t_w, bias)
+    monkeypatch.setattr(credible, "_SERIES_EDGE", 0.0)
+    direct = _WeightedChiSquare(w.t_w, bias)
+    for x in (0.8, 1.0, 1.25):
+        x *= r * r / law.scale
+        assert law.cdf_pdf(x) == pytest.approx(direct.cdf_pdf(x), rel=1e-11)
+
+
+def test_noncentral_panels_keep_the_phase_near_its_chord(monkeypatch):
+    # A(u) is not concave once c > 0: a few weights with a large bias make
+    # its c terms turn inside the integral. With the panels cut by the
+    # phase bound alone (no decay bound), A leaves its chord by at most
+    # _IMHOF_PHASE at 64 points of every panel.
+    monkeypatch.setattr(credible, "_IMHOF_DECAY", math.inf)
+    weights = np.array([1.0, 0.3, 0.05, 1e-3, 1e-6])
+    bias = np.array([4.0, 0.5, 2.0, 0.3, 0.01])
+    law = _WeightedChiSquare(weights, bias)
+    lam, c = weights / law.scale, bias * bias / law.scale
+    lo, hi = law.center - law.half, law.center + law.half
+    for a, b, slope in zip(lo, hi, law.slope):
+        u = np.linspace(a, b, 64)[1:]
+        phase, _ = credible._imhof_phase(
+            credible._imhof_terms(lam, u, True, c))
+        start = credible._imhof_phase(credible._imhof_terms(
+            lam, np.array([a]), True, c))[0][0] if a > 0 else 0.0
+        gap = phase - start - slope * (u - a)
+        assert np.max(np.abs(gap)) <= credible._IMHOF_PHASE
+
+
+def test_ball_coverage_matches_monte_carlo_oracle():
+    # The exact P of a trunc-1000 cell against 20000 draws of the normal
+    # block loop, within 6 standard errors.
+    w, bias, r = _coverage_cell(1000)
+    report = ball_coverage(w, bias, r, mc_samples=500, seed=3)
+    assert 0.2 < report.exact < 0.5
+    assert report.abserr <= credible._IMHOF_TAIL
+    p_mc, _ = mc_ball_coverage(w, bias, r, 20_000, child_seed(8, 9))
+    se = math.sqrt(report.exact * (1.0 - report.exact) / 20_000)
+    assert abs(p_mc - report.exact) <= 6.0 * se
+
+
+def test_ball_coverage_draw_is_binomial_at_the_exact_probability():
+    # Each report is hits/m with hits ~ Binomial(m, P) from its own stream;
+    # the mean over 200 streams lies within 6 standard errors of P.
+    w, bias, r = _coverage_cell(300)
+    m, seeds = 500, 200
+    reports = [ball_coverage(w, bias, r, mc_samples=m, seed=child_seed(8, k))
+               for k in range(seeds)]
+    p = reports[0].exact
+    assert {rep.exact for rep in reports} == {p}
+    for rep in reports:
+        assert rep.coverage * m == round(rep.coverage * m)
+        assert rep.mc_stderr == pytest.approx(
+            math.sqrt(rep.coverage * (1.0 - rep.coverage) / m), rel=1e-15)
+    mean = math.fsum(rep.coverage for rep in reports) / seeds
+    assert abs(mean - p) <= 6.0 * math.sqrt(p * (1.0 - p) / (m * seeds))
+    assert ball_coverage(w, bias, r, mc_samples=m, seed=child_seed(8, 0)) \
+        == reports[0]
+
+
+@pytest.mark.parametrize("weights", IMHOF_LAWS.values(), ids=IMHOF_LAWS.keys())
+def test_imhof_cutoff_matches_one_point_search(weights):
+    # The tail search evaluates a ladder of doublings per pass; it stops at
+    # the doubling that the one-point-per-doubling search stops at, so the
+    # panels and the radius keep their bits.
+    law = _WeightedChiSquare(weights)
+    lam = weights[weights > 0] / law.scale
+    cut, tail = imhof_cutoff(lam, credible._IMHOF_TAIL, credible._SERIES_EDGE,
+                             credible._SERIES_TERMS, credible._BLOCK)
+    assert law.center[-1] + law.half[-1] == pytest.approx(cut, rel=1e-15)
+    assert law.tail == pytest.approx(tail, rel=1e-12)
+
+
+def test_ball_coverage_without_sampling_spread():
+    # Without sampling spread the posterior mean is the truth plus the
+    # bias, inside the ball or not: with every t_i = 0, and at the smallest
+    # positive n, where the one positive t_i is 5e-324 (c = b^2 / max(t)
+    # used to overflow there, and the tail search never ended).
+    prior = PriorSpec(alpha=1.0, tau=1.0, trunc=5)
+    smallest = credible_weights(
+        prior, ForwardSpec.polynomial(p=1.0, trunc=5), 5e-324)
+    assert np.count_nonzero(smallest.t_w) == 1
+    zero = EigenWeights(s_w=np.ones(5), t_w=np.zeros(5), n=1.0)
+    bias = np.full(5, 0.5)
+    for w in (zero, smallest):
+        for r, p in ((1.2, 1.0), (1.1, 0.0)):
+            report = ball_coverage(w, bias, r, mc_samples=50, seed=1)
+            assert report == (p, 0.0, p, 0.0)
+    assert ball_coverage(zero, np.zeros(5), 0.0, mc_samples=50) \
+        == (1.0, 0.0, 1.0, 0.0)
+    # a spread far below the bias: a normal of sd 2 sqrt(sum b^2 t) ~ 1e-150
+    # about sum b^2 = 1.25
+    tiny = EigenWeights(s_w=np.ones(5), t_w=np.full(5, 1e-300), n=1.0)
+    for r, p in ((1.2, 1.0), (1.1, 0.0)):
+        assert ball_coverage(tiny, bias, r, mc_samples=50, seed=1).exact \
+            == pytest.approx(p, abs=1e-9)
+
+
 def test_ball_coverage_validation():
     w = _weights(trunc=10)
     with pytest.raises(ValueError):
         ball_coverage(w, np.zeros(10), -1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ball_coverage(w, np.full(10, bad), 1.0)
     with pytest.raises(DimensionMismatchError):
         ball_coverage(w, np.zeros(9), 1.0)
 

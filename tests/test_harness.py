@@ -289,7 +289,11 @@ def test_run_ball_coverage_small():
     diag = table.metadata["radius_diagnostics"][0]
     assert set(diag) == {"n", "noise_radius", "noise_radius_ratio",
                          "bias_norm_sq", "radius_method", "radius_abserr",
-                         "noise_radius_abserr"}
+                         "noise_radius_abserr", "coverage_exact",
+                         "coverage_abserr"}
+    # the exact probability the coverage column estimates, and its bound
+    assert 1.0 - cfg.gamma < diag["coverage_exact"] < 1.0
+    assert 0.0 <= diag["coverage_abserr"] <= 1e-10
     assert diag["radius_method"] == "imhof"
     assert 0.0 < diag["radius_abserr"] <= 1e-8 * row["radius"]
     assert 0.0 < diag["noise_radius_abserr"] <= 1e-8 * diag["noise_radius"]
@@ -559,6 +563,9 @@ MALFORMED_CONFIGS = {
     "extras-kappa-kind-on-lemma": (
         "lemma-order", {"extras": {"kappa_kind": "volterra"}}),
     "extras-sv-log-power-on-bvm": ("bvm", {"extras": {"sv_log_power": 5.0}}),
+    # the rate table reads sv_log_power only for a functional rate (q set)
+    "extras-sv-log-power-without-q": (
+        "contraction", {"extras": {"sv_log_power": 5.0}}),
     "replicates-float": ("contraction", {"replicates": 2.5}),
     "replicates-integral-float": ("contraction", {"replicates": 2.0}),
     "replicates-bool": ("contraction", {"replicates": True}),
@@ -678,14 +685,14 @@ def test_cli_error_exit_codes(tmp_path):
 
 
 def test_python_m_entry_points_match_cli_main(tmp_path):
-    # `python -m seqinv` and `python -m seqinv.harness` run the same command
-    # line as cli_main, and write the same table.
+    # `python -m seqinv` runs the same command line as cli_main, writes the
+    # same table, and prints nothing to stderr.
     assert cli_main(["contraction", "--out", str(tmp_path / "lib")]) == 0
     expected = (tmp_path / "lib" / "contraction.csv").read_bytes()
     env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]))
-    for module in ("seqinv", "seqinv.harness"):
-        out = tmp_path / module
-        subprocess.run([sys.executable, "-m", module, "contraction", "--out",
-                        str(out)], env=env, capture_output=True, timeout=120,
-                       check=True)
-        assert (out / "contraction.csv").read_bytes() == expected
+    out = tmp_path / "seqinv"
+    run = subprocess.run([sys.executable, "-m", "seqinv", "contraction",
+                          "--out", str(out)], env=env, capture_output=True,
+                         timeout=120, check=True)
+    assert run.stderr == b""
+    assert (out / "contraction.csv").read_bytes() == expected
