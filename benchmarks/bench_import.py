@@ -3,8 +3,10 @@
 Every `seqinv <kind>` run pays the import first; most default runs spend
 more time there than computing. One round starts `python -c "import
 seqinv"` with this checkout's src/ on PYTHONPATH and waits for it to exit,
-so the time includes interpreter start-up. The file sits outside tests/, so
-the test suite does not collect it. Run it from the repository root with
+so the time includes interpreter start-up. It waits with no timeout, since
+with one `subprocess` polls the child in sleeps of up to 50 ms and every
+time rounds up to a poll. The file sits outside tests/, so the test suite
+does not collect it. Run it from the repository root with
 
     PYTHONPATH=src python -m pytest benchmarks/bench_import.py \
         --benchmark-json=BENCH.json
@@ -21,7 +23,7 @@ ROUNDS = 15
 
 def _import_seqinv(env):
     subprocess.run([sys.executable, "-c", "import seqinv"], env=env,
-                   check=True, timeout=120)
+                   check=True)
 
 
 def test_fresh_import_seqinv(benchmark):

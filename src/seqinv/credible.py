@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
 from .model import ForwardSpec, PriorSpec, Truth, _spectral_blocks
 from .posterior import Functional, _interval_terms
@@ -339,6 +338,7 @@ class _WeightedChiSquare:
         lam_sum = float(lam.sum())
         self.mean = lam_sum
         self.sd = math.sqrt(2.0 * float((lam * lam).sum()))
+        self.k3 = 8.0 * float((lam * lam * lam).sum())   # third cumulant
         self.offset = 0.0
         c = None
         if bias is not None:
@@ -347,6 +347,7 @@ class _WeightedChiSquare:
             self.mean += float(c.sum()) + self.offset
             self.sd = math.sqrt(self.sd * self.sd
                                 + 4.0 * float((lam * c).sum()))
+            self.k3 += 24.0 * float((lam * lam * c).sum())
         edges = [0.0]
         u = math.sqrt(2.0) / self.sd
         while True:
@@ -402,6 +403,7 @@ class _WeightedChiSquare:
 
     def cdf_pdf(self, x: float) -> tuple[float, float]:
         """P(Q <= x) and the density at x, in the units of lam."""
+        from scipy import special
         nu = 0.5 * (x - self.offset) - self.slope
         z = nu * self.half
         j = special.spherical_jn(np.arange(_IMHOF_NODES), np.abs(z)[:, None])
@@ -418,13 +420,18 @@ class _WeightedChiSquare:
         """x with P(Q <= x) = prob, in the units of w, and its error bound.
 
         Safeguarded Newton on the CDF inside Cantelli's bracket [lo, hi],
-        from the normal approximation: a step that leaves the bracket of
+        from the normal approximation or, where that is at or below lo, from
+        the shifted chi-square with the law's first three cumulants (Pearson,
+        Biometrika 46, 1959; exact for one weight), so that a law with one
+        dominant weight does not start at x = 0, where its density is
+        infinite and Newton cannot step. A step that leaves the bracket of
         the points seen so far goes to a bracket end not yet evaluated, or
         else bisects. It stops when the step is within the root tolerance;
         if F(lo) >= prob it returns lo, and if F(hi) <= prob it returns hi.
         The bound adds the root tolerance to the cut-off's CDF error divided
         by the closed-form density at the last point evaluated.
         """
+        from scipy import special
         m, sd = self.mean, self.sd
         # Cantelli's inequality puts the quantile inside [lo, hi]
         lo = max(0.0, m - sd * math.sqrt((1.0 - prob) / prob))
@@ -432,7 +439,14 @@ class _WeightedChiSquare:
         xtol = _IMHOF_ROOT_RTOL * hi
         a, b = lo, hi            # the root lies in [a, b]
         seen_a = seen_b = False  # whether F has been evaluated at a, at b
-        x = min(max(m + sd * float(special.ndtri(prob)), lo), hi)
+        x = m + sd * float(special.ndtri(prob))
+        if x <= lo and self.k3 > 0.0:
+            # Q ~ m + g (G - shape), G ~ Gamma(shape, 1), has the law's
+            # mean, variance and third cumulant
+            g = self.k3 / (2.0 * sd * sd)
+            shape = (sd / g) ** 2
+            x = m + g * (float(special.gammaincinv(shape, prob)) - shape)
+        x = min(max(x, lo), hi)
         while True:
             cdf, density = self.cdf_pdf(x)
             if (x == lo and cdf >= prob) or (x == hi and cdf <= prob) \
@@ -544,6 +558,7 @@ def interval_coverage(bias: float, s_n: float, t_n: float, gamma: float) -> floa
         raise ValueError("gamma must lie in (0, 1)")
     if not (s_n > 0) or not (t_n > 0):
         raise DegenerateInputError("s_n and t_n must be positive")
+    from scipy import special
     z = special.ndtri(gamma / 2.0)
     hi = (-z * s_n - bias) / t_n
     lo = (z * s_n - bias) / t_n

@@ -23,7 +23,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
 from . import credible, model, posterior, rates, volterra
 from .util import ConfigError, DimensionMismatchError, child_seed, seed_tag, \
@@ -507,6 +506,7 @@ def run_ball_coverage(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
 
 def run_functional_coverage(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
     """Exact interval coverage of the functional's credible interval per n."""
+    from scipy import special
     rp = cfg.regime
     z = float(special.ndtri(cfg.gamma / 2.0))
 

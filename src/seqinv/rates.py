@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
 from .util import RegimeError, TruncationError
 
@@ -157,6 +156,7 @@ def _log_power_partial_harmonic(m: int, log_power: float) -> float:
     if m < 1:
         return 0.0
     if log_power == 0.0:
+        from scipy import special
         return float(special.digamma(m + 1.0)) + _EULER_GAMMA
     partials = []
     for start in range(1, m + 1, _EVAL_CHUNK):
@@ -288,6 +288,7 @@ def _scaled_zeta(s: float, a: float) -> float:
     stops there, so at most about 1500 terms are summed directly.
     """
     if s * math.log(a) < 700.0:
+        from scipy import special
         return float(special.zeta(s, a)) * a ** s
     m = max(0, math.ceil(2.0 * (s + 16.0) - a))
     zero = math.ceil(a * math.expm1(750.0 / s))
@@ -333,6 +334,7 @@ def series_lemma_sum_auto(fam: SequenceFamily, t: float, u: float, v: float,
     s = s_exp + 1.0
     sc2 = fam.scale * fam.scale
     if v == 0.0 or N == 0.0:
+        from scipy import special
         value, diag = sc2 * float(special.zeta(s)), SeriesDiagnostics(0, 1, 0.0)
         return (value, diag) if full_output else value
 

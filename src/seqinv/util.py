@@ -156,6 +156,9 @@ def write_manifest(out_dir, config: dict, master_seed: int, started_at: str,
                    wall_seconds: float) -> Path:
     """Write `out_dir/manifest.json`: the run's config echo and provenance."""
     import json
+    import platform
+
+    import scipy
 
     from . import __version__
     manifest = {
@@ -164,6 +167,8 @@ def write_manifest(out_dir, config: dict, master_seed: int, started_at: str,
         "code_version": __version__,
         "started_at": started_at,
         "wall_seconds": wall_seconds,
+        "versions": {"python": platform.python_version(),
+                     "numpy": np.__version__, "scipy": scipy.__version__},
     }
     path = Path(out_dir) / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

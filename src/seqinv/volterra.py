@@ -19,7 +19,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
 from .model import ForwardSpec, KappaKind, Observation, PriorSpec, \
     generate_observation, make_truth
@@ -191,6 +190,7 @@ def _band(prior: PriorSpec, summary, xs: np.ndarray, gamma: float):
             f"truncated prior-variance tail is {tail / floor:.2e} of the "
             f"band variance (tolerance {_TAIL_REL_TOL:.0e}); increase trunc "
             "for quantitative band widths")
+    from scipy import special
     half = -special.ndtri(gamma / 2.0) * np.sqrt(var_curve)
     return center, center - half, center + half
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import optimize, stats
 
 from helpers import imhof_cutoff, imhof_sums, mc_ball_coverage, \
     satterthwaite_radius
@@ -261,6 +261,28 @@ def test_imhof_quantile_needs_few_cdf_evaluations(monkeypatch):
             calls.clear()
             law.quantile(0.95)
             assert 1 <= len(calls) <= 6, n
+
+
+def test_imhof_quantile_with_one_dominant_weight(monkeypatch):
+    # One weight 1 beside fifty below 1e-3: at small p the normal start lies
+    # below Cantelli's end, 0, where the density is infinite, so Newton
+    # cannot step and a search from there bisects (11 to 14 CDF
+    # evaluations). The three-cumulant start needs at most eight, and the
+    # root is Brent's root of the same CDF within the returned error bound.
+    rng = np.random.default_rng(16)
+    law = _WeightedChiSquare(np.concatenate(([1.0],
+                                             rng.uniform(0.0, 1e-3, 50))))
+    calls = []
+    cdf_pdf = _WeightedChiSquare.cdf_pdf
+    monkeypatch.setattr(_WeightedChiSquare, "cdf_pdf",
+                        lambda law, x: calls.append(x) or cdf_pdf(law, x))
+    for prob in (0.001, 0.01, 0.05):
+        calls.clear()
+        x, err = law.quantile(prob)
+        assert len(calls) <= 8, prob
+        root = optimize.brentq(lambda y: cdf_pdf(law, y)[0] - prob, 0.0,
+                               law.mean, xtol=1e-300, rtol=1e-15)
+        assert abs(x - root * law.scale) <= err, prob
 
 
 def test_imhof_phase_and_decay_match_the_combined_sums():

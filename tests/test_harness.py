@@ -473,7 +473,7 @@ def test_cli_manifests_share_keys(tmp_path):
     keys = [set(json.loads((tmp_path / d / "manifest.json").read_text()))
             for d in ("demo", "lemma")]
     assert keys[0] == keys[1] == {"config", "master_seed", "code_version",
-                                  "started_at", "wall_seconds"}
+                                  "started_at", "wall_seconds", "versions"}
 
 
 def test_cli_coverage_ball_truncation_cap(tmp_path, capsys):

@@ -5,10 +5,12 @@ function (or the module body) reads as an implicit global must be bound at
 module level (assignment, import, def or class) or be a builtin; anything
 else would raise NameError when that line runs.
 
-The package needs only scipy.special at import time: no module imports
-scipy.stats, scipy.optimize is loaded only by
-rates.functional_tau_balance_factor, the one function that calls brentq,
-when it runs, and mpmath (a test-only reference) is never loaded.
+The package needs no scipy at import time, only numpy: scipy.special is
+imported inside the functions that call it, so a contraction run never
+loads it, while a coverage-ball run does. No module imports scipy.stats,
+scipy.optimize is loaded only by rates.functional_tau_balance_factor, the
+one function that calls brentq, when it runs, and mpmath (a test-only
+reference) is never loaded.
 
 Every public name, public function and public method is used: something
 besides its own definition and the package's `__init__.py` refers to it
@@ -94,13 +96,17 @@ def test_fresh_import_loads_neither_stats_nor_optimize(tmp_path):
     script = (
         "import json, sys\n"
         "import seqinv\n"
-        "seen = {m: m in sys.modules\n"
-        "        for m in ('scipy.stats', 'scipy.optimize', 'mpmath')}\n"
+        "seen = {m: m in sys.modules for m in\n"
+        "        ('scipy', 'scipy.special', 'scipy.stats', 'scipy.optimize',\n"
+        "         'mpmath')}\n"
+        "assert seqinv.cli_main(['contraction', '--out', sys.argv[1]]) == 0\n"
+        "seen['special_after_contraction'] = 'scipy.special' in sys.modules\n"
         "assert seqinv.cli_main(['bvm', '--out', sys.argv[1]]) == 0\n"
         "seen['optimize_after_bvm'] = 'scipy.optimize' in sys.modules\n"
         "assert seqinv.cli_main(['coverage-ball', '--out',\n"
         "                        sys.argv[1]]) == 0\n"
         "seen['optimize_after_ball'] = 'scipy.optimize' in sys.modules\n"
+        "seen['special_after_ball'] = 'scipy.special' in sys.modules\n"
         "assert seqinv.cli_main(['lemma-order', '--out', sys.argv[1]]) == 0\n"
         "seen['mpmath_after_lemma'] = 'mpmath' in sys.modules\n"
         "print(json.dumps(seen))\n")
@@ -109,9 +115,11 @@ def test_fresh_import_loads_neither_stats_nor_optimize(tmp_path):
                           env=env, capture_output=True, text=True,
                           timeout=120, check=True)
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen == {"scipy.stats": False, "scipy.optimize": False,
-                    "mpmath": False, "optimize_after_bvm": False,
-                    "optimize_after_ball": False,
+    assert seen == {"scipy": False, "scipy.special": False,
+                    "scipy.stats": False, "scipy.optimize": False,
+                    "mpmath": False, "special_after_contraction": False,
+                    "optimize_after_bvm": False,
+                    "optimize_after_ball": False, "special_after_ball": True,
                     "mpmath_after_lemma": False}
 
 

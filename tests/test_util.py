@@ -120,6 +120,7 @@ def test_write_manifest_keys(tmp_path):
     assert path == tmp_path / "manifest.json"
     manifest = json.loads(path.read_text())
     assert set(manifest) == {"config", "master_seed", "code_version",
-                             "started_at", "wall_seconds"}
+                             "started_at", "wall_seconds", "versions"}
+    assert set(manifest["versions"]) == {"python", "numpy", "scipy"}
     assert manifest["config"] == {"a": 1}
     assert manifest["master_seed"] == 5
