@@ -56,7 +56,6 @@ class EigenWeights:
 
     s_w: np.ndarray
     t_w: np.ndarray
-    n: float
 
     def __post_init__(self):
         s = np.ascontiguousarray(self.s_w, dtype=float)
@@ -76,7 +75,7 @@ class EigenWeights:
 
     def noise_only(self) -> "EigenWeights":
         """Weights whose ball statistic is the posterior-mean sampling law."""
-        return EigenWeights(s_w=self.t_w, t_w=self.t_w, n=self.n)
+        return EigenWeights(s_w=self.t_w, t_w=self.t_w)
 
 
 class CoverageReport(NamedTuple):
@@ -106,7 +105,7 @@ def credible_weights(prior: PriorSpec, fwd: ForwardSpec, n: float) -> EigenWeigh
     for b in blocks:
         s[b.sl] = b.s
         t[b.sl] = b.t
-    return EigenWeights(s_w=s, t_w=t, n=float(n))
+    return EigenWeights(s_w=s, t_w=t)
 
 
 def _normal_blocks(seed, m: int, k: int):

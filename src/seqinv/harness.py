@@ -4,8 +4,9 @@ A single ExperimentConfig describes one experiment of any kind; runners
 realize the problem per grid point (truncation policy, truth pattern,
 functional), compute analytic quantities exactly and Monte-Carlo quantities
 from seed streams derived per grid point, and assemble rows in a fixed
-order. Outputs are a pure function of (config, master_seed): worker count
-only changes scheduling, never bytes.
+order. Cells run one at a time, in grid order, each in its own call so
+that its arrays are freed before the next cell starts. Outputs are a pure
+function of (config, master_seed).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -351,13 +351,6 @@ def _realize(cfg: ExperimentConfig, n: float):
     return trunc, prior, fwd, l, _truth_for(cfg, n, trunc, prior, fwd, l)
 
 
-def _map_cells(fn, cells, workers: int):
-    if workers <= 1:
-        return [fn(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, cells))
-
-
 def _base_metadata(cfg: ExperimentConfig) -> dict:
     from . import __version__
     return {"config": cfg.to_dict(), "code_version": __version__}
@@ -404,12 +397,11 @@ def _mc_estimator_risk(prior, fwd, truth, n, replicates, master_seed, cell):
                              cell)[1:]
 
 
-def run_contraction(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
+def run_contraction(cfg: ExperimentConfig) -> ResultTable:
     """Analytic risk decomposition, MC check, and theoretical rate per n."""
     rp = cfg.regime
 
-    def cell(args):
-        j, n = args
+    def cell(j, n):
         trunc, prior, fwd, _, truth = _realize(cfg, n)
         rd, mc_risk, mc_stderr = _contraction_pass(
             prior, fwd, truth, n, cfg.replicates, cfg.master_seed, j)
@@ -418,7 +410,7 @@ def run_contraction(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
                 rd.estimator_risk, rd.posterior_risk, mc_risk, mc_stderr,
                 eps, seed_tag(cfg.master_seed, j))
 
-    rows = _map_cells(cell, list(enumerate(cfg.n_grid)), workers)
+    rows = [cell(j, n) for j, n in enumerate(cfg.n_grid)]
     columns = ("n", "trunc", "sq_bias", "variance", "spread",
                "estimator_risk", "posterior_risk", "mc_risk", "mc_stderr",
                "epsilon_n", "seed_key")
@@ -459,7 +451,7 @@ _COVERAGE_COLUMNS = ("n", "alpha", "beta", "p", "tau", "gamma", "kind",
                      "radius", "coverage", "stderr", "method", "seed_key")
 
 
-def run_ball_coverage(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
+def run_ball_coverage(cfg: ExperimentConfig) -> ResultTable:
     """Credible-ball radius and frequentist coverage per n.
 
     Both radii (credible and noise-only) are exact quantiles
@@ -472,8 +464,7 @@ def run_ball_coverage(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
     """
     rp = cfg.regime
 
-    def cell(args):
-        j, n = args
+    def cell(j, n):
         _, prior, fwd, _, truth = _realize(cfg, n)
         w = credible.credible_weights(prior, fwd, n)
         r, r_err = credible.ball_radius(w, cfg.gamma, method="imhof",
@@ -496,7 +487,7 @@ def run_ball_coverage(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
                seed_tag(cfg.master_seed, j))
         return row, diag
 
-    results = _map_cells(cell, list(enumerate(cfg.n_grid)), workers)
+    results = [cell(j, n) for j, n in enumerate(cfg.n_grid)]
     rows = tuple(row for row, _ in results)
     meta = _base_metadata(cfg)
     meta["radius_diagnostics"] = [diag for _, diag in results]
@@ -504,14 +495,13 @@ def run_ball_coverage(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
                        metadata=meta)
 
 
-def run_functional_coverage(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
+def run_functional_coverage(cfg: ExperimentConfig) -> ResultTable:
     """Exact interval coverage of the functional's credible interval per n."""
     from scipy import special
     rp = cfg.regime
     z = float(special.ndtri(cfg.gamma / 2.0))
 
-    def cell(args):
-        j, n = args
+    def cell(j, n):
         _, prior, fwd, l, truth = _realize(cfg, n)
         s_n, t_n, bias = posterior.functional_interval(prior, fwd, l, truth, n)
         cov = credible.interval_coverage(bias, s_n, t_n, cfg.gamma)
@@ -520,17 +510,16 @@ def run_functional_coverage(cfg: ExperimentConfig, workers: int = 1) -> ResultTa
                 halfwidth, cov, None, "exact-normal",
                 seed_tag(cfg.master_seed, j))
 
-    rows = tuple(_map_cells(cell, list(enumerate(cfg.n_grid)), workers))
+    rows = tuple(cell(j, n) for j, n in enumerate(cfg.n_grid))
     return ResultTable(kind=cfg.kind, columns=_COVERAGE_COLUMNS, rows=rows,
                        metadata=_base_metadata(cfg))
 
 
-def run_bvm(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
+def run_bvm(cfg: ExperimentConfig) -> ResultTable:
     """Spread-vs-sampling diagnostics for a functional along the n grid."""
     rp = cfg.regime
 
-    def cell(args):
-        j, n = args
+    def cell(j, n):
         trunc, prior, fwd, l, truth = _realize(cfg, n)
         d = credible.bvm_diagnostics(prior, fwd, l, truth, n, rp.beta)
         cov = credible.interval_coverage(d.bias, d.s_n, d.t_n, cfg.gamma)
@@ -539,7 +528,7 @@ def run_bvm(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
                 d.bias, cov, n * d.t_n * d.t_n, d.plugin_limit,
                 seed_tag(cfg.master_seed, j))
 
-    rows = tuple(_map_cells(cell, list(enumerate(cfg.n_grid)), workers))
+    rows = tuple(cell(j, n) for j, n in enumerate(cfg.n_grid))
     columns = ("n", "trunc", "s_n", "t_n", "ratio", "sup_bias",
                "sup_bias_over_t", "tv", "bias", "coverage", "n_t_sq",
                "plugin_limit", "seed_key")
@@ -547,7 +536,7 @@ def run_bvm(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
                        metadata=_base_metadata(cfg))
 
 
-def run_lemma_order(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
+def run_lemma_order(cfg: ExperimentConfig) -> ResultTable:
     """Normalized series values across the N grid for each (q,t,u,v) combo.
 
     The metadata's series_diagnostics has one entry per row: how the value
@@ -577,7 +566,7 @@ def run_lemma_order(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
         return row, {"q": q, "t": t, "u": u, "v": v, "N": big_n,
                      **diag._asdict()}
 
-    results = _map_cells(cell, cells, workers)
+    results = [cell(c) for c in cells]
     meta = _base_metadata(cfg)
     meta["series_diagnostics"] = [diag for _, diag in results]
     columns = ("q", "t", "u", "v", "N", "value", "order_exponent", "ratio",
@@ -674,7 +663,8 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--gamma", type=float)
     sub.add_argument("--replicates", type=int)
     sub.add_argument("--seed", type=int)
-    sub.add_argument("--workers", type=int, default=1)
+    sub.add_argument("--workers", type=int,
+                     help="accepted and ignored: cells run one at a time")
     sub.add_argument("--out", default="results")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -758,7 +748,7 @@ def cli_main(argv=None) -> int:
                 "bvm": run_bvm,
                 "lemma-order": run_lemma_order,
             }[args.command]
-            tables = [(args.command, runner(cfg, workers=max(1, args.workers)))]
+            tables = [(args.command, runner(cfg))]
             if args.command == "contraction":
                 tables.append(("contraction_rates", rate_table(cfg)))
             paths = []

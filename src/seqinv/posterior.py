@@ -38,7 +38,6 @@ class PosteriorSummary:
 
     mean: np.ndarray
     var: np.ndarray
-    n: float
 
     def __post_init__(self):
         m = np.ascontiguousarray(self.mean, dtype=float)
@@ -118,7 +117,7 @@ def coordinate_posterior(prior: PriorSpec, fwd: ForwardSpec,
     for b in blocks:
         mean[b.sl] = obs.n * b.lam * b.kap * obs.y[b.sl] / b.denom
         var[b.sl] = b.s
-    return PosteriorSummary(mean=mean, var=var, n=obs.n)
+    return PosteriorSummary(mean=mean, var=var)
 
 
 def bias_coordinates(prior: PriorSpec, fwd: ForwardSpec, truth: Truth,

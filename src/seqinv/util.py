@@ -52,10 +52,8 @@ def stable_sum(values) -> float:
     a = np.ascontiguousarray(values, dtype=float).ravel()
     if a.size == 0:
         return 0.0
-    if a.size <= _CHUNK:
-        return math.fsum(a)
-    partials = [float(a[i:i + _CHUNK].sum()) for i in range(0, a.size, _CHUNK)]
-    return math.fsum(partials)
+    return stable_sums(((a[i:i + _CHUNK],) for i in range(0, a.size, _CHUNK)),
+                       a.size)[0]
 
 
 def stable_sums(blocks, size: int) -> tuple[float, ...]:
@@ -63,10 +61,11 @@ def stable_sums(blocks, size: int) -> tuple[float, ...]:
 
     `blocks` yields, for each consecutive _CHUNK-aligned run of indices
     (0.._CHUNK-1, _CHUNK..2*_CHUNK-1, ...), one tuple holding that run of
-    every array. Each position of the result equals stable_sum of its whole
-    array bit for bit, because the blocks are stable_sum's own chunks:
-    size <= _CHUNK is a single block summed by math.fsum element by element,
-    and a longer array contributes one numpy .sum() per block.
+    every array. size <= _CHUNK is a single block summed exactly by
+    math.fsum, and a longer array contributes one numpy .sum() per block.
+    fsum reads the block as a list: iterating the array itself would
+    box every element as a numpy scalar, and the exactly rounded sum is
+    the same either way.
     """
     whole = size <= _CHUNK
     parts = []
@@ -74,7 +73,7 @@ def stable_sums(blocks, size: int) -> tuple[float, ...]:
         if not parts:
             parts = [[] for _ in terms]
         for acc, a in zip(parts, terms):
-            acc.append(math.fsum(a) if whole else float(a.sum()))
+            acc.append(math.fsum(a.tolist()) if whole else float(a.sum()))
     return tuple(math.fsum(acc) for acc in parts)
 
 

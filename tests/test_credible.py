@@ -65,11 +65,11 @@ def test_weights_gap_identity():
 
 def test_weights_validation_and_noise_only():
     with pytest.raises(ValueError):
-        EigenWeights(s_w=[1.0], t_w=[2.0], n=1.0)
+        EigenWeights(s_w=[1.0], t_w=[2.0])
     with pytest.raises(DimensionMismatchError):
-        EigenWeights(s_w=[1.0, 2.0], t_w=[1.0], n=1.0)
+        EigenWeights(s_w=[1.0, 2.0], t_w=[1.0])
     with pytest.raises(ValueError):
-        EigenWeights(s_w=[1.0], t_w=[-0.1], n=1.0)
+        EigenWeights(s_w=[1.0], t_w=[-0.1])
     w = _weights(trunc=10)
     nw = w.noise_only()
     np.testing.assert_array_equal(nw.s_w, w.t_w)
@@ -100,7 +100,7 @@ def test_weights_at_gain_extremes():
 
 
 def test_ball_radius_single_weight_chi_square():
-    w = EigenWeights(s_w=[1.0], t_w=[0.5], n=1.0)
+    w = EigenWeights(s_w=[1.0], t_w=[0.5])
     r = ball_radius(w, gamma=0.05, method="monte-carlo", mc_samples=200_000,
                     seed=0)
     assert abs(r * r - 3.841459) <= 0.05
@@ -114,7 +114,7 @@ def test_ball_radius_equal_weights_chi_square():
     # Seven equal weights: moment matching recovers chi^2_7 exactly, and the
     # Monte Carlo quantile agrees to well under a percent.
     c = 5.0
-    w = EigenWeights(s_w=np.full(7, c), t_w=np.zeros(7), n=1.0)
+    w = EigenWeights(s_w=np.full(7, c), t_w=np.zeros(7))
     exact = c * stats.chi2.ppf(0.95, 7)
     r_sat = satterthwaite_radius(w.s_w, gamma=0.05)
     assert r_sat * r_sat == pytest.approx(exact, rel=1e-12)
@@ -129,7 +129,7 @@ def test_ball_radius_monotone_in_gamma_and_weights():
     radii = [ball_radius(w, gamma=g, **mc) for g in (0.01, 0.05, 0.2)]
     assert radii[0] > radii[1] > radii[2] > 0.0
 
-    doubled = EigenWeights(s_w=2.0 * w.s_w, t_w=2.0 * w.t_w, n=w.n)
+    doubled = EigenWeights(s_w=2.0 * w.s_w, t_w=2.0 * w.t_w)
     r1 = ball_radius(w, gamma=0.05, **mc)
     r2 = ball_radius(doubled, gamma=0.05, **mc)
     assert r2 == pytest.approx(math.sqrt(2.0) * r1, rel=1e-12)
@@ -143,7 +143,7 @@ def test_ball_radius_validation():
         ball_radius(w, gamma=0.05, method="monte-carlo", mc_samples=5000)
     with pytest.raises(ValueError):
         ball_radius(w, gamma=0.05, method="exact")
-    zero = EigenWeights(s_w=np.zeros(3), t_w=np.zeros(3), n=1.0)
+    zero = EigenWeights(s_w=np.zeros(3), t_w=np.zeros(3))
     with pytest.warns(UserWarning):
         assert ball_radius(zero, gamma=0.05) == 0.0
 
@@ -152,7 +152,7 @@ def test_imhof_radius_chi_square_laws():
     # One weight and equal weights are scaled chi-squares.
     for weights, dof in (([2.0], 1), (np.full(7, 5.0), 7),
                          (np.full(60, 0.3), 60)):
-        w = EigenWeights(s_w=weights, t_w=np.zeros(len(weights)), n=1.0)
+        w = EigenWeights(s_w=weights, t_w=np.zeros(len(weights)))
         for gamma in (0.01, 0.05, 0.5, 0.99):
             exact = weights[0] * stats.chi2.ppf(1.0 - gamma, dof)
             r = ball_radius(w, gamma, method="imhof")
@@ -164,7 +164,7 @@ def test_imhof_radius_scales_with_weights():
     r, abserr = ball_radius(w, 0.05, method="imhof", full_output=True)
     assert 0.0 < abserr <= 1e-8 * r
     for c in (1e-150, 0.37, 3.0, 1e150):
-        scaled = EigenWeights(s_w=c * w.s_w, t_w=c * w.t_w, n=w.n)
+        scaled = EigenWeights(s_w=c * w.s_w, t_w=c * w.t_w)
         assert ball_radius(scaled, 0.05, method="imhof") == pytest.approx(
             math.sqrt(c) * r, rel=1e-12)
 
@@ -522,7 +522,7 @@ def test_ball_coverage_without_sampling_spread():
     smallest = credible_weights(
         prior, ForwardSpec.polynomial(p=1.0, trunc=5), 5e-324)
     assert np.count_nonzero(smallest.t_w) == 1
-    zero = EigenWeights(s_w=np.ones(5), t_w=np.zeros(5), n=1.0)
+    zero = EigenWeights(s_w=np.ones(5), t_w=np.zeros(5))
     bias = np.full(5, 0.5)
     for w in (zero, smallest):
         for r, p in ((1.2, 1.0), (1.1, 0.0)):
@@ -532,7 +532,7 @@ def test_ball_coverage_without_sampling_spread():
         == (1.0, 0.0, 1.0, 0.0)
     # a spread far below the bias: a normal of sd 2 sqrt(sum b^2 t) ~ 1e-150
     # about sum b^2 = 1.25
-    tiny = EigenWeights(s_w=np.ones(5), t_w=np.full(5, 1e-300), n=1.0)
+    tiny = EigenWeights(s_w=np.ones(5), t_w=np.full(5, 1e-300))
     for r, p in ((1.2, 1.0), (1.1, 0.0)):
         assert ball_coverage(tiny, bias, r, mc_samples=50, seed=1).exact \
             == pytest.approx(p, abs=1e-9)

@@ -201,7 +201,7 @@ def test_posterior_draws_reproducible_and_degenerate():
     np.testing.assert_array_equal(posterior_draws(1, post, 3),
                                   posterior_draws(1, post, 3))
     from seqinv.posterior import PosteriorSummary
-    flat = PosteriorSummary(mean=post.mean, var=np.zeros(5), n=10.0)
+    flat = PosteriorSummary(mean=post.mean, var=np.zeros(5))
     np.testing.assert_array_equal(posterior_draws(1, flat, 4),
                                   np.broadcast_to(post.mean, (4, 5)))
     with pytest.raises(ValueError):

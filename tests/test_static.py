@@ -98,7 +98,7 @@ def test_fresh_import_loads_neither_stats_nor_optimize(tmp_path):
         "import seqinv\n"
         "seen = {m: m in sys.modules for m in\n"
         "        ('scipy', 'scipy.special', 'scipy.stats', 'scipy.optimize',\n"
-        "         'mpmath')}\n"
+        "         'mpmath', 'concurrent.futures')}\n"
         "assert seqinv.cli_main(['contraction', '--out', sys.argv[1]]) == 0\n"
         "seen['special_after_contraction'] = 'scipy.special' in sys.modules\n"
         "assert seqinv.cli_main(['bvm', '--out', sys.argv[1]]) == 0\n"
@@ -117,7 +117,8 @@ def test_fresh_import_loads_neither_stats_nor_optimize(tmp_path):
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen == {"scipy": False, "scipy.special": False,
                     "scipy.stats": False, "scipy.optimize": False,
-                    "mpmath": False, "special_after_contraction": False,
+                    "mpmath": False, "concurrent.futures": False,
+                    "special_after_contraction": False,
                     "optimize_after_bvm": False,
                     "optimize_after_ball": False, "special_after_ball": True,
                     "mpmath_after_lemma": False}
