@@ -5,7 +5,9 @@ sum_i s_i Z_i^2 for the radius and sum_i t_i Z_i^2 for the noise radius,
 with `credible._WeightedChiSquare` (Imhof 1961), and evaluates the
 noncentral law of sum_i (sqrt(t_i) Z_i + b_i)^2 at the radius for the
 coverage. The bench times, at trunc 1e3, 1e5 and 1e6 (polynomial forward
-map and prior, alpha = p = 1, tau = 1, n = 1e6):
+map and prior, alpha = p = 1, tau = 1, n = 1e6), and at the `dominant`
+cell (trunc 500, alpha = 10, p = 2, n = 1e4), whose noise law has one
+dominant weight and takes four passes of the tail search:
 
 - `test_law_build`: the law of either weight sequence, i.e. the tail
   search and the panel tables;
@@ -38,21 +40,22 @@ from seqinv import credible
 from seqinv.model import ForwardSpec, PriorSpec, make_truth
 from seqinv.posterior import bias_coordinates
 
-N = 1e6
 GAMMA = 0.05
 REPLICATES = 500
-TRUNCS = {"1e3": 1_000, "1e5": 100_000, "1e6": 1_000_000}
+# cell: (trunc, alpha, p, n)
+CELLS = {"1e3": (1_000, 1.0, 1.0, 1e6), "1e5": (100_000, 1.0, 1.0, 1e6),
+         "1e6": (1_000_000, 1.0, 1.0, 1e6), "dominant": (500, 10.0, 2.0, 1e4)}
 
 
-@pytest.fixture(scope="module", params=sorted(TRUNCS))
+@pytest.fixture(scope="module", params=sorted(CELLS))
 def weights(request):
-    trunc = TRUNCS[request.param]
-    prior = PriorSpec(alpha=1.0, tau=1.0, trunc=trunc)
-    fwd = ForwardSpec.polynomial(1.0, trunc)
-    w = credible.credible_weights(prior, fwd, N)
+    trunc, alpha, p, n = CELLS[request.param]
+    prior = PriorSpec(alpha=alpha, tau=1.0, trunc=trunc)
+    fwd = ForwardSpec.polynomial(p, trunc)
+    w = credible.credible_weights(prior, fwd, n)
     truth = make_truth("smooth", trunc, beta=1.0, eps=0.01)
     return {"spread": w, "noise": w.noise_only(),
-            "bias": bias_coordinates(prior, fwd, truth, N)}
+            "bias": bias_coordinates(prior, fwd, truth, n)}
 
 
 @pytest.mark.parametrize("law", ["spread", "noise"])

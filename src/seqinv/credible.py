@@ -149,26 +149,21 @@ class _ImhofTerms(NamedTuple):
     blocks: list         # (lam, c or None) column blocks summed directly
     t: np.ndarray        # u / max(u)
     u_max: float
-    even_sums: list      # (k, sum mu^k), mu = lam * max(u), k even
-    odd_sums: list       # the same for odd k, if asked for
-    c_even_sums: list    # (k, sum c mu^k), k even, if c and asked for
-    c_odd_sums: list     # the same for odd k, if c is given
+    sums: list           # sum mu^k, mu = lam * max(u), k = 1, ..., 2K + 1
+    c_sums: list         # sum c mu^k, k = 0, ..., 2K, if c is given
 
 
-def _imhof_terms(lam: np.ndarray, u: np.ndarray, phase: bool,
+def _imhof_terms(lam: np.ndarray, u: np.ndarray,
                  c: np.ndarray | None = None) -> _ImhofTerms:
     """Split the coordinate sums of the Imhof integrand at the points u.
 
     Coordinates with lam * max(u) >= _SERIES_EDGE are summed directly, in
     column blocks; the others enter through power series in lam u, formed as
     power sums of mu = lam * max(u) times (u / max(u))^k so that no power of
-    lam or of u alone is taken (those underflow and overflow). The decay
-    reads the even power sums, the phase the odd ones, which are formed only
-    for a pass that reads the phase; both come from one loop of products
-    mu^k, k <= 2 _SERIES_TERMS + 1. The noncentral terms (weights c, see
-    _WeightedChiSquare) enter the same way through weighted power sums
-    sum c mu^k, k <= 2 _SERIES_TERMS: the odd ones for the decay, the even
-    ones for the phase.
+    lam or of u alone is taken (those underflow and overflow). One loop of
+    products gives sum mu^k, k <= 2K + 1 (K = _SERIES_TERMS), and, for the
+    noncentral terms (weights c, see _WeightedChiSquare), sum c mu^k,
+    k <= 2K.
     """
     u_max = float(u.max())
     mu = lam * u_max
@@ -179,57 +174,71 @@ def _imhof_terms(lam: np.ndarray, u: np.ndarray, phase: bool,
     blocks = [(big[lo:lo + step, None],
                None if c is None else c_big[lo:lo + step, None])
               for lo in range(0, big.size, step)]
-    sums = ([], [], [], [])   # even k, odd k, then the same weighted by c
+    sums, c_sums = [], []
     mu = mu[small]
-    last = 2 * _SERIES_TERMS + (1 if phase else 0)
     if mu.size:
         power = mu.copy()
-        for k in range(1, last + 1):
-            if phase or k % 2 == 0:
-                sums[k % 2].append((k, float(power.sum())))
-            if k < last:
+        c_power = None if c is None else c[small]
+        for k in range(2 * _SERIES_TERMS + 1):
+            if k:
                 power *= mu
-        if c is not None:
-            power = c[small]
-            last = 2 * _SERIES_TERMS - (0 if phase else 1)
-            for k in range(last + 1):
-                if phase or k % 2:
-                    sums[2 + k % 2].append((k, float(power.sum())))
-                if k < last:
-                    power *= mu
-    return _ImhofTerms(u, blocks, u / u_max, u_max, *sums)
+            sums.append(float(power.sum()))
+            if c is not None:
+                if k:
+                    c_power *= mu
+                c_sums.append(float(c_power.sum()))
+    return _ImhofTerms(u, blocks, u / u_max, u_max, sums, c_sums)
 
 
-def _imhof_phase(terms: _ImhofTerms):
-    """A = 1/2 sum [atan(lam u) + c u/(1+lam^2 u^2)] and the part of A' that
-    falls with u: 1/2 sum lam/(1+lam^2 u^2) and the series part of
-    1/2 sum c (1-v^2)/(1+v^2)^2.
+def _imhof_sums(terms: _ImhofTerms):
+    """A, the part of A' that falls with u, log rho and the central beta:
+
+        A = 1/2 sum [atan(v) + c u/(1+v^2)],  v = lam u,
+        falling A' = 1/2 sum lam/(1+v^2) + the series part of
+                     1/2 sum c (1-v^2)/(1+v^2)^2,
+        log rho = 1/4 sum log(1+v^2) + 1/2 sum c v u/(1+v^2),
+        beta = 1/2 sum v^2/(1+v^2).
 
     The series part holds the odd terms (-1)^m v^(2m+1) of atan v and
-    v/(1+v^2), v = lam u, and the terms (-1)^m c u v^(2m) of c u/(1+v^2),
-    (-1)^m (2m+1) c v^(2m) of its derivative; all its v lie below
-    _SERIES_EDGE < sqrt 3, where (1-v^2)/(1+v^2)^2 falls. The directly
-    summed c terms of A' do not fall everywhere; _direct_swing bounds them.
+    v/(1+v^2), the even terms (-1)^(m+1) v^(2m) of log1p(v^2) and
+    v^2/(1+v^2), and the terms (-1)^m c u v^(2m) of c u/(1+v^2),
+    (-1)^m (2m+1) c v^(2m) of its derivative and (-1)^m c u v^(2m+1) of
+    c v u/(1+v^2); all its v lie below _SERIES_EDGE < sqrt 3, where
+    (1-v^2)/(1+v^2)^2 falls. The directly summed c terms of A' do not fall
+    everywhere; _direct_swing bounds them. The c terms of log rho are summed
+    at twice their size, as the central ones are, and halved with them.
     """
     u, t, u_max = terms.u, terms.t, terms.u_max
-    a = np.zeros(u.size)
-    d_a = np.zeros(u.size)
+    a, d_a, log_rho, beta = (np.zeros(u.size) for _ in range(4))
     for blk, c_blk in terms.blocks:
         v = blk * u
         v2 = v * v
         a += np.arctan(v).sum(axis=0)
         d_a += (blk / (1.0 + v2)).sum(axis=0)
+        log_rho += np.log1p(v2).sum(axis=0)
+        beta += (v2 / (1.0 + v2)).sum(axis=0)
         if c_blk is not None:
             a += (c_blk * u / (1.0 + v2)).sum(axis=0)
-    for k, s_k in terms.odd_sums:
+            log_rho += 2.0 * (c_blk * v * u / (1.0 + v2)).sum(axis=0)
+    for k, s_k in enumerate(terms.sums, 1):
+        m = k // 2
+        if k % 2:
+            sign = -1.0 if m % 2 else 1.0
+            a += (sign * s_k / k) * t ** k
+            d_a += (sign * s_k / u_max) * t ** (k - 1)
+        else:
+            sign = 1.0 if m % 2 else -1.0
+            t_k = t ** k
+            log_rho += (sign * s_k / m) * t_k
+            beta += (sign * s_k) * t_k
+    for k, s_k in enumerate(terms.c_sums):
         sign = -1.0 if (k // 2) % 2 else 1.0
-        a += (sign * s_k / k) * t ** k
-        d_a += (sign * s_k / u_max) * t ** (k - 1)
-    for k, s_k in terms.c_even_sums:
-        sign = -1.0 if (k // 2) % 2 else 1.0
-        a += (sign * s_k * u_max) * t ** (k + 1)
-        d_a += (sign * (k + 1) * s_k) * t ** k
-    return 0.5 * a, 0.5 * d_a
+        if k % 2:
+            log_rho += (2.0 * sign * s_k * u_max) * t ** (k + 1)
+        else:
+            a += (sign * s_k * u_max) * t ** (k + 1)
+            d_a += (sign * (k + 1) * s_k) * t ** k
+    return 0.5 * a, 0.5 * d_a, 0.25 * log_rho, 0.5 * beta
 
 
 def _direct_swing(terms: _ImhofTerms) -> np.ndarray:
@@ -254,37 +263,6 @@ def _direct_swing(terms: _ImhofTerms) -> np.ndarray:
     return 0.5 * swing
 
 
-def _imhof_decay(terms: _ImhofTerms):
-    """log rho = 1/4 sum log(1+lam^2 u^2) + 1/2 sum c lam u^2/(1+lam^2 u^2)
-    and the central beta = 1/2 sum lam^2 u^2/(1+lam^2 u^2).
-
-    The series part holds the even terms (-1)^(m+1) v^(2m) of log1p(v^2)
-    and v^2/(1+v^2), v = lam u, and the terms (-1)^m c u v^(2m+1) of
-    c v u/(1+v^2). The c terms are summed at twice their size, as the
-    central ones are, and halved with them.
-    """
-    u, t, u_max = terms.u, terms.t, terms.u_max
-    log_rho = np.zeros(u.size)
-    beta = np.zeros(u.size)
-    for blk, c_blk in terms.blocks:
-        v = blk * u
-        v2 = v * v
-        log_rho += np.log1p(v2).sum(axis=0)
-        beta += (v2 / (1.0 + v2)).sum(axis=0)
-        if c_blk is not None:
-            log_rho += 2.0 * (c_blk * v * u / (1.0 + v2)).sum(axis=0)
-    for k, s_k in terms.even_sums:
-        m = k // 2
-        sign = 1.0 if m % 2 else -1.0
-        t_k = t ** k
-        log_rho += (sign * s_k / m) * t_k
-        beta += (sign * s_k) * t_k
-    for k, s_k in terms.c_odd_sums:
-        sign = -1.0 if (k // 2) % 2 else 1.0
-        log_rho += (2.0 * sign * s_k * u_max) * t ** (k + 1)
-    return 0.25 * log_rho, 0.5 * beta
-
-
 class _WeightedChiSquare:
     """Law of Q = sum_j (sqrt(w_j) Z_j + b_j)^2 (w_j >= 0; b = 0 if not
     given) by Imhof's inversion.
@@ -298,19 +276,21 @@ class _WeightedChiSquare:
 
     and its derivative, the density, is
     f(x) = (1/(2 pi)) int_0^inf cos(A(u) - x u/2) / rho(u) du; A and log rho
-    as in _imhof_phase and _imhof_decay, x less the offset. The integral is
-    cut at U, the first of the doublings of sqrt(2)/sd (1/||lam||_2 if
-    b = 0; _IMHOF_LADDER of them are tried per pass) where
+    as in _imhof_sums, x less the offset. The integral is cut at U, the
+    first of the doublings of sqrt(2)/sd (1/||lam||_2 if b = 0) where
     log rho(u) >= log rho(U) + beta(U) log(u/U) bounds the rest by
     exp(-log rho(U)) / (pi beta(U)) <= _IMHOF_TAIL; beta is the central
-    part's, since the c part of log rho does not fall with u. [0, U] is
-    split into panels at those doublings, each cut evenly until A leaves its
-    chord (slope s) by at most _IMHOF_PHASE and log rho grows by at most
-    _IMHOF_DECAY. The gap to the chord is at most width * (variation of A'
-    on the panel) / 4: the fall of the falling part of A' (_imhof_phase)
-    plus _direct_swing. On a panel the x-free factors
-    exp(i(A(u) - s u))/rho(u) and that over u are then smooth; each is
-    tabulated once as a Legendre series from Gauss-Legendre values, and the
+    part's, since the c part of log rho does not fall with u. Each pass of
+    that search adds _IMHOF_LADDER doublings and evaluates all of them, so
+    the last pass also gives the sums at the panel edges, the doublings
+    through U. [0, U] is split into panels at those edges, each cut evenly
+    until A leaves its chord (slope s) by at most _IMHOF_PHASE and log rho
+    grows by at most _IMHOF_DECAY. The gap to the chord is at most
+    width * (variation of A' on the panel) / 4: the fall of the falling part
+    of A' (_imhof_sums) plus _direct_swing. On a panel the x-free factors
+    exp(i(A(u) - s u))/rho(u) and that over u are then smooth; a second
+    evaluation, at the cuts and the Gauss-Legendre nodes, tabulates each
+    once as a Legendre series, and the
     x-dependent factor exp(-i(x/2 - s)u) is integrated against each
     Legendre polynomial exactly (a Filon-type rule), so a CDF and density
     value cost O(panels x nodes) however fast they oscillate. On the first
@@ -347,32 +327,31 @@ class _WeightedChiSquare:
             self.sd = math.sqrt(self.sd * self.sd
                                 + 4.0 * float((lam * c).sum()))
             self.k3 += 24.0 * float((lam * lam * c).sum())
-        edges = [0.0]
         u = math.sqrt(2.0) / self.sd
+        size = 0
         while True:
-            ladder = u * 2.0 ** np.arange(_IMHOF_LADDER)
-            log_rho, beta = _imhof_decay(_imhof_terms(lam, ladder, False, c))
+            # every doubling so far, so that the edges' sums below share one
+            # series/direct split; only the new ones can stop the search
+            size += _IMHOF_LADDER
+            ladder = u * 2.0 ** np.arange(size)
+            terms = _imhof_terms(lam, ladder, c)
+            _, d_a, log_rho, beta = _imhof_sums(terms)
             with np.errstate(over="ignore"):   # inf: beta is still tiny
                 tail = np.exp(-log_rho) / (math.pi * beta)
-            done = np.flatnonzero(tail <= _IMHOF_TAIL)
-            stop = done[0] if done.size else _IMHOF_LADDER - 1
-            edges.extend(ladder[:stop + 1])
+            done = np.flatnonzero(tail[-_IMHOF_LADDER:] <= _IMHOF_TAIL)
             if done.size:
-                self.tail = float(tail[stop])
                 break
-            u = 2.0 * ladder[-1]
-        edges = np.array(edges)
-        terms = _imhof_terms(lam, edges[1:], True, c)
-        _, d_a = _imhof_phase(terms)
-        log_rho, _ = _imhof_decay(terms)
+        stop = size - _IMHOF_LADDER + done[0] + 1   # edges through the cut-off
+        self.tail = float(tail[stop - 1])
+        edges = np.concatenate(([0.0], ladder[:stop]))
         # the falling part of A' at 0: 1/2 (sum lam + the series part's sum c)
-        c_series = terms.c_even_sums[0][1] if terms.c_even_sums else 0.0
-        d_a = np.concatenate(([0.5 * (lam_sum + c_series)], d_a))
-        log_rho = np.concatenate(([0.0], log_rho))
+        c_series = terms.c_sums[0] if terms.c_sums else 0.0
+        d_a = np.concatenate(([0.5 * (lam_sum + c_series)], d_a[:stop]))
+        log_rho = np.concatenate(([0.0], log_rho[:stop]))
         width = np.diff(edges)
         swing = d_a[:-1] - d_a[1:]
         if c is not None:
-            swing += _direct_swing(terms)
+            swing += _direct_swing(terms)[:stop]
         pieces = np.ceil(np.maximum.reduce([
             np.ones_like(width),
             width * swing / (4.0 * _IMHOF_PHASE),
@@ -384,10 +363,8 @@ class _WeightedChiSquare:
         self.half = 0.5 * (cuts[1:] - cuts[:-1])
         nodes = self.center[:, None] + self.half[:, None] * _GL_T
         panels = self.center.size
-        terms = _imhof_terms(lam, np.concatenate((cuts[1:], nodes.ravel())),
-                             True, c)
-        a, _ = _imhof_phase(terms)
-        log_rho, _ = _imhof_decay(terms)
+        a, _, log_rho, _ = _imhof_sums(_imhof_terms(
+            lam, np.concatenate((cuts[1:], nodes.ravel())), c))
         a_cut = np.concatenate(([0.0], a[:panels]))
         self.slope = np.diff(a_cut) / (2.0 * self.half)
         phase = a[panels:].reshape(panels, -1) - self.slope[:, None] * nodes

@@ -25,19 +25,22 @@ from pathlib import Path
 import numpy as np
 
 from . import credible, model, posterior, rates, volterra
-from .util import ConfigError, DimensionMismatchError, child_seed, seed_tag, \
-    stable_sum, stable_sums, write_csv, write_manifest
+from .util import ConfigError, DimensionMismatchError, child_seed, \
+    config_value, seed_tag, stable_sum, stable_sums, write_csv, write_manifest
 
 KINDS = ("contraction", "coverage-ball", "coverage-functional", "bvm",
          "volterra-demo", "lemma-order")
 # the extras keys each kind's runner reads: the forward map of a realized
 # cell, the rate table's slowly varying factor (read only with regime.q),
-# the lemma combos
+# the lemma combos, and the demo's own DemoConfig fields (a demo config may
+# carry kappa_kind, which is dropped: the demo's map is the Volterra one)
 _EXTRAS_READ = {
     "contraction": ("kappa_kind", "sv_log_power"),
     "coverage-ball": ("kappa_kind",),
     "coverage-functional": ("kappa_kind",),
     "bvm": ("kappa_kind",),
+    "volterra-demo": ("kappa_kind", "alphas", "draws", "grid_points", "trunc",
+                      "tau"),
     "lemma-order": ("combos",),
 }
 
@@ -98,6 +101,13 @@ class ExperimentConfig:
         if mode == "auto":
             _only_keys("trunc_policy", self.trunc_policy,
                        "mode", "floor", "factor")
+            if _spec_value("auto trunc_policy", self.trunc_policy, "floor",
+                           1000, int) < 1:
+                raise ConfigError("auto trunc_policy needs a floor >= 1")
+            if not 0.0 < _spec_value("auto trunc_policy", self.trunc_policy,
+                                     "factor", 10.0) < math.inf:
+                raise ConfigError(
+                    "auto trunc_policy needs a finite factor > 0")
         elif mode == "fixed":
             _only_keys("trunc_policy", self.trunc_policy, "mode", "value")
             if _spec_value("fixed trunc_policy", self.trunc_policy, "value",
@@ -107,33 +117,13 @@ class ExperimentConfig:
             raise ConfigError("trunc_policy mode must be 'auto' or 'fixed'")
         if not isinstance(self.extras, dict):
             raise ConfigError(f"extras must be an object, got {self.extras!r}")
-        # volterra-demo's extras go to DemoConfig
-        if self.kind != "volterra-demo":
-            keys = _EXTRAS_READ[self.kind]
-            if self.regime.q is None:   # no functional rate to scale
-                keys = tuple(k for k in keys if k != "sv_log_power")
-            _only_keys(f"{self.kind} extras", self.extras, *keys)
+        keys = _EXTRAS_READ[self.kind]
+        if self.regime.q is None:   # no functional rate to scale
+            keys = tuple(k for k in keys if k != "sv_log_power")
+        _only_keys(f"{self.kind} extras", self.extras, *keys)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "regime": {
-                "alpha": self.regime.alpha,
-                "beta": self.regime.beta,
-                "p": self.regime.p,
-                "q": self.regime.q,
-                "tau_exponent": self.regime.tau_exponent,
-            },
-            "truth_spec": dict(self.truth_spec),
-            "functional_spec": None if self.functional_spec is None
-            else dict(self.functional_spec),
-            "n_grid": list(self.n_grid),
-            "gamma": self.gamma,
-            "replicates": self.replicates,
-            "master_seed": self.master_seed,
-            "trunc_policy": dict(self.trunc_policy),
-            "extras": dict(self.extras),
-        }
+        return dataclasses.asdict(self) | {"n_grid": list(self.n_grid)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -194,29 +184,15 @@ class ResultTable:
 # --- realization helpers ---------------------------------------------------
 
 def _spec_value(what: str, spec, key: str, default=None, kind=float):
-    """kind(spec[key]), or default if absent; bad input is a ConfigError.
-
-    A bool is refused whatever the kind (JSON true is a typo, not 1), a
-    string where kind is int or float ("1.0" is quoted by mistake, not read),
-    and a fractional number where kind is int (2.7 is not truncated to 2).
-    """
+    """config_value of spec[key], or default if absent; bad input is a
+    ConfigError."""
     if not isinstance(spec, dict):
         raise ConfigError(f"{what} must be an object, got {spec!r}")
     if key not in spec:
         if default is None:
             raise ConfigError(f"{what} needs {key!r}")
         return default
-    value = spec[key]
-    try:
-        if isinstance(value, bool) or (
-                kind in (int, float) and isinstance(value, str)):
-            raise TypeError
-        out = kind(value)
-        if kind is int and isinstance(value, float) and out != value:
-            raise ValueError
-        return out
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{what}: bad {key!r} value {value!r}") from None
+    return config_value(what, key, spec[key], kind)
 
 
 def _only_keys(what: str, spec: dict, *keys: str) -> None:
@@ -389,12 +365,6 @@ def _contraction_pass(prior, fwd, truth, n, replicates, master_seed, cell):
     *rd, err_sq, scatter, var = stable_sums(terms(), prior.trunc)
     return (posterior.RiskDecomposition(*rd), err_sq + scatter / replicates,
             math.sqrt(2.0 * var / replicates))
-
-
-def _mc_estimator_risk(prior, fwd, truth, n, replicates, master_seed, cell):
-    """Monte Carlo mean and stderr of ||posterior mean - truth||^2."""
-    return _contraction_pass(prior, fwd, truth, n, replicates, master_seed,
-                             cell)[1:]
 
 
 def run_contraction(cfg: ExperimentConfig) -> ResultTable:
@@ -584,19 +554,18 @@ def demo_config_from(cfg: ExperimentConfig, out_dir) -> volterra.DemoConfig:
                 f"volterra-demo does not read {name}: it takes its priors "
                 "from extras.alphas and extras.tau and its truncation from "
                 "extras.trunc")
-    extras = dict(cfg.extras)
-    extras.pop("kappa_kind", None)
     if len(cfg.n_grid) != 1:
         raise ConfigError("volterra-demo uses a single n (n_grid of length 1)")
-    payload = {
+    # the extras hold only the demo's own keys (see _EXTRAS_READ)
+    extras = {k: v for k, v in cfg.extras.items() if k != "kappa_kind"}
+    return volterra.DemoConfig.from_dict({
+        **extras,
         "n": cfg.n_grid[0],
         "replicates": cfg.replicates,
         "gamma": cfg.gamma,
         "master_seed": cfg.master_seed,
         "out_dir": str(out_dir),
-    }
-    payload.update(extras)
-    return volterra.DemoConfig.from_dict(payload)
+    })
 
 
 def run_volterra_demo(cfg: ExperimentConfig, out_dir) -> list[Path]:

@@ -24,7 +24,7 @@ from .model import ForwardSpec, KappaKind, Observation, PriorSpec, \
     generate_observation, make_truth
 from .posterior import Functional, coordinate_posterior, posterior_draws
 from .util import ConfigError, DimensionMismatchError, child_seed, \
-    write_csv, write_manifest
+    config_value, write_csv, write_manifest
 
 
 def _check_unit_interval(x) -> np.ndarray:
@@ -215,10 +215,22 @@ class DemoConfig:
     out_dir: str = "demo_out"
 
     def __post_init__(self):
+        # a bool, a string or a fraction where an integer is read is refused
+        for name, kind in (("n", float), ("replicates", int),
+                           ("master_seed", int), ("grid_points", int),
+                           ("draws", int), ("trunc", int), ("gamma", float),
+                           ("tau", float)):
+            object.__setattr__(self, name, config_value(
+                "demo config", name, getattr(self, name), kind))
         if not (self.n > 0):
             raise ConfigError("n must be positive")
-        alphas = tuple(float(a) for a in self.alphas)
-        if not alphas or any(a <= 0 for a in alphas):
+        if isinstance(self.alphas, str) or not hasattr(self.alphas,
+                                                        "__iter__"):
+            raise ConfigError(
+                f"alphas must be a list of numbers, got {self.alphas!r}")
+        alphas = tuple(config_value("demo config", "alphas", a)
+                       for a in self.alphas)
+        if not alphas or not all(a > 0 for a in alphas):
             raise ConfigError("alphas must be positive and nonempty")
         object.__setattr__(self, "alphas", alphas)
         if self.replicates < 1:

@@ -115,8 +115,8 @@ def imhof_sums(lam, u, series_edge, series_terms, block):
     """A, A', log rho and beta of the Imhof integrand at the points u > 0,
     all four from one loop.
 
-    The combined evaluator the credible-ball law used before its phase and
-    decay sums were split: A = 1/2 sum atan(lam u),
+    The central evaluator, written out on its own as the reference that
+    credible._imhof_sums must match bit for bit: A = 1/2 sum atan(lam u),
     A' = 1/2 sum lam/(1+lam^2 u^2), log rho = 1/4 sum log(1+lam^2 u^2) and
     beta = 1/2 sum lam^2 u^2/(1+lam^2 u^2). Coordinates with
     lam * max(u) >= series_edge are summed in column blocks of about

@@ -285,11 +285,10 @@ def test_imhof_quantile_with_one_dominant_weight(monkeypatch):
         assert abs(x - root * law.scale) <= err, prob
 
 
-def test_imhof_phase_and_decay_match_the_combined_sums():
-    # The split sums do the arithmetic of the combined loop, bit for bit,
-    # whether or not the pass forms the phase's power sums too:
-    # one point (the tail search), a few edges, and enough points that the
-    # directly summed coordinates come in several column blocks.
+def test_imhof_sums_match_the_combined_loop():
+    # The law's evaluator does the arithmetic of the combined loop, bit for
+    # bit: one point, a few edges, and enough points that the directly
+    # summed coordinates come in several column blocks.
     rng = np.random.default_rng(11)
     lams = [IMHOF_LAWS[name] for name in
             ("trunc-1000", "trunc-1000-noise", "dominant")]
@@ -298,17 +297,27 @@ def test_imhof_phase_and_decay_match_the_combined_sums():
         lam = weights[weights > 0] / weights.max()
         for u in (np.array([0.7]), np.geomspace(0.05, 80.0, 12),
                   np.sort(rng.uniform(0.0, 3e3, 2000)) + 1e-3):
-            a, d_a, log_rho, beta = imhof_sums(
-                lam, u, credible._SERIES_EDGE, credible._SERIES_TERMS,
-                credible._BLOCK)
-            both = credible._imhof_terms(lam, u, True)
-            decay = credible._imhof_terms(lam, u, False)
-            assert decay.odd_sums == []
-            for got, ref in zip(credible._imhof_phase(both)
-                                + credible._imhof_decay(both)
-                                + credible._imhof_decay(decay),
-                                (a, d_a, log_rho, beta, log_rho, beta)):
-                np.testing.assert_array_equal(got, ref)
+            ref = imhof_sums(lam, u, credible._SERIES_EDGE,
+                             credible._SERIES_TERMS, credible._BLOCK)
+            got = credible._imhof_sums(credible._imhof_terms(lam, u))
+            for g, r in zip(got, ref):
+                np.testing.assert_array_equal(g, r)
+
+
+def test_imhof_law_takes_one_evaluation_per_ladder_pass(monkeypatch):
+    # The tail search's last pass holds every doubling so far and gives the
+    # panel edges too, so a law costs one evaluation per ladder pass plus
+    # one at the panel nodes: two if the cut-off lies in the first pass.
+    calls = []
+    terms = credible._imhof_terms
+    monkeypatch.setattr(credible, "_imhof_terms",
+                        lambda *args: calls.append(args) or terms(*args))
+    for name, passes in (("trunc-1000", 1), ("one", 6), ("dominant", 4)):
+        calls.clear()
+        _WeightedChiSquare(IMHOF_LAWS[name])
+        assert len(calls) == passes + 1, name
+        assert [args[1].size for args in calls[:-1]] == [
+            credible._IMHOF_LADDER * (k + 1) for k in range(passes)], name
 
 
 def test_imhof_radius_extreme_weights_finite():
@@ -461,10 +470,9 @@ def test_noncentral_panels_keep_the_phase_near_its_chord(monkeypatch):
     lo, hi = law.center - law.half, law.center + law.half
     for a, b, slope in zip(lo, hi, law.slope):
         u = np.linspace(a, b, 64)[1:]
-        phase, _ = credible._imhof_phase(
-            credible._imhof_terms(lam, u, True, c))
-        start = credible._imhof_phase(credible._imhof_terms(
-            lam, np.array([a]), True, c))[0][0] if a > 0 else 0.0
+        phase = credible._imhof_sums(credible._imhof_terms(lam, u, c))[0]
+        start = credible._imhof_sums(credible._imhof_terms(
+            lam, np.array([a]), c))[0][0] if a > 0 else 0.0
         gap = phase - start - slope * (u - a)
         assert np.max(np.abs(gap)) <= credible._IMHOF_PHASE
 

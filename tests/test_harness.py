@@ -232,7 +232,8 @@ def test_mc_risk_has_the_replicate_loop_law(replicates):
     t = n * i ** -6.0 / (1.0 + gain) ** 2
     exact = float(np.sum(b * b + t))
     draws = np.array([
-        harness._mc_estimator_risk(prior, fwd, truth, n, replicates, 7, cell)
+        harness._contraction_pass(prior, fwd, truth, n, replicates, 7,
+                                  cell)[1:]
         for cell in range(4000)])
     se = math.sqrt(2.0 * np.sum(t * (t + 2.0 * b * b)) / replicates)
     np.testing.assert_allclose(draws[:, 1], se, rtol=1e-12)
@@ -585,6 +586,28 @@ MALFORMED_CONFIGS = {
     "lemma-combo-extra-key": (
         "lemma-order", {"extras": {"combos": [{"q": 1.0, "t": 1.0, "u": 2.5,
                                                "v": 2.0, "w": 1.0}]}}),
+    "auto-trunc-floor-zero": (
+        "contraction", {"trunc_policy": {"mode": "auto", "floor": 0,
+                                         "factor": 0.0}}),
+    "auto-trunc-floor-negative": (
+        "contraction", {"trunc_policy": {"mode": "auto", "floor": -3}}),
+    "auto-trunc-factor-negative": (
+        "contraction", {"trunc_policy": {"mode": "auto", "factor": -1.0}}),
+    "auto-trunc-factor-zero": (
+        "bvm", {"trunc_policy": {"mode": "auto", "floor": 1000,
+                                 "factor": 0.0}}),
+    # the demo's extras set only its own keys, never a config field
+    "demo-extras-out-dir": ("volterra-demo", {"extras": {"out_dir": "x"}}),
+    "demo-extras-n-and-replicates": (
+        "volterra-demo", {"extras": {"n": 7.0, "replicates": 2}}),
+    "demo-extras-gamma": ("volterra-demo", {"extras": {"gamma": 0.1}}),
+    "demo-alphas-string": ("volterra-demo", {"extras": {"alphas": "abc"}}),
+    "demo-alphas-quoted": ("volterra-demo", {"extras": {"alphas": ["1.0"]}}),
+    "demo-trunc-fractional": ("volterra-demo", {"extras": {"trunc": 2.5}}),
+    "demo-draws-bool": ("volterra-demo", {"extras": {"draws": True}}),
+    "demo-grid-points-quoted": (
+        "volterra-demo", {"extras": {"grid_points": "401"}}),
+    "demo-tau-bool": ("volterra-demo", {"extras": {"tau": True}}),
 }
 
 
@@ -642,6 +665,19 @@ def test_cli_volterra_demo_refuses_unread_config_fields(tmp_path, capsys):
         assert all(k in err for k in ("extras.alphas", "extras.tau",
                                       "extras.trunc"))
     assert not (tmp_path / "demo").exists()
+
+
+def test_cli_volterra_demo_extras_do_not_move_its_output(tmp_path, capsys):
+    # An out_dir, n or replicates in extras would override --out and the
+    # config's fields; the demo refuses them and writes nothing anywhere.
+    elsewhere = tmp_path / "elsewhere"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(default_config("volterra-demo").to_dict() | {
+        "extras": {"out_dir": str(elsewhere), "n": 7.0, "replicates": 2}}))
+    assert cli_main(["volterra-demo", "--config", str(path), "--out",
+                     str(tmp_path / "demo")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not elsewhere.exists() and not (tmp_path / "demo").exists()
 
 
 def test_cli_error_exit_codes(tmp_path):
