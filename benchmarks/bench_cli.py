@@ -6,9 +6,12 @@ loads, the cells and the table writes. One round starts that command for
 one kind with this checkout's src/ on PYTHONPATH and waits for it to exit;
 every default kind is a separate parametrized bench. It waits with no
 timeout, since with one `subprocess` polls the child in sleeps of up to 50
-ms and every time rounds up to a poll. The file sits outside
-tests/, so the test suite does not collect it. Run it from the repository
-root with one BLAS thread, as the benchmark runs seqinv:
+ms and every time rounds up to a poll: `os.wait4` blocks until the child
+exits and also returns its resource usage, whose `ru_maxrss` (KiB on Linux)
+is recorded per round as `peak_rss_mb` in the bench's `extra_info`. The
+file sits outside tests/, so the test suite does not collect it. Run it
+from the repository root with one BLAS thread, as the benchmark runs
+seqinv:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest \\
         benchmarks/bench_cli.py --benchmark-json=BENCH.json
@@ -30,14 +33,21 @@ KINDS = ("contraction", "coverage-ball", "coverage-functional", "bvm",
 ROUNDS = 7
 
 
-def _run(kind, out, env):
-    subprocess.run([sys.executable, "-m", "seqinv", kind, "--out", str(out)],
-                   env=env, check=True, stdout=subprocess.DEVNULL)
+def _run(kind, out, env, peaks):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "seqinv", kind, "--out", str(out)], env=env,
+        stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0, proc.returncode
+    peaks.append(usage.ru_maxrss / 1024.0)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_default_run(benchmark, kind, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    benchmark.pedantic(_run, args=(kind, tmp_path, env), rounds=ROUNDS,
-                       iterations=1, warmup_rounds=1)
+    peaks = []
+    benchmark.pedantic(_run, args=(kind, tmp_path, env, peaks),
+                       rounds=ROUNDS, iterations=1, warmup_rounds=1)
     assert (tmp_path / "manifest.json").is_file()
+    benchmark.extra_info["peak_rss_mb"] = peaks[-ROUNDS:]

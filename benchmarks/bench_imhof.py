@@ -15,12 +15,15 @@ dominant weight and takes four passes of the tail search:
   the law and its 0.95 quantile, as the cell computes it;
 - `test_ball_coverage`: `credible.ball_coverage(w, bias, r, 500, seed)` at
   the smooth truth mu_i = i^(-1.51) (beta = 1, eps = 0.01), as the cell
-  computes it with 500 replicates.
+  computes it with 500 replicates;
+- `test_cdf_pdf`: one CDF and density evaluation of either law, at its
+  0.95 quantile, the step that the quantile search repeats.
 
 Each radius is checked after its bench: its error bound is below 1e-8
 relative, and r^2 lies in the Cantelli bracket of the 0.95 quantile, from
 mean - sd sqrt(0.05/0.95) to mean + sd sqrt(0.95/0.05). Each coverage is a
-share of the 500 draws with its binomial standard error. The file sits
+share of the 500 draws with its binomial standard error. Each CDF value
+lies within 1e-8 of 0.95, and each density is positive. The file sits
 outside tests/, so the test suite does not collect it. Run it from the
 repository root with one BLAS thread, as the benchmark runs seqinv:
 
@@ -84,3 +87,11 @@ def test_ball_coverage(benchmark, weights):
     assert hits == round(hits) and 0 <= hits <= REPLICATES
     assert report.mc_stderr == pytest.approx(
         math.sqrt(report.coverage * (1.0 - report.coverage) / REPLICATES))
+
+
+@pytest.mark.parametrize("law", ["spread", "noise"])
+def test_cdf_pdf(benchmark, weights, law):
+    built = credible._WeightedChiSquare(weights[law].s_w)
+    x = built.quantile(1.0 - GAMMA)[0] / built.scale
+    cdf, density = benchmark(built.cdf_pdf, x)
+    assert abs(cdf - (1.0 - GAMMA)) <= 1e-8 and density > 0.0

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
@@ -220,24 +221,24 @@ def _imhof_sums(terms: _ImhofTerms):
         if c_blk is not None:
             a += (c_blk * u / (1.0 + v2)).sum(axis=0)
             log_rho += 2.0 * (c_blk * v * u / (1.0 + v2)).sum(axis=0)
+    t_pow = [t ** k for k in range(len(terms.sums) + 1)]
     for k, s_k in enumerate(terms.sums, 1):
         m = k // 2
         if k % 2:
             sign = -1.0 if m % 2 else 1.0
-            a += (sign * s_k / k) * t ** k
-            d_a += (sign * s_k / u_max) * t ** (k - 1)
+            a += (sign * s_k / k) * t_pow[k]
+            d_a += (sign * s_k / u_max) * t_pow[k - 1]
         else:
             sign = 1.0 if m % 2 else -1.0
-            t_k = t ** k
-            log_rho += (sign * s_k / m) * t_k
-            beta += (sign * s_k) * t_k
+            log_rho += (sign * s_k / m) * t_pow[k]
+            beta += (sign * s_k) * t_pow[k]
     for k, s_k in enumerate(terms.c_sums):
         sign = -1.0 if (k // 2) % 2 else 1.0
         if k % 2:
-            log_rho += (2.0 * sign * s_k * u_max) * t ** (k + 1)
+            log_rho += (2.0 * sign * s_k * u_max) * t_pow[k + 1]
         else:
-            a += (sign * s_k * u_max) * t ** (k + 1)
-            d_a += (sign * (k + 1) * s_k) * t ** k
+            a += (sign * s_k * u_max) * t_pow[k + 1]
+            d_a += (sign * (k + 1) * s_k) * t_pow[k]
     return 0.5 * a, 0.5 * d_a, 0.25 * log_rho, 0.5 * beta
 
 
@@ -261,6 +262,90 @@ def _direct_swing(terms: _ImhofTerms) -> np.ndarray:
             turns, np.maximum(h[:, :-1], h[:, 1:]) + 0.125,
             np.abs(np.diff(h, axis=1)))).sum(axis=0)
     return 0.5 * swing
+
+
+def _spherical_jn_orders(z: float) -> list[float]:
+    """j_0(z), ..., j_15(z), the spherical Bessel functions, for one z >= 0.
+
+    From z = 15 on, the recurrence j_(k+1) = (2k+1)/z j_k - j_(k-1) is run
+    upward from j_0 = sin z / z and j_1 = (j_0 - cos z) / z; it is stable
+    while k <= z. Below that it is run downward (Miller's algorithm; Gautschi,
+    SIAM Review 9, 1967) from zero above order 24 + 1.2 z, for g_k = j_k / z^k,
+    g_(k-1) = (2k+1) g_k - z^2 g_(k+1), which neither overflows nor
+    underflows at small z; the result is scaled to match whichever of j_0 and
+    j_1 is larger.
+    """
+    if z >= _IMHOF_NODES - 1:
+        j0 = math.sin(z) / z
+        j = [j0, (j0 - math.cos(z)) / z]
+        for k in range(1, _IMHOF_NODES - 1):
+            j.append((2 * k + 1) / z * j[k] - j[k - 1])
+        return j
+    if z == 0.0:
+        return [1.0] + [0.0] * (_IMHOF_NODES - 1)
+    z2 = z * z
+    g_next, g = 0.0, 1.0
+    gs = []
+    for k in range(int(24.0 + 1.2 * z), 0, -1):   # g = g_k -> g_(k-1)
+        if k < _IMHOF_NODES:
+            gs.append(g)
+        g_next, g = g, (2 * k + 1) * g - z2 * g_next
+    gs.append(g)
+    gs.reverse()                                    # g_0, ..., g_15
+    j0 = math.sin(z) / z
+    if abs(gs[0]) >= abs(gs[1] * z):
+        scale = j0 / gs[0]
+    else:
+        scale = (j0 - math.cos(z)) / (z * z * gs[1])
+    j = []
+    for g in gs:
+        j.append(g * scale)
+        scale *= z
+    return j
+
+
+def _sine_integral(x: float) -> float:
+    """Si(x) = int_0^x sin(t)/t dt.
+
+    A power series for |x| <= 4; beyond, Si(x) = pi/2 + Im(e^(-ix) h) with
+    h = e^(ix) E1(ix) from its continued fraction, by modified Lentz (as in
+    Numerical Recipes' cisi); +-pi/2 once |x| > 2^53, where
+    |Si(x) - pi/2| <= 1/|x| is below half an ulp of pi/2. nan gives nan.
+    """
+    ax = abs(x)
+    if ax > 2.0 ** 53:
+        return math.copysign(0.5 * math.pi, x)
+    if not ax > 4.0:
+        x2 = x * x
+        term, total = x, x
+        for n in range(1, 17):   # the terms past n = 16 are below 1e-18
+            term *= -x2 / ((2 * n) * (2 * n + 1))
+            total += term / (2 * n + 1)
+        return total
+    b = complex(1.0, ax)
+    c, d = 1e300, 1.0 / b
+    h = d
+    for i in range(1, 100):   # at most about 50 steps, just above |x| = 4
+        a = -float(i * i)
+        b += 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        step = c * d
+        h *= step
+        if abs(step - 1.0) <= 2.0 ** -52:
+            break
+    si = 0.5 * math.pi + (complex(math.cos(ax), -math.sin(ax)) * h).imag
+    return math.copysign(si, x)
+
+
+def _panel_cuts(edges: np.ndarray, pieces: np.ndarray) -> np.ndarray:
+    """edges[i] to edges[i + 1] cut into pieces[i] equal panels: the cuts,
+    last edge included, with np.linspace's arithmetic
+    j * ((b - a) / k) + a, so the same bits as one linspace per edge."""
+    start = np.repeat(edges[:-1], pieces)
+    step = np.repeat(np.diff(edges) / pieces, pieces)
+    j = np.arange(start.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    return np.append(j * step + start, edges[-1])
 
 
 class _WeightedChiSquare:
@@ -296,6 +381,12 @@ class _WeightedChiSquare:
     value cost O(panels x nodes) however fast they oscillate. On the first
     panel [0, b] the 1/u pole of the CDF integrand is split off and
     integrated in closed form, as the sine integral Si((x/2 - s) b).
+    Both special functions are computed here, in plain floats: the
+    spherical Bessel values j_0..j_15 of each panel from one sin/cos pair by
+    their three-term recurrence (_spherical_jn_orders: upward from z = 15,
+    Miller's downward form below), and Si by its power series or the
+    continued fraction of E1 (_sine_integral); both are within a few eps of
+    30-digit values, so a CDF evaluation loads no scipy.
     """
 
     def __init__(self, weights: np.ndarray, bias=None):
@@ -356,9 +447,7 @@ class _WeightedChiSquare:
             np.ones_like(width),
             width * swing / (4.0 * _IMHOF_PHASE),
             np.diff(log_rho) / _IMHOF_DECAY])).astype(int)
-        cuts = np.concatenate(
-            [np.linspace(a, b, k, endpoint=False)
-             for a, b, k in zip(edges[:-1], edges[1:], pieces)] + [edges[-1:]])
+        cuts = _panel_cuts(edges, pieces)
         self.center = 0.5 * (cuts[1:] + cuts[:-1])
         self.half = 0.5 * (cuts[1:] - cuts[:-1])
         nodes = self.center[:, None] + self.half[:, None] * _GL_T
@@ -379,15 +468,13 @@ class _WeightedChiSquare:
 
     def cdf_pdf(self, x: float) -> tuple[float, float]:
         """P(Q <= x) and the density at x, in the units of lam."""
-        from scipy import special
         nu = 0.5 * (x - self.offset) - self.slope
         z = nu * self.half
-        j = special.spherical_jn(np.arange(_IMHOF_NODES), np.abs(z)[:, None])
+        j = np.array([_spherical_jn_orders(abs(v)) for v in z.tolist()])
         j[:, 1::2] *= np.sign(z)[:, None]   # j_k(-z) = (-1)^k j_k(z)
         turn = np.exp(-1j * nu * self.center)
         panel = (self.moments * j).sum(axis=1) * turn
-        integral = float(panel.imag.sum()) \
-            - float(special.sici(2.0 * z[0])[0])
+        integral = float(panel.imag.sum()) - _sine_integral(2.0 * float(z[0]))
         density = float(((self.density_moments * j).sum(axis=1)
                           * turn).real.sum())
         return 0.5 - integral / math.pi, density / (2.0 * math.pi)
@@ -395,10 +482,15 @@ class _WeightedChiSquare:
     def quantile(self, prob: float) -> tuple[float, float]:
         """x with P(Q <= x) = prob, in the units of w, and its error bound.
 
-        Safeguarded Newton on the CDF inside Cantelli's bracket [lo, hi],
-        from the normal approximation or, where that is at or below lo, from
-        the shifted chi-square with the law's first three cumulants (Pearson,
-        Biometrika 46, 1959; exact for one weight), so that a law with one
+        Safeguarded Newton on the CDF inside Cantelli's bracket [lo, hi].
+        It starts from the shifted chi-square with the law's first three
+        cumulants (Pearson, Biometrika 46, 1959; exact for one weight), at
+        the Wilson-Hilferty approximation of its quantile, whose cube root
+        is nearly normal, so that Newton does not start in the convex lower
+        tail at small prob; where that approximation is not positive, from
+        the normal approximation (statistics.NormalDist, Wichura's AS 241).
+        Where the start is at or below lo, it takes the shifted chi-square's
+        exact quantile (scipy.special.gammaincinv), so that a law with one
         dominant weight does not start at x = 0, where its density is
         infinite and Newton cannot step. A step that leaves the bracket of
         the points seen so far goes to a bracket end not yet evaluated, or
@@ -407,7 +499,6 @@ class _WeightedChiSquare:
         The bound adds the root tolerance to the cut-off's CDF error divided
         by the closed-form density at the last point evaluated.
         """
-        from scipy import special
         m, sd = self.mean, self.sd
         # Cantelli's inequality puts the quantile inside [lo, hi]
         lo = max(0.0, m - sd * math.sqrt((1.0 - prob) / prob))
@@ -415,13 +506,20 @@ class _WeightedChiSquare:
         xtol = _IMHOF_ROOT_RTOL * hi
         a, b = lo, hi            # the root lies in [a, b]
         seen_a = seen_b = False  # whether F has been evaluated at a, at b
-        x = m + sd * float(special.ndtri(prob))
-        if x <= lo and self.k3 > 0.0:
+        z_p = NormalDist().inv_cdf(prob)
+        x = m + sd * z_p
+        if self.k3 > 0.0:
             # Q ~ m + g (G - shape), G ~ Gamma(shape, 1), has the law's
-            # mean, variance and third cumulant
+            # mean, variance and third cumulant; Wilson-Hilferty's cube
+            # root of G is nearly normal
             g = self.k3 / (2.0 * sd * sd)
             shape = (sd / g) ** 2
-            x = m + g * (float(special.gammaincinv(shape, prob)) - shape)
+            w = 1.0 - 1.0 / (9.0 * shape) + z_p / (3.0 * math.sqrt(shape))
+            if w > 0.0:
+                x = m + g * shape * (w * w * w - 1.0)
+            if x <= lo:
+                from scipy import special
+                x = m + g * (float(special.gammaincinv(shape, prob)) - shape)
         x = min(max(x, lo), hi)
         while True:
             cdf, density = self.cdf_pdf(x)

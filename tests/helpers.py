@@ -158,6 +158,14 @@ def imhof_sums(lam, u, series_edge, series_terms, block):
     return 0.5 * out[0], 0.5 * out[1], 0.25 * out[2], 0.5 * out[3]
 
 
+def linspace_cuts(edges, pieces):
+    """Cuts of the Imhof panels, one np.linspace per edge interval: each
+    [edges[i], edges[i + 1]) in pieces[i] equal steps, then the last edge."""
+    return np.concatenate(
+        [np.linspace(a, b, k, endpoint=False)
+         for a, b, k in zip(edges[:-1], edges[1:], pieces)] + [edges[-1:]])
+
+
 def imhof_cutoff(lam, tail_tol, series_edge, series_terms, block):
     """Cut-off U of the central Imhof integral and its tail bound, by one
     imhof_sums pass per doubling.

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize, stats
 
-from helpers import imhof_cutoff, imhof_sums, mc_ball_coverage, \
-    satterthwaite_radius
+from helpers import imhof_cutoff, imhof_sums, linspace_cuts, \
+    mc_ball_coverage, satterthwaite_radius
 from seqinv import credible
 from seqinv.credible import (
     BvmDiagnostics,
@@ -283,6 +283,82 @@ def test_imhof_quantile_with_one_dominant_weight(monkeypatch):
         root = optimize.brentq(lambda y: cdf_pdf(law, y)[0] - prob, 0.0,
                                law.mean, xtol=1e-300, rtol=1e-15)
         assert abs(x - root * law.scale) <= err, prob
+
+
+def test_imhof_quantile_at_small_prob(monkeypatch):
+    # Newton from the normal start ran into the convex lower tail: 11 CDF
+    # evaluations at p = 0.001 and 9 at p = 0.01 on the spread law of a
+    # trunc-1000 cell. The Wilson-Hilferty start needs at most six, and the
+    # root is Brent's root of the same CDF within the returned error bound.
+    law = _WeightedChiSquare(_weights(alpha=1.0, p=1.0, trunc=1000,
+                                      n=1e5).s_w)
+    calls = []
+    cdf_pdf = _WeightedChiSquare.cdf_pdf
+    monkeypatch.setattr(_WeightedChiSquare, "cdf_pdf",
+                        lambda law, x: calls.append(x) or cdf_pdf(law, x))
+    for prob in (0.001, 0.01):
+        calls.clear()
+        x, err = law.quantile(prob)
+        assert len(calls) <= 6, prob
+        root = optimize.brentq(lambda y: cdf_pdf(law, y)[0] - prob, 0.0,
+                               law.mean, xtol=1e-300, rtol=1e-15)
+        assert abs(x - root * law.scale) <= err, prob
+
+
+def _spherical_jn_mp(k, z):
+    if z == 0.0:
+        return 1.0 if k == 0 else 0.0
+    z = mpmath.mpf(z)
+    return float(mpmath.sqrt(mpmath.pi / (2 * z))
+                 * mpmath.besselj(k + mpmath.mpf(0.5), z))
+
+
+def test_spherical_jn_orders_against_mpmath():
+    # Both sides of z = k for every order, both sides of the switch from
+    # the downward to the upward recurrence at z = 15, tiny and large z;
+    # within 8 eps absolute of 30-digit values.
+    eps = np.finfo(float).eps
+    zs = [0.0, 1e-300, 1e-30, 1e-8, 14.999, 15.0, 15.001, 1e4]
+    zs += [k + d for k in range(1, credible._IMHOF_NODES) for d in (-1e-9,
+                                                                   1e-9)]
+    with mpmath.workdps(30):
+        for z in zs:
+            got = credible._spherical_jn_orders(z)
+            assert len(got) == credible._IMHOF_NODES
+            for k, value in enumerate(got):
+                assert abs(value - _spherical_jn_mp(k, z)) <= 8.0 * eps, (z, k)
+
+
+def test_sine_integral_against_mpmath():
+    # Both sides of the series/continued-fraction switch at |x| = 4, large
+    # arguments where the continued fraction must still stop, and the
+    # limits: within 4 eps relative of 30-digit values.
+    eps = np.finfo(float).eps
+    xs = [4.0, math.nextafter(4.0, 0.0), math.nextafter(4.0, 5.0), 1e-10,
+          1.0, 2.5, 10.0, 1e6, 1e15, 1e17, 1e300]
+    assert credible._sine_integral(0.0) == 0.0
+    with mpmath.workdps(30):
+        for x in xs:
+            for signed in (x, -x):
+                ref = float(mpmath.si(signed))
+                got = credible._sine_integral(signed)
+                assert abs(got - ref) <= 4.0 * eps * abs(ref), signed
+    assert credible._sine_integral(math.inf) == math.pi / 2.0
+    assert credible._sine_integral(-math.inf) == -math.pi / 2.0
+    assert math.isnan(credible._sine_integral(math.nan))
+
+
+@pytest.mark.parametrize("weights", IMHOF_LAWS.values(), ids=IMHOF_LAWS.keys())
+def test_panel_cuts_match_one_linspace_per_edge(weights, monkeypatch):
+    # The vectorized panel cuts keep linspace's bits, so the tables do not
+    # move; a noncentral law is cut the same way.
+    bias = np.linspace(0.0, 1.0, weights.size)
+    laws = [_WeightedChiSquare(weights), _WeightedChiSquare(weights, bias)]
+    monkeypatch.setattr(credible, "_panel_cuts", linspace_cuts)
+    for law, ref in zip(laws, (_WeightedChiSquare(weights),
+                               _WeightedChiSquare(weights, bias))):
+        np.testing.assert_array_equal(law.center, ref.center)
+        np.testing.assert_array_equal(law.half, ref.half)
 
 
 def test_imhof_sums_match_the_combined_loop():
