@@ -18,15 +18,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
 
 from .model import ForwardSpec, PriorSpec, Truth, _spectral_blocks
 from .posterior import Functional, _interval_terms
-from .util import DegenerateInputError, DimensionMismatchError, rng_for, \
-    stable_sums
+from .util import DegenerateInputError, DimensionMismatchError, ndtr, \
+    ndtri, rng_for, stable_sums
 
 _MC_CHUNK = 8192          # rows per keyed stream rng_for(seed, chunk)
 _MC_BLOCK = 1 << 20       # normals drawn at once (8 MB), whatever the trunc
@@ -338,6 +337,71 @@ def _sine_integral(x: float) -> float:
     return math.copysign(si, x)
 
 
+def _gamma_log_cdf(a: float, y: float) -> tuple[float, float]:
+    """log P(a, x) and its slope d log P / d log x at x = e^y, where
+    P(a, x) = gamma(a, x) / Gamma(a) is the regularized lower incomplete
+    gamma function.
+
+    With w = x^a e^(-x) / Gamma(a + 1): below x = a + 1, P = w S by the
+    series S = sum_k x^k / ((a+1)...(a+k)) (DLMF 8.7.1), and the slope is
+    a / S; above, 1 - P = a w h by the continued fraction h of
+    e^x x^(-a) Gamma(a, x) (DLMF 8.9.2, modified Lentz, as in Numerical
+    Recipes' gcf), and the slope is a w / P. Both stop at a relative step
+    of one ulp; near x = a, that takes O(sqrt(a)) terms.
+    """
+    x = math.exp(y)
+    log_w = a * y - x - math.lgamma(a + 1.0)
+    if x < a + 1.0:
+        term = total = 1.0
+        k = a
+        while term > total * 2.0 ** -53:   # x / (k + 1) < 1 from k = a + 1 on
+            k += 1.0
+            term *= x / k
+            total += term
+        return log_w + math.log(total), a / total
+    b = x + 1.0 - a
+    c, d = 1e300, 1.0 / b
+    h = d
+    i = 0
+    while True:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        step = c * d
+        h *= step
+        if not abs(step - 1.0) > 2.0 ** -52:
+            break
+    w = math.exp(log_w)
+    big_p = 1.0 - a * w * h
+    return math.log(big_p), a * w / big_p
+
+
+def _gamma_quantile(a: float, prob: float) -> float:
+    """x with P(a, x) = prob, the Gamma(a, 1) quantile (0 < prob < 1).
+
+    Newton on log P against y = log x (_gamma_log_cdf) from
+    x = (prob Gamma(a + 1))^(1/a), where P(a, x) <= x^a / Gamma(a + 1) puts
+    the start at or left of the root. log P is increasing and concave in y
+    (its slope is 1 / int_0^1 s^(a-1) e^(x(1-s)) ds, falling in x), so the
+    steps rise to the root without overshooting it, and they stop once one
+    is below 1e-11, which Newton's quadratic convergence squares into the
+    last bit; at most 100 steps.
+    """
+    log_p = math.log(prob)
+    y = (log_p + math.lgamma(a + 1.0)) / a
+    for _ in range(100):
+        log_cdf, slope = _gamma_log_cdf(a, y)
+        if not slope > 0.0:   # P(a, x) rounds to 1
+            break
+        step = (log_p - log_cdf) / slope
+        y += step
+        if abs(step) <= 1e-11:
+            break
+    return math.exp(y)
+
+
 def _panel_cuts(edges: np.ndarray, pieces: np.ndarray) -> np.ndarray:
     """edges[i] to edges[i + 1] cut into pieces[i] equal panels: the cuts,
     last edge included, with np.linspace's arithmetic
@@ -467,9 +531,16 @@ class _WeightedChiSquare:
             * self.half[:, None] for v in (f, g))
 
     def cdf_pdf(self, x: float) -> tuple[float, float]:
-        """P(Q <= x) and the density at x, in the units of lam."""
+        """P(Q <= x) and the density at x, in the units of lam; (1, 0) where
+        x is so large that nu * half overflows (x = inf, say), and
+        DegenerateInputError at x = nan."""
+        if math.isnan(x):
+            raise DegenerateInputError("CDF argument is nan")
         nu = 0.5 * (x - self.offset) - self.slope
-        z = nu * self.half
+        with np.errstate(over="ignore"):
+            z = nu * self.half
+        if not np.isfinite(z).all():
+            return float(x > 0.0), 0.0
         j = np.array([_spherical_jn_orders(abs(v)) for v in z.tolist()])
         j[:, 1::2] *= np.sign(z)[:, None]   # j_k(-z) = (-1)^k j_k(z)
         turn = np.exp(-1j * nu * self.center)
@@ -488,9 +559,9 @@ class _WeightedChiSquare:
         the Wilson-Hilferty approximation of its quantile, whose cube root
         is nearly normal, so that Newton does not start in the convex lower
         tail at small prob; where that approximation is not positive, from
-        the normal approximation (statistics.NormalDist, Wichura's AS 241).
-        Where the start is at or below lo, it takes the shifted chi-square's
-        exact quantile (scipy.special.gammaincinv), so that a law with one
+        the normal approximation (util.ndtri, Wichura's AS 241). Where the
+        start is at or below lo, it takes the shifted chi-square's exact
+        quantile (_gamma_quantile), so that a law with one
         dominant weight does not start at x = 0, where its density is
         infinite and Newton cannot step. A step that leaves the bracket of
         the points seen so far goes to a bracket end not yet evaluated, or
@@ -506,7 +577,7 @@ class _WeightedChiSquare:
         xtol = _IMHOF_ROOT_RTOL * hi
         a, b = lo, hi            # the root lies in [a, b]
         seen_a = seen_b = False  # whether F has been evaluated at a, at b
-        z_p = NormalDist().inv_cdf(prob)
+        z_p = ndtri(prob)
         x = m + sd * z_p
         if self.k3 > 0.0:
             # Q ~ m + g (G - shape), G ~ Gamma(shape, 1), has the law's
@@ -518,8 +589,7 @@ class _WeightedChiSquare:
             if w > 0.0:
                 x = m + g * shape * (w * w * w - 1.0)
             if x <= lo:
-                from scipy import special
-                x = m + g * (float(special.gammaincinv(shape, prob)) - shape)
+                x = m + g * (_gamma_quantile(shape, prob) - shape)
         x = min(max(x, lo), hi)
         while True:
             cdf, density = self.cdf_pdf(x)
@@ -599,7 +669,7 @@ def ball_coverage(w: EigenWeights, bias, r: float, mc_samples: int = 2000,
     error. `bias` is the coordinatewise posterior-mean bias at the truth of
     interest (see posterior.bias_coordinates).
     """
-    if r < 0:
+    if not r >= 0:
         raise ValueError("radius must be nonnegative")
     b = np.ascontiguousarray(bias, dtype=float).ravel()
     if b.size != w.trunc:
@@ -632,11 +702,10 @@ def interval_coverage(bias: float, s_n: float, t_n: float, gamma: float) -> floa
         raise ValueError("gamma must lie in (0, 1)")
     if not (s_n > 0) or not (t_n > 0):
         raise DegenerateInputError("s_n and t_n must be positive")
-    from scipy import special
-    z = special.ndtri(gamma / 2.0)
+    z = ndtri(gamma / 2.0)
     hi = (-z * s_n - bias) / t_n
     lo = (z * s_n - bias) / t_n
-    return float(special.ndtr(hi) - special.ndtr(lo))
+    return ndtr(hi) - ndtr(lo)
 
 
 def _tv_centered_normals(s: float, t: float) -> float:

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import credible, model, posterior, rates, volterra
 from .util import ConfigError, DimensionMismatchError, child_seed, \
-    config_value, seed_tag, stable_sum, stable_sums, write_csv, write_manifest
+    config_value, ndtri, seed_tag, stable_sum, stable_sums, write_csv, \
+    write_manifest
 
 KINDS = ("contraction", "coverage-ball", "coverage-functional", "bvm",
          "volterra-demo", "lemma-order")
@@ -467,9 +468,8 @@ def run_ball_coverage(cfg: ExperimentConfig) -> ResultTable:
 
 def run_functional_coverage(cfg: ExperimentConfig) -> ResultTable:
     """Exact interval coverage of the functional's credible interval per n."""
-    from scipy import special
     rp = cfg.regime
-    z = float(special.ndtri(cfg.gamma / 2.0))
+    z = ndtri(cfg.gamma / 2.0)
 
     def cell(j, n):
         _, prior, fwd, l, truth = _realize(cfg, n)

@@ -23,7 +23,8 @@ import numpy as np
 from .util import RegimeError, TruncationError
 
 _EULER_GAMMA = float(np.euler_gamma)
-_EVAL_CHUNK = 1_000_000
+_EVAL_CHUNK = 1 << 16      # terms per array of a head sum (0.5 MB each)
+_HARMONIC_DIRECT = 64      # H_m is summed term by term up to this m
 _ZETA_REL_TOL = 1e-16
 _MAX_HEAD = 40_000_000  # longest series head summed term by term
 # B_2k / (2k)! for k = 1..8, the Euler-Maclaurin corrections of _scaled_zeta
@@ -151,13 +152,27 @@ def optimal_tau_exponent(rp: RegimeParams) -> float | None:
 
 # --- linear functionals -----------------------------------------------------
 
+def _harmonic(m: int) -> float:
+    """H_m = sum_{i<=m} 1/i, m >= 1.
+
+    Summed directly up to _HARMONIC_DIRECT; above, H_m = psi(m) + 1/m + gamma
+    by DLMF 5.11.2, log m + gamma + 1/(2m) - sum_k B_2k / (2k m^2k), whose
+    first omitted term (k = 4) is below 1/(240 m^8) < 2e-17. Both add the
+    rounded terms exactly (fsum), so the result is within about 1.5 ulp.
+    """
+    if m <= _HARMONIC_DIRECT:
+        return math.fsum([1.0 / i for i in range(1, m + 1)])
+    inv_sq = 1.0 / (float(m) * m)
+    return math.fsum([math.log(m), _EULER_GAMMA, 0.5 / m,
+                      -inv_sq * (1 / 12 - inv_sq * (1 / 120 - inv_sq / 252))])
+
+
 def _log_power_partial_harmonic(m: int, log_power: float) -> float:
-    """sum_{i<=m} (log(i+1))^(2a) / i, exactly for a = 0 via digamma."""
+    """sum_{i<=m} (log(i+1))^(2a) / i; the harmonic number H_m for a = 0."""
     if m < 1:
         return 0.0
     if log_power == 0.0:
-        from scipy import special
-        return float(special.digamma(m + 1.0)) + _EULER_GAMMA
+        return _harmonic(m)
     partials = []
     for start in range(1, m + 1, _EVAL_CHUNK):
         i = np.arange(start, min(start + _EVAL_CHUNK, m + 1), dtype=float)
@@ -253,9 +268,48 @@ def functional_tau_balance_factor(rp: RegimeParams, n: float,
     glo, ghi = gap(lo), gap(hi)
     if not (math.isfinite(ghi)) or glo == ghi or (glo > 0) == (ghi > 0):
         raise RegimeError("rate terms do not balance at this n")
-    from scipy import optimize
-    root = optimize.brentq(gap, lo, hi, xtol=1e-12)
-    return math.exp(root)
+    return math.exp(_bracketed_root(gap, lo, hi, glo, ghi, 1e-12))
+
+
+def _bracketed_root(f, a: float, b: float, fa: float, fb: float,
+                    xtol: float) -> float:
+    """A root of f in [a, b], where fa = f(a) and fb = f(b) differ in sign,
+    to within xtol.
+
+    Each step takes the secant through the bracket ends (regula falsi) and
+    keeps the part of the bracket where the sign changes; an end kept twice
+    in a row has its value halved (the Illinois rule), so that both ends
+    close in, superlinearly. The midpoint replaces the secant point where
+    that is not strictly inside the bracket (an end value is infinite, or
+    the two round to the same line) and after three steps that did not
+    halve the bracket between them (a flat or strongly convex f), so the
+    search takes at most four times bisection's steps. Stops at an exact
+    zero or once the bracket is at most xtol wide, and returns its midpoint.
+    """
+    kept = 0          # +1 after a step that moved a, -1 after one that moved b
+    halved = b - a    # the width at the last halving
+    slow = 0          # steps since then
+    while b - a > xtol:
+        x = b - fb * (b - a) / (fb - fa)
+        if slow == 3 or not a < x < b:
+            x = 0.5 * (a + b)
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (fa > 0.0):
+            a, fa = x, fx
+            if kept == 1:
+                fb *= 0.5
+            kept = 1
+        else:
+            b, fb = x, fx
+            if kept == -1:
+                fa *= 0.5
+            kept = -1
+        slow += 1
+        if b - a <= 0.5 * halved:
+            halved, slow = b - a, 0
+    return 0.5 * (a + b)
 
 
 # --- the lemma series --------------------------------------------------------
@@ -277,25 +331,28 @@ def _head_sum(q: float, t: float, u: float, v: float, N: float,
 def _scaled_zeta(s: float, a: float) -> float:
     """Z(s, a) = a^s zeta(s, a) = sum_{j>=0} (1 + j/a)^(-s), s > 1, a >= 1.
 
-    Z lies in [1, 1 + a/(s-1)], so it is finite where zeta(s, a) underflows.
-    While a^s < e^700 it is that product. Past it the first
-    M = max(0, ceil(2(s+16) - a)) terms are summed directly and the rest is
-    (b/a)^(-s) sum_j (1 + j/b)^(-s), b = a + M, by Euler-Maclaurin with eight
-    Bernoulli corrections (DLMF 2.10.1). (1 + x/b)^(-s) is completely
+    Z lies in [1, 1 + a/(s-1)], so it is finite where zeta(s, a) underflows;
+    Z(s, 1) is the Riemann zeta(s). The first M = max(0, ceil(2(s+16) - a))
+    terms f_j are summed directly, each as exp(-s log1p(j/a)) in plain
+    floats, and the rest is (b/a)^(-s) sum_j (1 + j/b)^(-s), b = a + M, by
+    Euler-Maclaurin with eight Bernoulli corrections (DLMF 2.10.1; F.
+    Johansson, Numer. Algorithms 69, 2015). (1 + x/b)^(-s) is completely
     monotone, so the error is below the first omitted correction, which
-    b >= 2(s+16) holds under 1e-19 of the sum. Terms past
-    j = a (e^(750/s) - 1) round to 0; where that comes before M, the sum
-    stops there, so at most about 1500 terms are summed directly.
+    b >= 2(s+16) holds under 1e-19 of the sum. The direct sum stops early
+    at the first j with (a + j) f_j <= (s - 1) 2^-60: the terms after it add
+    at most the integral of f from j on, (a + j) f_j / (s - 1), which is
+    below 1e-18 of Z >= 1. So at large s only the few terms above that are
+    summed, and nothing overflows near s = 1.
     """
-    if s * math.log(a) < 700.0:
-        from scipy import special
-        return float(special.zeta(s, a)) * a ** s
     m = max(0, math.ceil(2.0 * (s + 16.0) - a))
-    zero = math.ceil(a * math.expm1(750.0 / s))
-    j = np.arange(min(m, zero), dtype=float)
-    direct = math.fsum(np.exp(-s * np.log1p(j / a)))
-    if m > zero:
-        return direct
+    negligible = (s - 1.0) * 2.0 ** -60
+    terms = []
+    for j in range(m):
+        term = math.exp(-s * math.log1p(j / a))
+        terms.append(term)
+        if (a + j) * term <= negligible:
+            return math.fsum(terms)
+    direct = math.fsum(terms)
     b = a + m
     tail, rise = b / (s - 1.0) + 0.5, s / b  # rise = (s)_(2k-1) / b^(2k-1)
     for k, coef in enumerate(_EM_COEFS, start=1):
@@ -334,8 +391,7 @@ def series_lemma_sum_auto(fam: SequenceFamily, t: float, u: float, v: float,
     s = s_exp + 1.0
     sc2 = fam.scale * fam.scale
     if v == 0.0 or N == 0.0:
-        from scipy import special
-        value, diag = sc2 * float(special.zeta(s)), SeriesDiagnostics(0, 1, 0.0)
+        value, diag = sc2 * _scaled_zeta(s, 1.0), SeriesDiagnostics(0, 1, 0.0)
         return (value, diag) if full_output else value
 
     x_max = 0.25 / max(1.0, v)

@@ -1,10 +1,14 @@
-"""Shared plumbing: stable summation, seed derivation, errors, table output."""
+"""Shared plumbing: stable summation, the normal law, seed derivation,
+errors, table output."""
 
 from __future__ import annotations
 
 import csv
 import math
+import os
+import sys
 from pathlib import Path
+from statistics import NormalDist
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -57,6 +61,27 @@ def config_value(what: str, key: str, value, kind=float):
         return out
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{what}: bad {key!r} value {value!r}") from None
+
+
+_SQRT_HALF = math.sqrt(0.5)
+_STANDARD_NORMAL = NormalDist()
+
+
+def ndtr(x: float) -> float:
+    """Phi(x), the standard normal CDF, with cephes' switch: 1/2 + erf/2
+    where |x| < 1, and erfc(|x|/sqrt 2)/2 (or 1 less it) beyond, so that the
+    lower tail keeps its relative accuracy down to the underflow."""
+    t = x * _SQRT_HALF
+    if abs(t) < _SQRT_HALF:
+        return 0.5 + 0.5 * math.erf(t)
+    y = 0.5 * math.erfc(abs(t))
+    return 1.0 - y if t > 0.0 else y
+
+
+def ndtri(p: float) -> float:
+    """Phi^(-1)(p) for 0 < p < 1, by statistics.NormalDist (Wichura's
+    AS 241); statistics.StatisticsError, a ValueError, outside."""
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 _CHUNK = 8192
@@ -173,21 +198,30 @@ def write_csv(path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
 
 def write_manifest(out_dir, config: dict, master_seed: int, started_at: str,
                    wall_seconds: float) -> Path:
-    """Write `out_dir/manifest.json`: the run's config echo and provenance."""
+    """Write `out_dir/manifest.json`: the run's config echo and provenance.
+
+    `versions` holds Python's, numpy's and its BLAS library's, and scipy's
+    only where something in the process has imported it (a run does not);
+    `blas_threads` holds the thread-count variables as the run saw them.
+    """
     import json
     import platform
 
-    import scipy
-
     from . import __version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    versions = {"python": platform.python_version(), "numpy": np.__version__,
+                "blas": f"{blas['name']} {blas['version']}"}
+    if "scipy" in sys.modules:
+        versions["scipy"] = sys.modules["scipy"].__version__
     manifest = {
         "config": config,
         "master_seed": master_seed,
         "code_version": __version__,
         "started_at": started_at,
         "wall_seconds": wall_seconds,
-        "versions": {"python": platform.python_version(),
-                     "numpy": np.__version__, "scipy": scipy.__version__},
+        "versions": versions,
+        "blas_threads": {name: os.environ.get(name) for name in
+                         ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
     }
     path = Path(out_dir) / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

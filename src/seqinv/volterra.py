@@ -24,7 +24,7 @@ from .model import ForwardSpec, KappaKind, Observation, PriorSpec, \
     generate_observation, make_truth
 from .posterior import Functional, coordinate_posterior, posterior_draws
 from .util import ConfigError, DimensionMismatchError, child_seed, \
-    config_value, write_csv, write_manifest
+    config_value, ndtri, write_csv, write_manifest
 
 
 def _check_unit_interval(x) -> np.ndarray:
@@ -190,8 +190,7 @@ def _band(prior: PriorSpec, summary, xs: np.ndarray, gamma: float):
             f"truncated prior-variance tail is {tail / floor:.2e} of the "
             f"band variance (tolerance {_TAIL_REL_TOL:.0e}); increase trunc "
             "for quantitative band widths")
-    from scipy import special
-    half = -special.ndtri(gamma / 2.0) * np.sqrt(var_curve)
+    half = -ndtri(gamma / 2.0) * np.sqrt(var_curve)
     return center, center - half, center + half
 
 

@@ -25,7 +25,9 @@ from seqinv.credible import (
 from seqinv.model import ForwardSpec, PriorSpec, make_truth
 from seqinv.posterior import Functional, bias_coordinates
 from seqinv.util import DegenerateInputError, DimensionMismatchError, \
-    RegimeError, child_seed
+    RegimeError, child_seed, ndtr, ndtri
+
+EPS = 2.0 ** -52
 
 
 def _weights(alpha=1.0, tau=1.0, p=1.0, trunc=500, n=1e4):
@@ -622,10 +624,27 @@ def test_ball_coverage_without_sampling_spread():
             == pytest.approx(p, abs=1e-9)
 
 
+def test_ball_coverage_at_a_radius_whose_square_overflows():
+    # r * r = inf used to reach math.sin(inf) in the spherical Bessel values
+    # (ValueError: math domain error); the CDF there is 1 and the density 0.
+    w = EigenWeights([1.0, 0.5], [0.5, 0.2])
+    assert ball_coverage(w, [0.1, 0.1], 1e100, 100).exact == 1.0
+    for r in (1e160, math.inf):
+        report = ball_coverage(w, [0.1, 0.1], r, 100)
+        assert (report.coverage, report.exact) == (1.0, 1.0), r
+    law = _WeightedChiSquare(w.t_w, [0.1, 0.1])
+    assert law.cdf_pdf(math.inf) == (1.0, 0.0)
+    assert law.cdf_pdf(1e308) == (1.0, 0.0)
+    assert law.cdf_pdf(-math.inf) == (0.0, 0.0)
+    with pytest.raises(DegenerateInputError):
+        law.cdf_pdf(math.nan)
+
+
 def test_ball_coverage_validation():
     w = _weights(trunc=10)
-    with pytest.raises(ValueError):
-        ball_coverage(w, np.zeros(10), -1.0)
+    for r in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            ball_coverage(w, np.zeros(10), r)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
             ball_coverage(w, np.full(10, bad), 1.0)
@@ -648,15 +667,25 @@ def test_interval_coverage_values():
         interval_coverage(0.0, 0.0, 1.0, 0.05)
 
 
-def test_interval_coverage_matches_scipy_stats_bitwise():
+def test_interval_coverage_matches_ndtr_formula_bitwise():
+    # Bit for bit the docstring's formula on util's normal law; scipy.stats
+    # agrees within 8 ulps of each Phi(x) times its condition 1 + |x| phi/Phi
+    # (the quantiles z may differ by a few ulps, which |x| phi carries).
+    def scale(x):
+        return stats.norm.cdf(x) + abs(x) * stats.norm.pdf(x)
+
     for bias in (-30.0, -1.0, 0.0, 1e-9, 0.7, 5.0):
         for s_n in (1e-6, 0.3, 1.0, 40.0):
             for t_n in (1e-6, 0.3, 1.0, 40.0):
                 for gamma in (1e-10, 0.01, 0.05, 0.3, 0.99):
+                    cov = interval_coverage(bias, s_n, t_n, gamma)
+                    z = ndtri(gamma / 2.0)
+                    hi, lo = (-z * s_n - bias) / t_n, (z * s_n - bias) / t_n
+                    assert cov == ndtr(hi) - ndtr(lo)
                     z = stats.norm.ppf(gamma / 2.0)
-                    ref = float(stats.norm.cdf((-z * s_n - bias) / t_n)
-                                - stats.norm.cdf((z * s_n - bias) / t_n))
-                    assert interval_coverage(bias, s_n, t_n, gamma) == ref
+                    hi, lo = (-z * s_n - bias) / t_n, (z * s_n - bias) / t_n
+                    ref = stats.norm.cdf(hi) - stats.norm.cdf(lo)
+                    assert abs(cov - ref) <= 8 * EPS * (scale(hi) + scale(lo))
 
 
 @settings(max_examples=60, deadline=None)

@@ -460,7 +460,8 @@ def test_cli_manifests_share_keys(tmp_path):
     keys = [set(json.loads((tmp_path / d / "manifest.json").read_text()))
             for d in ("demo", "lemma")]
     assert keys[0] == keys[1] == {"config", "master_seed", "code_version",
-                                  "started_at", "wall_seconds", "versions"}
+                                  "started_at", "wall_seconds", "versions",
+                                  "blas_threads"}
 
 
 def test_cli_coverage_ball_truncation_cap(tmp_path, capsys):

@@ -11,7 +11,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import special
 
 from seqinv import credible, harness, model, posterior, volterra
 from seqinv.credible import bvm_diagnostics, credible_weights
@@ -43,6 +42,7 @@ from seqinv.util import (
     DimensionMismatchError,
     RegimeError,
     child_seed,
+    ndtri,
     stable_sum,
 )
 
@@ -191,7 +191,7 @@ def test_interval_cells_are_bit_identical(trunc):
                         N * t_n * t_n, plugin)
     cfg = _cell_config("coverage-functional", trunc, {"pattern": "demo"}, spec)
     row = run_functional_coverage(cfg).rows[0]
-    assert row[7:9] == (-float(special.ndtri(cfg.gamma / 2.0)) * s_n, cov)
+    assert row[7:9] == (-ndtri(cfg.gamma / 2.0) * s_n, cov)
 
 
 def _late_overflow_forward(trunc):

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -115,12 +116,27 @@ def test_write_csv_matches_format_cell_reference(tmp_path):
     assert path.read_bytes() == ref.read_bytes()
 
 
-def test_write_manifest_keys(tmp_path):
+def test_write_manifest_keys(tmp_path, monkeypatch):
+    # scipy's version is recorded only where scipy is already imported: the
+    # test session imports it, a run does not, and the writer never does.
+    import scipy
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     path = write_manifest(tmp_path, {"a": 1}, 5, "2020-01-01T00:00:00", 0.5)
     assert path == tmp_path / "manifest.json"
     manifest = json.loads(path.read_text())
     assert set(manifest) == {"config", "master_seed", "code_version",
-                             "started_at", "wall_seconds", "versions"}
-    assert set(manifest["versions"]) == {"python", "numpy", "scipy"}
+                             "started_at", "wall_seconds", "versions",
+                             "blas_threads"}
+    assert set(manifest["versions"]) == {"python", "numpy", "blas", "scipy"}
+    assert manifest["versions"]["scipy"] == scipy.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert manifest["versions"]["blas"] == f"{blas['name']} {blas['version']}"
+    assert manifest["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1",
+                                        "OMP_NUM_THREADS": None}
     assert manifest["config"] == {"a": 1}
     assert manifest["master_seed"] == 5
+    monkeypatch.delitem(sys.modules, "scipy")
+    manifest = json.loads(write_manifest(tmp_path, {}, 5, "", 0.5).read_text())
+    assert set(manifest["versions"]) == {"python", "numpy", "blas"}
+    assert "scipy" not in sys.modules

@@ -6,7 +6,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from seqinv.model import (
     ForwardSpec,
@@ -17,7 +16,7 @@ from seqinv.model import (
 )
 from seqinv.posterior import coordinate_posterior, posterior_draws
 from seqinv.util import ConfigError, DimensionMismatchError, child_seed, \
-    format_cell
+    format_cell, ndtri
 from seqinv import volterra
 from seqinv.volterra import (
     DemoConfig,
@@ -222,7 +221,7 @@ def test_credible_band_halfwidth_and_validation():
     np.testing.assert_allclose(band.band_hi - band.values,
                                band.values - band.band_lo, atol=1e-12)
     assert np.all(band.band_hi - band.band_lo >= 0.0)
-    # The half-width is bit for bit the scipy.stats normal quantile's times
+    # The half-width is bit for bit the normal quantile's (util.ndtri) times
     # the sd from the basis product, on a grid where credible_band takes
     # that product: any grid but linspace(0, 1, G), here one short of x = 1.
     post = coordinate_posterior(prior, fwd, obs)
@@ -230,7 +229,7 @@ def test_credible_band_halfwidth_and_validation():
     mat = _e_matrix(trunc, skewed)
     center = post.mean @ mat
     for gamma in (1e-9, 0.05, 0.5):
-        half = -stats.norm.ppf(gamma / 2.0) * np.sqrt(post.var @ (mat * mat))
+        half = -ndtri(gamma / 2.0) * np.sqrt(post.var @ (mat * mat))
         band = credible_band(prior, fwd, obs, skewed, gamma=gamma)
         np.testing.assert_array_equal(band.band_lo, center - half)
         np.testing.assert_array_equal(band.band_hi, center + half)
@@ -245,7 +244,7 @@ def test_credible_band_halfwidth_and_validation():
     tol_mean = _fold_tolerance(post.mean)
     tol_var = _fold_tolerance(post.var)
     for gamma in (1e-9, 0.05, 0.5):
-        z = -stats.norm.ppf(gamma / 2.0)
+        z = -ndtri(gamma / 2.0)
         half = z * np.sqrt(var)
         tol = tol_mean + z * tol_var / np.sqrt(var)
         tol[-1] = tol_mean + half[-1]
