@@ -208,9 +208,10 @@ def write_manifest(out_dir, config: dict, master_seed: int, started_at: str,
     import platform
 
     from . import __version__
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}) \
+        .get("blas", {})
     versions = {"python": platform.python_version(), "numpy": np.__version__,
-                "blas": f"{blas['name']} {blas['version']}"}
+                "blas": f"{blas.get('name')} {blas.get('version')}"}
     if "scipy" in sys.modules:
         versions["scipy"] = sys.modules["scipy"].__version__
     manifest = {
