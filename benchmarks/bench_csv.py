@@ -17,15 +17,14 @@ import csv
 
 import pytest
 
+from seqinv.harness import default_config, run_volterra_demo
 from seqinv.util import write_csv
-from seqinv.volterra import DemoConfig, figure_demo
 
 
 @pytest.fixture(scope="module")
 def panel(tmp_path_factory):
     out = tmp_path_factory.mktemp("demo")
-    path = next(p for p in figure_demo(DemoConfig(out_dir=str(out)))
-                if p.suffix == ".csv")
+    path = run_volterra_demo(default_config("volterra-demo"), out)[0]
     with open(path, newline="") as fh:
         columns, *text = csv.reader(fh)
     rows = [[name, *map(float, cells)] for name, *cells in text]

@@ -86,7 +86,6 @@ from .util import (
     stable_sum,
 )
 from .volterra import (
-    DemoConfig,
     GridFunction,
     credible_band,
     figure_demo,

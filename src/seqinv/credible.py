@@ -630,10 +630,12 @@ def ball_radius(w: EigenWeights, gamma: float, method: str = "imhof",
     With full_output the result is (r, abserr): for "imhof", abserr bounds
     |r - exact r| by the root tolerance plus the integral's cut-off error
     over the closed-form density at the root, and it is None for
-    "monte-carlo".
+    "monte-carlo". ValueError unless 0 < gamma < 1 and 1 - gamma rounds
+    below 1 (gamma above about 1.1e-16): the radius at 1 - gamma = 1 is inf.
     """
-    if not (0.0 < gamma < 1.0):
-        raise ValueError("gamma must lie in (0, 1)")
+    if not (0.0 < 1.0 - gamma < 1.0):
+        raise ValueError(f"gamma must lie in (0, 1) with 1 - gamma below 1 "
+                         f"in floating point, got {gamma!r}")
     s = w.s_w
     abserr = None
     if not np.any(s > 0):
@@ -697,9 +699,13 @@ def interval_coverage(bias: float, s_n: float, t_n: float, gamma: float) -> floa
     The posterior-mean functional is N(truth + bias, t_n^2); the interval has
     half-width -z_{gamma/2} s_n. Coverage is
     Phi((-z s_n - bias)/t_n) - Phi((z s_n - bias)/t_n) with z = z_{gamma/2} < 0.
+    Raises ValueError for gamma outside (0, 1) or a nan bias, and
+    DegenerateInputError unless s_n and t_n are positive.
     """
     if not (0.0 < gamma < 1.0):
         raise ValueError("gamma must lie in (0, 1)")
+    if math.isnan(bias):
+        raise ValueError("bias is nan")
     if not (s_n > 0) or not (t_n > 0):
         raise DegenerateInputError("s_n and t_n must be positive")
     z = ndtri(gamma / 2.0)

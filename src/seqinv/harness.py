@@ -1,12 +1,14 @@
 """Experiment configs, runners, result tables, and the command line.
 
-A single ExperimentConfig describes one experiment of any kind; runners
+A single ExperimentConfig describes one experiment of any kind, and every
+run's manifest.json echoes it, so a run reruns from its manifest. Runners
 realize the problem per grid point (truncation policy, truth pattern,
 functional), compute analytic quantities exactly and Monte-Carlo quantities
 from seed streams derived per grid point, and assemble rows in a fixed
-order. Cells run one at a time, in grid order, each in its own call so
-that its arrays are freed before the next cell starts. Outputs are a pure
-function of (config, master_seed).
+order; volterra-demo writes panels instead, set by its extras. Cells run
+one at a time, in grid order, each in its own call so that its arrays are
+freed before the next cell starts. Outputs are a pure function of (config,
+master_seed).
 """
 
 from __future__ import annotations
@@ -25,16 +27,15 @@ from pathlib import Path
 import numpy as np
 
 from . import credible, model, posterior, rates, volterra
-from .util import ConfigError, DimensionMismatchError, child_seed, \
-    config_value, ndtri, seed_tag, stable_sum, stable_sums, write_csv, \
-    write_manifest
+from .util import ConfigError, DimensionMismatchError, child_seed, ndtri, \
+    seed_tag, stable_sum, stable_sums, write_csv, write_manifest
 
 KINDS = ("contraction", "coverage-ball", "coverage-functional", "bvm",
          "volterra-demo", "lemma-order")
 # the extras keys each kind's runner reads: the forward map of a realized
 # cell, the rate table's slowly varying factor (read only with regime.q),
-# the lemma combos, and the demo's own DemoConfig fields (a demo config may
-# carry kappa_kind, which is dropped: the demo's map is the Volterra one)
+# the lemma combos, and the demo's panel settings (see run_volterra_demo,
+# whose kappa_kind may only name the Volterra map it runs)
 _EXTRAS_READ = {
     "contraction": ("kappa_kind", "sv_log_power"),
     "coverage-ball": ("kappa_kind",),
@@ -185,15 +186,30 @@ class ResultTable:
 # --- realization helpers ---------------------------------------------------
 
 def _spec_value(what: str, spec, key: str, default=None, kind=float):
-    """config_value of spec[key], or default if absent; bad input is a
-    ConfigError."""
+    """kind(spec[key]) for the spec `what`, or default if key is absent; bad
+    input is a ConfigError.
+
+    A bool is refused whatever the kind (JSON true is a typo, not 1), a
+    string where kind is int or float ("1.0" is quoted by mistake, not read),
+    and a fractional number where kind is int (2.7 is not truncated to 2).
+    """
     if not isinstance(spec, dict):
         raise ConfigError(f"{what} must be an object, got {spec!r}")
     if key not in spec:
         if default is None:
             raise ConfigError(f"{what} needs {key!r}")
         return default
-    return config_value(what, key, spec[key], kind)
+    value = spec[key]
+    try:
+        if isinstance(value, bool) or (
+                kind in (int, float) and isinstance(value, str)):
+            raise TypeError
+        out = kind(value)
+        if kind is int and isinstance(value, float) and out != value:
+            raise ValueError
+        return out
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what}: bad {key!r} value {value!r}") from None
 
 
 def _only_keys(what: str, spec: dict, *keys: str) -> None:
@@ -545,8 +561,15 @@ def run_lemma_order(cfg: ExperimentConfig) -> ResultTable:
                        rows=tuple(row for row, _ in results), metadata=meta)
 
 
-def demo_config_from(cfg: ExperimentConfig, out_dir) -> volterra.DemoConfig:
-    """The demo's DemoConfig; a config field the demo would ignore is refused."""
+def run_volterra_demo(cfg: ExperimentConfig, out_dir) -> list[Path]:
+    """The integration operator's replicate-by-prior panels
+    (volterra.figure_demo), written into out_dir; returns their paths.
+
+    The demo's n is the single entry of n_grid. Its priors, truncation and
+    panels come from extras: alphas (default [1, 5]), tau (1), trunc
+    (1000), grid_points (401) and draws (20); kappa_kind may only name the
+    Volterra map. A config field the demo would ignore is refused.
+    """
     default = default_config("volterra-demo")
     for name in ("regime", "truth_spec", "functional_spec", "trunc_policy"):
         if getattr(cfg, name) != getattr(default, name):
@@ -556,20 +579,26 @@ def demo_config_from(cfg: ExperimentConfig, out_dir) -> volterra.DemoConfig:
                 "extras.trunc")
     if len(cfg.n_grid) != 1:
         raise ConfigError("volterra-demo uses a single n (n_grid of length 1)")
-    # the extras hold only the demo's own keys (see _EXTRAS_READ)
-    extras = {k: v for k, v in cfg.extras.items() if k != "kappa_kind"}
-    return volterra.DemoConfig.from_dict({
-        **extras,
-        "n": cfg.n_grid[0],
-        "replicates": cfg.replicates,
-        "gamma": cfg.gamma,
-        "master_seed": cfg.master_seed,
-        "out_dir": str(out_dir),
-    })
-
-
-def run_volterra_demo(cfg: ExperimentConfig, out_dir) -> list[Path]:
-    return volterra.figure_demo(demo_config_from(cfg, out_dir))
+    what = "volterra-demo extras"
+    get = functools.partial(_spec_value, what, cfg.extras)
+    if get("kappa_kind", "volterra", str) != "volterra":
+        raise ConfigError(f"{what}: the demo runs the volterra forward map, "
+                          f"not kappa_kind {cfg.extras['kappa_kind']!r}")
+    alphas = tuple(_spec_value(what, {"alphas": a}, "alphas")
+                   for a in get("alphas", (1.0, 5.0), list))
+    grid_points, draws, trunc = (get(key, value, int) for key, value in (
+        ("grid_points", 401), ("draws", 20), ("trunc", 1000)))
+    tau = get("tau", 1.0)
+    if not (alphas and all(a > 0 for a in alphas) and grid_points >= 2
+            and draws >= 0 and trunc >= 1 and tau > 0):
+        raise ConfigError(
+            f"{what}: need alphas > 0 (at least one), grid_points >= 2, "
+            f"draws >= 0, trunc >= 1 and tau > 0, got {list(alphas)}, "
+            f"{grid_points}, {draws}, {trunc} and {tau!r}")
+    return volterra.figure_demo(
+        out_dir, n=cfg.n_grid[0], alphas=alphas, replicates=cfg.replicates,
+        master_seed=cfg.master_seed, grid_points=grid_points, draws=draws,
+        trunc=trunc, gamma=cfg.gamma, tau=tau)
 
 
 # --- defaults and CLI -------------------------------------------------------
@@ -706,27 +735,21 @@ def cli_main(argv=None) -> int:
         cfg = _load_config(args, args.command)
         out_dir = Path(args.out)
         if args.command == "volterra-demo":
-            # figure_demo makes out_dir and writes its own manifest.json there
             paths = run_volterra_demo(cfg, out_dir)
         else:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            runner = {
-                "contraction": run_contraction,
-                "coverage-ball": run_ball_coverage,
-                "coverage-functional": run_functional_coverage,
-                "bvm": run_bvm,
-                "lemma-order": run_lemma_order,
-            }[args.command]
+            runner = {"contraction": run_contraction,
+                      "coverage-ball": run_ball_coverage,
+                      "coverage-functional": run_functional_coverage,
+                      "bvm": run_bvm, "lemma-order": run_lemma_order,
+                      }[args.command]
             tables = [(args.command, runner(cfg))]
             if args.command == "contraction":
                 tables.append(("contraction_rates", rate_table(cfg)))
-            paths = []
-            for stem, table in tables:
-                write = table.to_json if args.format == "json" else table.to_csv
-                paths.append(write(out_dir / f"{stem}.{args.format}"))
-            paths.append(write_manifest(out_dir, cfg.to_dict(),
-                                        cfg.master_seed, started_at,
-                                        time.monotonic() - started))
+            paths = [(table.to_json if args.format == "json"
+                      else table.to_csv)(out_dir / f"{stem}.{args.format}")
+                     for stem, table in tables]
+        paths.append(write_manifest(out_dir, cfg.to_dict(), cfg.master_seed,
+                                    started_at, time.monotonic() - started))
         for path in paths:
             print(path)
         return 0

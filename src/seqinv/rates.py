@@ -168,11 +168,16 @@ def _harmonic(m: int) -> float:
 
 
 def _log_power_partial_harmonic(m: int, log_power: float) -> float:
-    """sum_{i<=m} (log(i+1))^(2a) / i; the harmonic number H_m for a = 0."""
+    """sum_{i<=m} (log(i+1))^(2a) / i; the harmonic number H_m for a = 0.
+    Summed term by term for a != 0, so m > _MAX_HEAD is a TruncationError."""
     if m < 1:
         return 0.0
     if log_power == 0.0:
         return _harmonic(m)
+    if m > _MAX_HEAD:
+        raise TruncationError(
+            f"log-power harmonic sum needs {m} terms, above the cap "
+            f"{_MAX_HEAD}", required_trunc=m)
     partials = []
     for start in range(1, m + 1, _EVAL_CHUNK):
         i = np.arange(start, min(start + _EVAL_CHUNK, m + 1), dtype=float)

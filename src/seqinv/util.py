@@ -43,26 +43,6 @@ class ConfigError(ValueError):
     """Malformed experiment configuration."""
 
 
-def config_value(what: str, key: str, value, kind=float):
-    """kind(value) for the config entry `key` of `what`; bad input is a
-    ConfigError.
-
-    A bool is refused whatever the kind (JSON true is a typo, not 1), a
-    string where kind is int or float ("1.0" is quoted by mistake, not read),
-    and a fractional number where kind is int (2.7 is not truncated to 2).
-    """
-    try:
-        if isinstance(value, bool) or (
-                kind in (int, float) and isinstance(value, str)):
-            raise TypeError
-        out = kind(value)
-        if kind is int and isinstance(value, float) and out != value:
-            raise ValueError
-        return out
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{what}: bad {key!r} value {value!r}") from None
-
-
 _SQRT_HALF = math.sqrt(0.5)
 _STANDARD_NORMAL = NormalDist()
 

@@ -3,7 +3,9 @@
 (Kf)(x) = int_0^x f(s) ds has SVD kappa_i = 1/((i - 1/2) pi) with
 unknown-side basis e_i(x) = sqrt(2) cos((i-1/2) pi x) and image-side basis
 f_i(x) = sqrt(2) sin((i-1/2) pi x). Everything abstract upstream becomes a
-picture here: curves on a grid, pointwise credible bands, replicate panels.
+picture here: curves on a grid, pointwise credible bands, and the replicate
+panels of figure_demo, which takes plain values (harness.run_volterra_demo
+reads them from an experiment config).
 
 Bands are pointwise: at each grid point the band is the central credible
 interval of the point-evaluation functional, not a simultaneous band.
@@ -12,10 +14,8 @@ interval of the point-evaluation functional, not a simultaneous band.
 from __future__ import annotations
 
 import math
-import time
 import warnings
-from dataclasses import asdict, dataclass
-from datetime import datetime, timezone
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,13 +23,12 @@ import numpy as np
 from .model import ForwardSpec, KappaKind, Observation, PriorSpec, \
     generate_observation, make_truth
 from .posterior import Functional, coordinate_posterior, posterior_draws
-from .util import ConfigError, DimensionMismatchError, child_seed, \
-    config_value, ndtri, write_csv, write_manifest
+from .util import DimensionMismatchError, child_seed, ndtri, write_csv
 
 
 def _check_unit_interval(x) -> np.ndarray:
     xs = np.asarray(x, dtype=float)
-    if np.any(xs < 0.0) or np.any(xs > 1.0):
+    if not np.all((xs >= 0.0) & (xs <= 1.0)):
         raise ValueError("grid points must lie in [0, 1]")
     return xs
 
@@ -94,7 +93,8 @@ def point_functional(x: float, trunc: int) -> Functional:
     """Point evaluation f -> f(x) through the cosine expansion.
 
     The representer coefficients sqrt(2) cos((i-1/2) pi x) do not decay:
-    q = -1/2 with a bounded oscillating factor.
+    q = -1/2 with a bounded oscillating factor. ValueError for an x outside
+    [0, 1] or nan.
     """
     xs = _check_unit_interval(np.asarray([x], dtype=float))
     coeffs = np.arange(0.5, int(trunc))  # i - 1/2 for i = 1..trunc
@@ -140,7 +140,8 @@ class GridFunction:
 
 
 def synthesize(coeffs, xs) -> GridFunction:
-    """Evaluate sum_i c_i e_i(x) on a grid; coeffs must be one-dimensional."""
+    """Evaluate sum_i c_i e_i(x) on an increasing grid in [0, 1] (else
+    ValueError); coeffs must be one-dimensional."""
     c = np.asarray(coeffs, dtype=float)
     if c.ndim != 1:
         raise DimensionMismatchError(
@@ -194,112 +195,38 @@ def _band(prior: PriorSpec, summary, xs: np.ndarray, gamma: float):
     return center, center - half, center + half
 
 
-@dataclass(frozen=True)
-class DemoConfig:
-    """Replicate-panel experiment configuration.
-
-    One observation per replicate; each prior smoothness in `alphas` is
-    applied to the same data, so panels are comparable across columns.
-    """
-
-    n: float = 1000.0
-    alphas: tuple = (1.0, 5.0)
-    replicates: int = 5
-    master_seed: int = 20260822
-    grid_points: int = 401
-    draws: int = 20
-    trunc: int = 1000
-    gamma: float = 0.05
-    tau: float = 1.0
-    out_dir: str = "demo_out"
-
-    def __post_init__(self):
-        # a bool, a string or a fraction where an integer is read is refused
-        for name, kind in (("n", float), ("replicates", int),
-                           ("master_seed", int), ("grid_points", int),
-                           ("draws", int), ("trunc", int), ("gamma", float),
-                           ("tau", float)):
-            object.__setattr__(self, name, config_value(
-                "demo config", name, getattr(self, name), kind))
-        if not (self.n > 0):
-            raise ConfigError("n must be positive")
-        if isinstance(self.alphas, str) or not hasattr(self.alphas,
-                                                        "__iter__"):
-            raise ConfigError(
-                f"alphas must be a list of numbers, got {self.alphas!r}")
-        alphas = tuple(config_value("demo config", "alphas", a)
-                       for a in self.alphas)
-        if not alphas or not all(a > 0 for a in alphas):
-            raise ConfigError("alphas must be positive and nonempty")
-        object.__setattr__(self, "alphas", alphas)
-        if self.replicates < 1:
-            raise ConfigError("replicates must be >= 1")
-        if self.grid_points < 2:
-            raise ConfigError("grid_points must be >= 2")
-        if self.draws < 0:
-            raise ConfigError("draws must be >= 0")
-        if self.trunc < 1:
-            raise ConfigError("trunc must be >= 1")
-        if not (0.0 < self.gamma < 1.0):
-            raise ConfigError("gamma must lie in (0, 1)")
-        if not (self.tau > 0):
-            raise ConfigError("tau must be positive")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DemoConfig":
-        allowed = set(cls.__dataclass_fields__)
-        unknown = set(data) - allowed
-        if unknown:
-            raise ConfigError(f"unknown demo config keys: {sorted(unknown)}")
-        try:
-            return cls(**data)
-        except TypeError as err:
-            raise ConfigError(str(err)) from err
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["alphas"] = list(self.alphas)
-        return out
-
-
-def figure_demo(config: DemoConfig) -> list[Path]:
+def figure_demo(out_dir, *, n: float, alphas, replicates: int,
+                master_seed: int, grid_points: int, draws: int, trunc: int,
+                gamma: float, tau: float) -> list[Path]:
     """Replicate-by-prior panel data for the integration-operator showcase.
 
-    Emits one CSV per (replicate, alpha) panel with the truth curve, the
-    posterior mean, the pointwise band, and `draws` posterior sample curves,
-    plus a JSON manifest. Returns the written paths; CSV bytes depend only on
-    (config, master_seed).
+    One observation at n per replicate; each prior smoothness in `alphas`
+    (scale tau, `trunc` coordinates) is applied to the same data. Writes one
+    CSV per (replicate, alpha) panel into out_dir, with the truth curve, the
+    posterior mean, the pointwise (1-gamma) band and `draws` posterior
+    sample curves on `grid_points` uniform points of [0, 1], and returns the
+    paths. harness.run_volterra_demo reads these values from a config.
     """
-    started = time.monotonic()
-    started_at = datetime.now(timezone.utc).isoformat()
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    xs = np.linspace(0.0, 1.0, config.grid_points)
-    fwd = ForwardSpec.volterra(config.trunc)
-    truth = make_truth("demo", config.trunc)
+    xs = np.linspace(0.0, 1.0, grid_points)
+    fwd = ForwardSpec.volterra(trunc)
+    truth = make_truth("demo", trunc)
     truth_curve = _cosine_sums(truth.coeffs, xs)
 
-    draw_cols = [f"draw_{k + 1}" for k in range(config.draws)]
+    draw_cols = [f"draw_{k + 1}" for k in range(draws)]
     columns = ["panel", "x", "truth", "post_mean", "band_lo", "band_hi"] + draw_cols
     paths: list[Path] = []
-    for rep in range(config.replicates):
-        obs = generate_observation(child_seed(config.master_seed, rep),
-                                  truth, fwd, config.n)
-        for ai, alpha in enumerate(config.alphas):
-            prior = PriorSpec(alpha=alpha, tau=config.tau, trunc=config.trunc)
+    for rep in range(replicates):
+        obs = generate_observation(child_seed(master_seed, rep), truth, fwd, n)
+        for ai, alpha in enumerate(alphas):
+            prior = PriorSpec(alpha=alpha, tau=tau, trunc=trunc)
             summary = coordinate_posterior(prior, fwd, obs)
-            center, lo, hi = _band(prior, summary, xs, config.gamma)
-            curves = []
-            if config.draws:
-                curves = _cosine_sums(posterior_draws(
-                    child_seed(config.master_seed, rep, ai + 1),
-                    summary, config.draws), xs)  # (draws, grid)
+            center, lo, hi = _band(prior, summary, xs, gamma)
+            curves = _cosine_sums(posterior_draws(
+                child_seed(master_seed, rep, ai + 1), summary, draws),
+                xs) if draws else []  # (draws, grid)
             block = np.column_stack([xs, truth_curve, center, lo, hi, *curves])
             panel = f"r{rep + 1}_a{alpha:g}"
-            path = out / f"panel_{panel}.csv"
+            path = Path(out_dir) / f"panel_{panel}.csv"
             write_csv(path, columns, ([panel, *row] for row in block.tolist()))
             paths.append(path)
-
-    paths.append(write_manifest(out, config.to_dict(), config.master_seed,
-                                started_at, time.monotonic() - started))
     return paths

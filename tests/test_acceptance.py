@@ -6,6 +6,7 @@ Each test prints one summary line, so running
 
 gives a per-criterion pass/fail report with the measured quantities.
 """
+import dataclasses
 import math
 import time
 
@@ -13,13 +14,13 @@ import numpy as np
 
 from seqinv import harness
 from seqinv.credible import ball_coverage, ball_radius, credible_weights
-from seqinv.harness import ExperimentConfig, run_bvm, run_contraction, \
-    run_functional_coverage, run_lemma_order, run_ball_coverage
+from seqinv.harness import ExperimentConfig, default_config, run_bvm, \
+    run_contraction, run_functional_coverage, run_lemma_order, \
+    run_ball_coverage, run_volterra_demo
 from seqinv.model import ForwardSpec, Observation, PriorSpec
 from seqinv.posterior import coordinate_posterior, risk_decomposition
 from seqinv.rates import RegimeParams
 from seqinv.util import child_seed
-from seqinv.volterra import DemoConfig, figure_demo
 
 from helpers import grid_posterior
 
@@ -266,8 +267,8 @@ def test_criterion_10_series_order_bounds():
 
 def test_criterion_11_demo_bands_reflect_smoothing(tmp_path):
     start = time.monotonic()
-    cfg = DemoConfig(n=1000.0, replicates=10, out_dir=str(tmp_path / "demo"))
-    figure_demo(cfg)
+    run_volterra_demo(dataclasses.replace(
+        default_config("volterra-demo"), replicates=10), tmp_path / "demo")
 
     def panel_stats(rep, alpha):
         path = tmp_path / "demo" / f"panel_r{rep}_a{alpha:g}.csv"

@@ -141,6 +141,11 @@ def test_ball_radius_validation():
     w = _weights(trunc=10)
     with pytest.raises(ValueError):
         ball_radius(w, gamma=1.0)
+    # 1 - gamma rounds to 1: the quantile at probability 1 is infinite
+    small = EigenWeights([1.0, 0.5], [0.5, 0.2])
+    for gamma in (1e-17, 1e-300):
+        with pytest.raises(ValueError, match="1 - gamma below 1"):
+            ball_radius(small, gamma)
     with pytest.raises(ValueError):
         ball_radius(w, gamma=0.05, method="monte-carlo", mc_samples=5000)
     with pytest.raises(ValueError):
@@ -663,6 +668,8 @@ def test_interval_coverage_values():
     assert interval_coverage(50.0, 1.0, 1.0, 0.05) <= 1e-100
     with pytest.raises(ValueError):
         interval_coverage(0.0, 1.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="bias is nan"):
+        interval_coverage(math.nan, 1.0, 1.0, 0.05)
     with pytest.raises(DegenerateInputError):
         interval_coverage(0.0, 0.0, 1.0, 0.05)
 

@@ -18,7 +18,6 @@ from seqinv.harness import (
     ResultTable,
     cli_main,
     default_config,
-    demo_config_from,
     rate_table,
     run_ball_coverage,
     run_bvm,
@@ -383,29 +382,6 @@ def test_result_table_serialization(tmp_path):
     assert payload["kind"] == "contraction"
 
 
-def test_demo_config_mapping(tmp_path):
-    cfg = ExperimentConfig(
-        kind="volterra-demo",
-        regime=RegimeParams(alpha=1.0, beta=1.0, p=1.0),
-        n_grid=(500.0,), replicates=2, master_seed=9,
-        extras={"kappa_kind": "volterra", "trunc": 100, "draws": 2,
-                "alphas": [1.0, 2.0], "grid_points": 21})
-    demo = demo_config_from(cfg, tmp_path)
-    assert demo.n == 500.0
-    assert demo.replicates == 2
-    assert demo.master_seed == 9
-    assert demo.trunc == 100
-    assert demo.alphas == (1.0, 2.0)
-    assert demo.out_dir == str(tmp_path)
-
-    multi = ExperimentConfig(
-        kind="volterra-demo",
-        regime=RegimeParams(alpha=1.0, beta=1.0, p=1.0),
-        n_grid=(500.0, 1000.0))
-    with pytest.raises(ConfigError):
-        demo_config_from(multi, tmp_path)
-
-
 # --- command line -----------------------------------------------------------
 
 def test_cli_contraction_run(tmp_path, capsys):
@@ -442,13 +418,24 @@ def test_cli_json_format(tmp_path):
 
 def test_cli_volterra_demo(tmp_path):
     out = tmp_path / "demo"
-    assert cli_main(["volterra-demo", "--replicates", "1", "--out",
-                     str(out)]) == 0
+    assert cli_main(["volterra-demo", "--replicates", "1", "--seed", "71",
+                     "--out", str(out)]) == 0
     assert (out / "panel_r1_a1.csv").is_file()
     assert (out / "panel_r1_a5.csv").is_file()
     manifest = json.loads((out / "manifest.json").read_text())
-    # The demo writes its own manifest, carrying the panel configuration.
-    assert "draws" in manifest["config"]
+    # The demo's manifest echoes its ExperimentConfig, as every kind's does.
+    assert manifest["config"] == default_config("volterra-demo").to_dict() | {
+        "replicates": 1, "master_seed": 71}
+    assert manifest["master_seed"] == 71
+    assert "code_version" in manifest
+    # extras.kappa_kind may name the Volterra map, which the demo runs anyway
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(manifest["config"] | {
+        "extras": {"kappa_kind": "volterra"}}))
+    assert cli_main(["volterra-demo", "--config", str(path), "--out",
+                     str(tmp_path / "named")]) == 0
+    assert (tmp_path / "named" / "panel_r1_a5.csv").read_bytes() \
+        == (out / "panel_r1_a5.csv").read_bytes()
 
 
 def test_cli_manifests_share_keys(tmp_path):
@@ -464,6 +451,36 @@ def test_cli_manifests_share_keys(tmp_path):
                                   "blas_threads"}
 
 
+_SMALL_RUNS = {
+    "contraction": ["--n", "1e3,1e4", "--replicates", "3"],
+    "coverage-ball": ["--n", "1e4"],
+    "coverage-functional": ["--n", "1e4,1e6"],
+    "bvm": ["--n", "1e4,1e6"],
+    "volterra-demo": ["--replicates", "2", "--seed", "3"],
+    "lemma-order": ["--n", "1e2,1e4"],
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_cli_manifest_config_reruns_to_the_same_bytes(tmp_path, kind):
+    # Every kind's manifest config is an ExperimentConfig, and a --config
+    # rerun from it writes the same tables or panels, byte for byte.
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert cli_main([kind, *_SMALL_RUNS[kind], "--out", str(first)]) == 0
+    config = json.loads((first / "manifest.json").read_text())["config"]
+    assert ExperimentConfig.from_dict(config).to_dict() == config
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert cli_main([kind, "--config", str(path), "--out", str(second)]) == 0
+    def outputs(out):
+        return sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+
+    names = outputs(first)
+    assert names and names == outputs(second)
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
 def test_cli_coverage_ball_truncation_cap(tmp_path, capsys):
     # An auto truncation beyond the cap, or not finite, is a run-time error.
     assert cli_main(["coverage-ball", "--n", "1e300", "--alpha", "0.01",
@@ -472,6 +489,26 @@ def test_cli_coverage_ball_truncation_cap(tmp_path, capsys):
     assert cli_main(["coverage-ball", "--n", "1e300", "--tau-exp", "1",
                      "--out", str(tmp_path / "b")]) == 1
     assert "not finite" in capsys.readouterr().err
+
+
+def test_cli_run_time_refusals_are_typed(tmp_path, capsys, monkeypatch):
+    # A gamma whose 1 - gamma rounds to 1 has no finite ball radius.
+    assert cli_main(["coverage-ball", "--gamma", "1e-20", "--n", "1e4",
+                     "--out", str(tmp_path / "ball")]) == 1
+    assert "1 - gamma below 1" in capsys.readouterr().err
+    # The boundary log-power rate sum at n = 1e60 would need 1e12 terms; it
+    # is refused before summing (here summing fails outright).
+    monkeypatch.setattr(rates, "_EVAL_CHUNK", None)
+    cfg = dataclasses.replace(
+        default_config("contraction"),
+        regime=RegimeParams(alpha=1.0, beta=1.0, p=1.0, q=1.0),
+        n_grid=(1e60,), trunc_policy={"mode": "fixed", "value": 1000},
+        extras={"sv_log_power": 1.0})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg.to_dict()))
+    assert cli_main(["contraction", "--config", str(path), "--out",
+                     str(tmp_path / "rates")]) == 1
+    assert "above the cap" in capsys.readouterr().err
 
 
 def test_cli_tau_overflow_is_typed(tmp_path, capsys):
@@ -609,6 +646,21 @@ MALFORMED_CONFIGS = {
     "demo-grid-points-quoted": (
         "volterra-demo", {"extras": {"grid_points": "401"}}),
     "demo-tau-bool": ("volterra-demo", {"extras": {"tau": True}}),
+    # the demo's own range checks
+    "demo-n-negative": ("volterra-demo", {"n_grid": [-1.0]}),
+    "demo-two-n": ("volterra-demo", {"n_grid": [500.0, 1000.0]}),
+    "demo-alphas-empty": ("volterra-demo", {"extras": {"alphas": []}}),
+    "demo-alphas-zero": ("volterra-demo", {"extras": {"alphas": [1.0, 0.0]}}),
+    "demo-replicates-zero": ("volterra-demo", {"replicates": 0}),
+    "demo-grid-points-one": ("volterra-demo", {"extras": {"grid_points": 1}}),
+    "demo-draws-negative": ("volterra-demo", {"extras": {"draws": -1}}),
+    "demo-trunc-zero": ("volterra-demo", {"extras": {"trunc": 0}}),
+    "demo-tau-zero": ("volterra-demo", {"extras": {"tau": 0.0}}),
+    "demo-gamma-one": ("volterra-demo", {"gamma": 1.0}),
+    "demo-unknown-key": ("volterra-demo", {"mystery": 3}),
+    # the demo runs the Volterra map whatever kappa_kind says
+    "demo-kappa-kind-poly": (
+        "volterra-demo", {"extras": {"kappa_kind": "poly"}}),
 }
 
 

@@ -182,6 +182,22 @@ def test_boundary_harmonic_correction():
     assert delta_log ** 2 == pytest.approx(direct_log, rel=1e-10)
 
 
+def test_log_power_harmonic_sum_is_capped(monkeypatch):
+    # Beyond _MAX_HEAD terms the sum is refused before any term is summed
+    # (here summing fails outright); at n = 1e60 it would take 1e12 terms.
+    monkeypatch.setattr(rates, "_EVAL_CHUNK", None)
+    m = rates._MAX_HEAD + 1
+    with pytest.raises(TruncationError) as exc:
+        rates._log_power_partial_harmonic(m, 1.0)
+    assert exc.value.required_trunc == m
+    rp = RegimeParams(alpha=1.0, beta=1.0, p=1.0, q=1.0)
+    with pytest.raises(TruncationError) as exc:
+        slowly_varying_corrections(rp, 1e60, SlowlyVarying(log_power=1.0))
+    assert exc.value.required_trunc == math.floor(1e60 ** 0.2)
+    # H_m itself has a closed form at any m
+    assert rates._log_power_partial_harmonic(m, 0.0) > 0
+
+
 def test_optimal_tau_functional_values():
     rp = RegimeParams(alpha=1.0, beta=1.0, p=1.0, q=0.5)
     assert optimal_tau_functional(rp) == pytest.approx(0.125)

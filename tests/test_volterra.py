@@ -1,5 +1,4 @@
 import csv
-import json
 import math
 import tracemalloc
 import warnings
@@ -15,11 +14,10 @@ from seqinv.model import (
     make_truth,
 )
 from seqinv.posterior import coordinate_posterior, posterior_draws
-from seqinv.util import ConfigError, DimensionMismatchError, child_seed, \
-    format_cell, ndtri
+from seqinv.util import DimensionMismatchError, child_seed, format_cell, \
+    ndtri
 from seqinv import volterra
 from seqinv.volterra import (
-    DemoConfig,
     GridFunction,
     _cosine_sums,
     _direct_sums,
@@ -48,8 +46,9 @@ def test_basis_endpoint_values():
                                rtol=1e-15)
     # Every unknown-side eigenfunction vanishes at the right endpoint.
     assert np.max(np.abs(mat[:, 1])) <= 1e-12
-    with pytest.raises(ValueError):
-        synthesize([1.0], [-0.1])
+    for x in (-0.1, math.nan):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            synthesize([1.0], [x])
 
 
 def test_basis_orthonormality():
@@ -67,6 +66,9 @@ def test_point_functional_values():
     np.testing.assert_allclose(l.coeffs, np.full(50, math.sqrt(2.0)),
                                rtol=1e-15)
     assert l.q == -0.5
+    for x in (1.5, math.nan):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            point_functional(x, 10)
 
     # The representer is not square-summable, but against the prior weights
     # the spread series converges: doubling the truncation moves it only in
@@ -198,6 +200,8 @@ def test_band_variance_vanishes_at_right_endpoint():
 def test_grid_function_validation():
     with pytest.raises(ValueError):
         GridFunction(xs=[0.5, 0.2], values=[1.0, 2.0])
+    with pytest.raises(ValueError):
+        GridFunction(xs=[0.1, math.nan], values=[1.0, 2.0])
     with pytest.raises(DimensionMismatchError):
         GridFunction(xs=[0.1, 0.2], values=[1.0])
     with pytest.raises(ValueError):
@@ -310,37 +314,13 @@ def test_posterior_mean_approaches_truth():
     assert d12 <= 0.06
 
 
-def test_demo_config_validation():
-    cfg = DemoConfig(n=500.0, alphas=(1.0, 2.0), replicates=2)
-    assert cfg.alphas == (1.0, 2.0)
-    round_tripped = DemoConfig.from_dict(cfg.to_dict())
-    assert round_tripped == cfg
-    with pytest.raises(ConfigError):
-        DemoConfig(n=-1.0)
-    with pytest.raises(ConfigError):
-        DemoConfig(alphas=())
-    with pytest.raises(ConfigError):
-        DemoConfig(replicates=0)
-    with pytest.raises(ConfigError):
-        DemoConfig(grid_points=1)
-    with pytest.raises(ConfigError):
-        DemoConfig(draws=-1)
-    with pytest.raises(ConfigError):
-        DemoConfig(gamma=1.0)
-    with pytest.raises(ConfigError):
-        DemoConfig.from_dict({"n": 100.0, "mystery": 3})
-
-
-def _small_demo(out_dir):
-    return DemoConfig(n=1000.0, alphas=(1.0, 5.0), replicates=2,
-                      master_seed=71, grid_points=41, draws=3, trunc=200,
-                      out_dir=str(out_dir))
+_SMALL_DEMO = dict(n=1000.0, alphas=(1.0, 5.0), replicates=2, master_seed=71,
+                   grid_points=41, draws=3, trunc=200, gamma=0.05, tau=1.0)
 
 
 def test_figure_demo_outputs(tmp_path):
-    cfg = _small_demo(tmp_path / "a")
-    paths = figure_demo(cfg)
-    csvs = [p for p in paths if p.suffix == ".csv"]
+    csvs = figure_demo(tmp_path / "a", **_SMALL_DEMO)
+    assert all(p.suffix == ".csv" for p in csvs)
     assert len(csvs) == 4  # replicates x alphas
     names = sorted(p.name for p in csvs)
     assert names == ["panel_r1_a1.csv", "panel_r1_a5.csv",
@@ -350,22 +330,15 @@ def test_figure_demo_outputs(tmp_path):
     assert header == ["panel", "x", "truth", "post_mean", "band_lo",
                       "band_hi", "draw_1", "draw_2", "draw_3"]
 
-    manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
-    assert manifest["config"]["n"] == 1000.0
-    assert manifest["master_seed"] == 71
-    assert "code_version" in manifest
-
-    # Same config, different directory: identical panel bytes.
-    cfg2 = _small_demo(tmp_path / "b")
-    figure_demo(cfg2)
+    # Same values, different directory: identical panel bytes.
+    figure_demo(tmp_path / "b", **_SMALL_DEMO)
     for name in names:
         assert (tmp_path / "a" / name).read_bytes() \
             == (tmp_path / "b" / name).read_bytes()
 
 
 def test_figure_demo_band_widths_order(tmp_path):
-    cfg = _small_demo(tmp_path / "w")
-    figure_demo(cfg)
+    figure_demo(tmp_path / "w", **_SMALL_DEMO)
     widths = {}
     for name in ("panel_r1_a1.csv", "panel_r1_a5.csv"):
         lines = (tmp_path / "w" / name).read_text().splitlines()[1:]
@@ -377,12 +350,11 @@ def test_figure_demo_band_widths_order(tmp_path):
 def test_figure_demo_memory_is_bounded(tmp_path):
     # O(trunc + grid) per panel: a trunc x grid basis at trunc 1e5 and 401
     # points alone would take 320 MB.
-    cfg = DemoConfig(n=1000.0, alphas=(1.0,), replicates=1, master_seed=5,
-                     grid_points=401, draws=20, trunc=100_000,
-                     out_dir=str(tmp_path / "big"))
     tracemalloc.start()
     try:
-        figure_demo(cfg)
+        figure_demo(tmp_path / "big", n=1000.0, alphas=(1.0,), replicates=1,
+                    master_seed=5, grid_points=401, draws=20, trunc=100_000,
+                    gamma=0.05, tau=1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -394,25 +366,23 @@ def test_figure_demo_panels_match_public_reference(tmp_path):
     # draws as one block; its bytes must equal panels built from the public
     # band, synthesis and draw calls with every cell formatted by
     # format_cell.
-    cfg = DemoConfig(n=1000.0, alphas=(1.0, 5.0), replicates=2,
-                     master_seed=17, grid_points=51, draws=3, trunc=200,
-                     out_dir=str(tmp_path / "demo"))
-    figure_demo(cfg)
-    xs = np.linspace(0.0, 1.0, cfg.grid_points)
-    fwd = ForwardSpec.volterra(cfg.trunc)
-    truth = make_truth("demo", cfg.trunc)
+    cfg = _SMALL_DEMO | dict(master_seed=17, grid_points=51)
+    figure_demo(tmp_path / "demo", **cfg)
+    xs = np.linspace(0.0, 1.0, cfg["grid_points"])
+    fwd = ForwardSpec.volterra(cfg["trunc"])
+    truth = make_truth("demo", cfg["trunc"])
     truth_curve = synthesize(truth.coeffs, xs).values
     header = ["panel", "x", "truth", "post_mean", "band_lo", "band_hi",
               "draw_1", "draw_2", "draw_3"]
-    for rep in range(cfg.replicates):
-        obs = generate_observation(child_seed(cfg.master_seed, rep), truth,
-                                   fwd, cfg.n)
-        for ai, alpha in enumerate(cfg.alphas):
-            prior = PriorSpec(alpha=alpha, tau=cfg.tau, trunc=cfg.trunc)
-            band = credible_band(prior, fwd, obs, xs, cfg.gamma)
-            samples = posterior_draws(child_seed(cfg.master_seed, rep, ai + 1),
-                                      coordinate_posterior(prior, fwd, obs),
-                                      cfg.draws)
+    for rep in range(cfg["replicates"]):
+        obs = generate_observation(child_seed(cfg["master_seed"], rep), truth,
+                                   fwd, cfg["n"])
+        for ai, alpha in enumerate(cfg["alphas"]):
+            prior = PriorSpec(alpha=alpha, tau=cfg["tau"], trunc=cfg["trunc"])
+            band = credible_band(prior, fwd, obs, xs, cfg["gamma"])
+            samples = posterior_draws(
+                child_seed(cfg["master_seed"], rep, ai + 1),
+                coordinate_posterior(prior, fwd, obs), cfg["draws"])
             curves = [synthesize(c, xs).values for c in samples]
             panel = f"r{rep + 1}_a{alpha:g}"
             ref = tmp_path / f"ref_{panel}.csv"
