@@ -567,8 +567,8 @@ class _WeightedChiSquare:
         the points seen so far goes to a bracket end not yet evaluated, or
         else bisects. It stops when the step is within the root tolerance;
         if F(lo) >= prob it returns lo, and if F(hi) <= prob it returns hi.
-        The bound adds the root tolerance to the cut-off's CDF error divided
-        by the closed-form density at the last point evaluated.
+        The bound is the root tolerance plus the cut-off's CDF error over
+        the density at the last point, capped by the farther end of [lo, hi].
         """
         m, sd = self.mean, self.sd
         # Cantelli's inequality puts the quantile inside [lo, hi]
@@ -612,7 +612,8 @@ class _WeightedChiSquare:
             x, step = new, new - x
             if abs(step) <= tol:
                 break
-        err = xtol + _IMHOF_ROOT_RTOL * x + self.tail / max(density, 1e-300)
+        err = min(xtol + _IMHOF_ROOT_RTOL * x + self.tail / max(density, 1e-300),
+                  max(x - lo, hi - x))   # finite where the density underflows
         return x * self.scale, err * self.scale
 
 
@@ -629,7 +630,7 @@ def ball_radius(w: EigenWeights, gamma: float, method: str = "imhof",
 
     With full_output the result is (r, abserr): for "imhof", abserr bounds
     |r - exact r| by the root tolerance plus the integral's cut-off error
-    over the closed-form density at the root, and it is None for
+    over the density at the root (or Cantelli's bracket, if less); None for
     "monte-carlo". ValueError unless 0 < gamma < 1 and 1 - gamma rounds
     below 1 (gamma above about 1.1e-16): the radius at 1 - gamma = 1 is inf.
     """

@@ -595,6 +595,9 @@ def run_volterra_demo(cfg: ExperimentConfig, out_dir) -> list[Path]:
             f"{what}: need alphas > 0 (at least one), grid_points >= 2, "
             f"draws >= 0, trunc >= 1 and tau > 0, got {list(alphas)}, "
             f"{grid_points}, {draws}, {trunc} and {tau!r}")
+    labels = [f"{a:g}" for a in alphas]   # figure_demo's panel file names
+    if len(set(labels)) != len(labels):
+        raise ConfigError(f"{what}: alphas repeat as panel labels {labels}")
     return volterra.figure_demo(
         out_dir, n=cfg.n_grid[0], alphas=alphas, replicates=cfg.replicates,
         master_seed=cfg.master_seed, grid_points=grid_points, draws=draws,

@@ -130,50 +130,46 @@ def seed_tag(seed: int, *key: int) -> str:
 
 def format_cell(value) -> str:
     """CSV cell text: shortest round-trip decimals for floats."""
+    if isinstance(value, (float, np.floating)):   # the common cell first
+        return repr(float(value))
     if isinstance(value, (bool, np.bool_)):
         return str(bool(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
     return str(value)
 
 
-# csv.writer renders str as itself and float by repr, exactly as format_cell
-# does, so a line of these cells can be written without either.
-_NATIVE_CELLS = frozenset((str, float))
+_BLOCK_ROWS = 64   # rows of a float block joined into one write
 
 
-def _plain_line(row) -> str | None:
-    """The csv.writer line of a row of floats and plain strings, else None.
+def write_csv(path, columns: Sequence[str], rows: Iterable[Sequence],
+              lead: Sequence = ()) -> None:
+    """Write the header `columns`, then each row of `rows` opened by the
+    cells of `lead`, as Python's csv writer writes format_cell's text.
 
-    A plain string is non-empty and free of commas, double quotes, CR and
-    LF; csv.writer writes such a cell as itself and a float as its repr
-    (= its str), so joining the cells gives its line without the writer's
-    per-cell quoting scan. A float's repr holds none of those characters,
-    so a comma count of len(row) - 1 rules out commas inside the cells.
+    `rows` may be a 2-d float64 ndarray, written _BLOCK_ROWS rows at a time:
+    each line is the csv text of `lead`, rendered once, and the reprs of the
+    row's floats joined by commas, none of which the writer would quote.
     """
-    if not _NATIVE_CELLS.issuperset(map(type, row)) or "" in row:
-        return None
-    line = ",".join(map(str, row))
-    if (line.count(",") != len(row) - 1 or '"' in line or "\r" in line
-            or "\n" in line):
-        return None
-    return line + "\n"
-
-
-def write_csv(path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    lead = [format_cell(v) for v in lead]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            line = _plain_line(row)
-            if line is not None:
-                fh.write(line)
-            else:
-                writer.writerow([format_cell(v) for v in row])
+        if not (isinstance(rows, np.ndarray) and rows.ndim == 2
+                and rows.dtype == np.float64 and rows.shape[1]):
+            writer.writerows([*lead, *map(format_cell, row)] for row in rows)
+            return
+        import io
+        text = io.StringIO()
+        # The file's dialect (its terminator decides what is quoted); the
+        # "0" keeps an empty lead cell from being a one-cell row's lone "".
+        csv.writer(text, lineterminator="\n").writerow(lead + ["0"])
+        prefix = text.getvalue()[:-2]
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            fh.write("".join([prefix + ",".join(map(repr, row)) + "\n" for row
+                              in rows[start:start + _BLOCK_ROWS].tolist()]))
 
 
 def write_manifest(out_dir, config: dict, master_seed: int, started_at: str,

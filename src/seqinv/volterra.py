@@ -227,6 +227,6 @@ def figure_demo(out_dir, *, n: float, alphas, replicates: int,
             block = np.column_stack([xs, truth_curve, center, lo, hi, *curves])
             panel = f"r{rep + 1}_a{alpha:g}"
             path = Path(out_dir) / f"panel_{panel}.csv"
-            write_csv(path, columns, ([panel, *row] for row in block.tolist()))
+            write_csv(path, columns, block, lead=(panel,))
             paths.append(path)
     return paths

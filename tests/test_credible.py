@@ -155,6 +155,22 @@ def test_ball_radius_validation():
         assert ball_radius(zero, gamma=0.05) == 0.0
 
 
+def test_ball_radius_abserr_is_finite_at_tiny_gamma():
+    # Near the smallest gamma accepted the density at the root underflows,
+    # and the cut-off error over it is no bound; Cantelli's bracket is.
+    w = EigenWeights([1.0, 0.5], [0.5, 0.2])
+    mean, var = w.s_w.sum(), 2.0 * (w.s_w ** 2).sum()
+    for gamma in (1e-15, 2e-16, 0.05):
+        r, abserr = ball_radius(w, gamma, full_output=True)
+        assert math.isfinite(abserr) and 0.0 < abserr
+        # r^2 lies below Cantelli's upper end, mean + sd sqrt(p / (1 - p))
+        p = 1.0 - gamma
+        hi = mean + math.sqrt(var * p / (1.0 - p))
+        assert r * r <= hi and abserr <= hi / r
+    # at an ordinary gamma the density is far from underflow: no cap
+    assert abserr <= 1e-8 * r
+
+
 def test_imhof_radius_chi_square_laws():
     # One weight and equal weights are scaled chi-squares.
     for weights, dof in (([2.0], 1), (np.full(7, 5.0), 7),

@@ -656,6 +656,10 @@ MALFORMED_CONFIGS = {
     "demo-draws-negative": ("volterra-demo", {"extras": {"draws": -1}}),
     "demo-trunc-zero": ("volterra-demo", {"extras": {"trunc": 0}}),
     "demo-tau-zero": ("volterra-demo", {"extras": {"tau": 0.0}}),
+    # two alphas whose panels would share one file name
+    "demo-alphas-same-label": (
+        "volterra-demo", {"extras": {"alphas": [1.0, 1.0000001]}}),
+    "demo-alphas-repeated": ("volterra-demo", {"extras": {"alphas": [2, 2]}}),
     "demo-gamma-one": ("volterra-demo", {"gamma": 1.0}),
     "demo-unknown-key": ("volterra-demo", {"mystery": 3}),
     # the demo runs the Volterra map whatever kappa_kind says

@@ -2,8 +2,10 @@ import csv
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
+import pytest
 
 from seqinv.util import (
     child_seed,
@@ -89,11 +91,10 @@ def test_csv_round_trip(tmp_path):
 
 
 def test_write_csv_matches_format_cell_reference(tmp_path):
-    # Rows of floats and plain strings are joined directly, and every other
-    # row goes through format_cell and csv.writer. Both must give the bytes
-    # of a format_cell-per-cell csv.writer, also for the cells csv.writer
-    # quotes (empty string, comma, quote, newline, carriage return), mixed in
-    # one file.
+    # Rows that are not a float block go through format_cell and
+    # csv.writer, and must give the bytes of a format_cell-per-cell
+    # csv.writer, also for the cells csv.writer quotes (empty string, comma,
+    # quote, newline, carriage return), mixed in one file.
     cells = [np.float64(0.1), np.int64(-7), np.bool_(True), np.bool_(False),
              0.1, -7, True, False, float("nan"), float("inf"),
              -float("inf"), -0.0, 5e-324, 1e16, 1.0 / 3.0, None,
@@ -114,6 +115,60 @@ def test_write_csv_matches_format_cell_reference(tmp_path):
         for row in rows:
             writer.writerow([format_cell(v) for v in row])
     assert path.read_bytes() == ref.read_bytes()
+
+
+def _reference_csv(path, columns, rows, lead=()):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([format_cell(v) for v in (*lead, *row)])
+    return path.read_bytes()
+
+
+BLOCK_FLOATS = [0.0, -0.0, 5e-324, 1e-5, 1e-4, 0.1, 1.0 / 3.0, 1e16, 1e22,
+                1.7976931348623157e308, float("nan"), float("inf"),
+                -float("inf")]
+BLOCK_LEADS = [(), ("r1_a1",), ("a,b",), ('say "hi"',), ("",), ("x\ny",),
+               (np.float64(0.5), np.int64(2), "", None)]
+
+
+@pytest.mark.parametrize("lead", BLOCK_LEADS, ids=repr)
+def test_write_csv_float_block_matches_format_cell_reference(tmp_path, lead):
+    # A 2-d float block is written as the rendered lead and the reprs of its
+    # floats; that must be the csv.writer line of the same cells, also for
+    # a lead the writer quotes, an empty lead cell, no rows and one column.
+    values = np.array(BLOCK_FLOATS)
+    blocks = [np.stack([values, values[::-1], -values]),
+              values.reshape(-1, 1), np.empty((0, 4)), np.empty((3, 0))]
+    for k, block in enumerate(blocks):
+        path, ref = tmp_path / f"block{k}.csv", tmp_path / f"ref{k}.csv"
+        columns = [f"c{j}" for j in range(len(lead) + block.shape[1])]
+        write_csv(path, columns, block, lead=lead)
+        assert path.read_bytes() == _reference_csv(
+            ref, columns, block.tolist(), lead)
+        # the rows re-yielded one at a time as 1-d arrays, as a wrapper
+        # that counts rows passes them on, give the same bytes
+        rows = tmp_path / f"rows{k}.csv"
+        write_csv(rows, columns, (row for row in block), lead=lead)
+        assert rows.read_bytes() == path.read_bytes()
+
+
+def test_write_csv_float_block_memory_is_bounded(tmp_path):
+    # A default volterra-demo panel: 401 rows of 25 floats, most at their
+    # longest repr, about 230 kB of text. Written a few rows at a time the
+    # writer peaks near 0.3 MB; the whole text built first would take 0.7.
+    block = np.random.default_rng(3).standard_normal((401, 25)) * 1e-7
+    path = tmp_path / "panel.csv"
+    tracemalloc.start()
+    try:
+        write_csv(path, ["panel"] + [f"c{j}" for j in range(25)], block,
+                  lead=("r1_a1",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 150_000
+    assert peak < 500_000
 
 
 def test_write_manifest_keys(tmp_path, monkeypatch):
