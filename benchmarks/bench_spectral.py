@@ -86,7 +86,7 @@ def cell(request):
     prior = PriorSpec(alpha=1.0, tau=1.0, trunc=trunc)
     fwd = ForwardSpec.volterra(trunc)
     i = np.arange(1, trunc + 1, dtype=float)
-    l = Functional(coeffs=i ** -2.5, q=2.0)
+    l = Functional(coeffs=i ** -2.5)
     return prior, fwd, l, make_truth("demo", trunc)
 
 

@@ -22,7 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ForwardSpec, PriorSpec, Truth, _spectral_blocks
+from .model import ForwardSpec, PriorSpec, Truth, _frozen_array, \
+    _spectral_blocks
 from .posterior import Functional, _interval_terms
 from .util import DegenerateInputError, DimensionMismatchError, ndtr, \
     ndtri, rng_for, stable_sums
@@ -58,16 +59,12 @@ class EigenWeights:
     t_w: np.ndarray
 
     def __post_init__(self):
-        s = np.ascontiguousarray(self.s_w, dtype=float)
-        t = np.ascontiguousarray(self.t_w, dtype=float)
-        if s.shape != t.shape or s.ndim != 1:
-            raise DimensionMismatchError("weight arrays must be 1-d, same length")
-        if np.any(t < 0) or np.any(s < t):
+        _frozen_array(self, "s_w", self.s_w)
+        _frozen_array(self, "t_w", self.t_w)
+        if self.s_w.shape != self.t_w.shape:
+            raise DimensionMismatchError("weight arrays differ in length")
+        if np.any(self.t_w < 0) or np.any(self.s_w < self.t_w):
             raise ValueError("need 0 <= t_w <= s_w coordinatewise")
-        s.flags.writeable = False
-        t.flags.writeable = False
-        object.__setattr__(self, "s_w", s)
-        object.__setattr__(self, "t_w", t)
 
     @property
     def trunc(self) -> int:
@@ -632,7 +629,8 @@ def ball_radius(w: EigenWeights, gamma: float, method: str = "imhof",
     |r - exact r| by the root tolerance plus the integral's cut-off error
     over the density at the root (or Cantelli's bracket, if less); None for
     "monte-carlo". ValueError unless 0 < gamma < 1 and 1 - gamma rounds
-    below 1 (gamma above about 1.1e-16): the radius at 1 - gamma = 1 is inf.
+    below 1 (gamma above 2^-54, about 5.6e-17): the radius at 1 - gamma = 1
+    is inf.
     """
     if not (0.0 < 1.0 - gamma < 1.0):
         raise ValueError(f"gamma must lie in (0, 1) with 1 - gamma below 1 "

@@ -23,28 +23,13 @@ import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import credible, model, posterior, rates, volterra
 from .util import ConfigError, DimensionMismatchError, child_seed, ndtri, \
     seed_tag, stable_sum, stable_sums, write_csv, write_manifest
-
-KINDS = ("contraction", "coverage-ball", "coverage-functional", "bvm",
-         "volterra-demo", "lemma-order")
-# the extras keys each kind's runner reads: the forward map of a realized
-# cell, the rate table's slowly varying factor (read only with regime.q),
-# the lemma combos, and the demo's panel settings (see run_volterra_demo,
-# whose kappa_kind may only name the Volterra map it runs)
-_EXTRAS_READ = {
-    "contraction": ("kappa_kind", "sv_log_power"),
-    "coverage-ball": ("kappa_kind",),
-    "coverage-functional": ("kappa_kind",),
-    "bvm": ("kappa_kind",),
-    "volterra-demo": ("kappa_kind", "alphas", "draws", "grid_points", "trunc",
-                      "tau"),
-    "lemma-order": ("combos",),
-}
 
 # branch-separated (q, t, u, v) grid for the series order check: six combos
 # on each side of min((t+2q)/u, v), gaps >= 0.3, truncations tractable.
@@ -74,12 +59,13 @@ class ExperimentConfig:
     gamma: float = 0.05
     replicates: int = 200
     master_seed: int = 20260822
-    trunc_policy: dict = field(
-        default_factory=lambda: {"mode": "auto", "floor": 1000, "factor": 10.0})
+    trunc_policy: dict = field(default_factory=lambda: {
+        "mode": "auto", "floor": model.TRUNC_FLOOR,
+        "factor": model.TRUNC_FACTOR})
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in _KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         try:
             grid = tuple(float(v) for v in self.n_grid)
@@ -99,27 +85,31 @@ class ExperimentConfig:
             if type(value) is not int or value < low:
                 raise ConfigError(
                     f"{name} must be an integer >= {low}, got {value!r}")
-        mode = _spec_value("trunc_policy", self.trunc_policy, "mode", kind=str)
+        # parsed once for _trunc_for: a fixed policy's value, or an auto
+        # policy's floor and factor for model.default_trunc
+        policy = self.trunc_policy
+        mode = _spec_value("trunc_policy", policy, "mode", kind=str)
         if mode == "auto":
-            _only_keys("trunc_policy", self.trunc_policy,
-                       "mode", "floor", "factor")
-            if _spec_value("auto trunc_policy", self.trunc_policy, "floor",
-                           1000, int) < 1:
+            _only_keys("trunc_policy", policy, "mode", "floor", "factor")
+            get = functools.partial(_spec_value, "auto trunc_policy", policy)
+            trunc = {"floor": get("floor", model.TRUNC_FLOOR, int),
+                     "factor": get("factor", model.TRUNC_FACTOR)}
+            if trunc["floor"] < 1:
                 raise ConfigError("auto trunc_policy needs a floor >= 1")
-            if not 0.0 < _spec_value("auto trunc_policy", self.trunc_policy,
-                                     "factor", 10.0) < math.inf:
+            if not 0.0 < trunc["factor"] < math.inf:
                 raise ConfigError(
                     "auto trunc_policy needs a finite factor > 0")
         elif mode == "fixed":
-            _only_keys("trunc_policy", self.trunc_policy, "mode", "value")
-            if _spec_value("fixed trunc_policy", self.trunc_policy, "value",
-                           kind=int) < 1:
+            _only_keys("trunc_policy", policy, "mode", "value")
+            trunc = _spec_value("fixed trunc_policy", policy, "value", kind=int)
+            if trunc < 1:
                 raise ConfigError("fixed trunc_policy needs a positive value")
         else:
             raise ConfigError("trunc_policy mode must be 'auto' or 'fixed'")
+        object.__setattr__(self, "_trunc", trunc)
         if not isinstance(self.extras, dict):
             raise ConfigError(f"extras must be an object, got {self.extras!r}")
-        keys = _EXTRAS_READ[self.kind]
+        keys = _KINDS[self.kind].extras
         if self.regime.q is None:   # no functional rate to scale
             keys = tuple(k for k in keys if k != "sv_log_power")
         _only_keys(f"{self.kind} extras", self.extras, *keys)
@@ -220,13 +210,10 @@ def _only_keys(what: str, spec: dict, *keys: str) -> None:
 
 
 def _trunc_for(cfg: ExperimentConfig, n: float) -> int:
-    policy = cfg.trunc_policy
-    if policy["mode"] == "fixed":
-        return _spec_value("trunc_policy", policy, "value", kind=int)
-    return model.default_trunc(
-        n, cfg.regime.alpha, cfg.regime.p, cfg.regime.tau(n),
-        floor=_spec_value("trunc_policy", policy, "floor", 1000, int),
-        factor=_spec_value("trunc_policy", policy, "factor", 10.0))
+    if isinstance(cfg._trunc, int):   # a fixed policy's value
+        return cfg._trunc
+    return model.default_trunc(n, cfg.regime.alpha, cfg.regime.p,
+                               cfg.regime.tau(n), **cfg._trunc)
 
 
 def _forward_for(cfg: ExperimentConfig, trunc: int) -> model.ForwardSpec:
@@ -238,6 +225,17 @@ def _forward_for(cfg: ExperimentConfig, trunc: int) -> model.ForwardSpec:
             raise ConfigError("volterra forward requires p = 1")
         return model.ForwardSpec.volterra(trunc)
     raise ConfigError(f"unknown kappa_kind {kind!r}")
+
+
+def _padded(what: str, spec: dict, trunc: int) -> np.ndarray:
+    """The custom spec's coeffs, zero-padded to trunc entries."""
+    coeffs = _spec_value(what, spec, "coeffs",
+                         kind=functools.partial(np.asarray, dtype=float))
+    if coeffs.size > trunc:
+        raise ConfigError(f"{what} longer than truncation")
+    full = np.zeros(trunc)
+    full[:coeffs.size] = coeffs
+    return full
 
 
 def _functional_for(cfg: ExperimentConfig, trunc: int) -> posterior.Functional:
@@ -253,13 +251,12 @@ def _functional_for(cfg: ExperimentConfig, trunc: int) -> posterior.Functional:
         coeffs = np.arange(1, trunc + 1, dtype=float)
         coeffs **= -q - 0.5  # in place: no trunc-long temporary
         coeffs *= get("scale", 1.0)
-        return posterior.Functional(coeffs=coeffs, q=q)
+        return posterior.Functional(coeffs=coeffs)
     if kind == "exp":
-        only("rate", "q")
+        only("rate")
         coeffs = np.arange(1, trunc + 1, dtype=float)
         coeffs *= -get("rate", 1.0)
-        return posterior.Functional(coeffs=np.exp(coeffs, out=coeffs),
-                                    q=get("q", math.inf))
+        return posterior.Functional(coeffs=np.exp(coeffs, out=coeffs))
     if kind == "point":
         only("x")
         x = get("x")
@@ -267,21 +264,17 @@ def _functional_for(cfg: ExperimentConfig, trunc: int) -> posterior.Functional:
             raise ConfigError(f"point functional x {x!r} outside [0, 1]")
         return volterra.point_functional(x, trunc)
     if kind == "coordinate":
-        only("index", "q")
+        only("index")
         idx = get("index", kind=int)
         if not (1 <= idx <= trunc):
             raise ConfigError("coordinate index outside truncation")
         coeffs = np.zeros(trunc)
         coeffs[idx - 1] = 1.0
-        return posterior.Functional(coeffs=coeffs, q=get("q", -0.5))
+        return posterior.Functional(coeffs=coeffs)
     if kind == "custom":
-        only("coeffs", "q")
-        coeffs = get("coeffs", kind=functools.partial(np.asarray, dtype=float))
-        if coeffs.size > trunc:
-            raise ConfigError("custom functional longer than truncation")
-        full = np.zeros(trunc)
-        full[:coeffs.size] = coeffs
-        return posterior.Functional(coeffs=full, q=get("q", 0.0))
+        only("coeffs")
+        return posterior.Functional(coeffs=_padded(f"{kind} functional",
+                                                   spec, trunc))
     raise ConfigError(f"unknown functional kind {kind!r}")
 
 
@@ -303,16 +296,10 @@ def _truth_for(cfg: ExperimentConfig, n: float, trunc: int,
         return model.make_truth("smooth", trunc, beta=get("beta"), eps=eps)
     if pattern == "zero":
         only()
-        return model.make_truth("custom", trunc, beta=cfg.regime.beta,
-                                coeffs=np.zeros(trunc))
+        return model.Truth(coeffs=np.zeros(trunc))
     if pattern == "custom":
-        only("coeffs", "beta")
-        coeffs = get("coeffs", kind=functools.partial(np.asarray, dtype=float))
-        if coeffs.size > trunc:
-            raise ConfigError("custom truth longer than truncation")
-        full = np.zeros(trunc)
-        full[:coeffs.size] = coeffs
-        return model.make_truth("custom", trunc, beta=get("beta"), coeffs=full)
+        only("coeffs")
+        return model.Truth(coeffs=_padded(f"{pattern} truth", spec, trunc))
     if pattern == "spike":
         only("target_bias_sq", "beta")
         target = get("target_bias_sq")
@@ -333,14 +320,13 @@ def _truth_for(cfg: ExperimentConfig, n: float, trunc: int,
 def _realize(cfg: ExperimentConfig, n: float):
     """The cell at n as (trunc, prior, fwd, l, truth).
 
-    The functional l is None except for coverage-functional and bvm.
+    The functional l is None unless the kind reads one.
     """
     trunc = _trunc_for(cfg, n)
     prior = model.PriorSpec(alpha=cfg.regime.alpha, tau=cfg.regime.tau(n),
                             trunc=trunc)
     fwd = _forward_for(cfg, trunc)
-    l = _functional_for(cfg, trunc) \
-        if cfg.kind in ("coverage-functional", "bvm") else None
+    l = _functional_for(cfg, trunc) if _KINDS[cfg.kind].functional else None
     return trunc, prior, fwd, l, _truth_for(cfg, n, trunc, prior, fwd, l)
 
 
@@ -604,55 +590,62 @@ def run_volterra_demo(cfg: ExperimentConfig, out_dir) -> list[Path]:
         trunc=trunc, gamma=cfg.gamma, tau=tau)
 
 
-# --- defaults and CLI -------------------------------------------------------
+# --- the experiment kinds and their defaults --------------------------------
+
+class _Kind(NamedTuple):
+    tables: tuple     # (file stem, runner) per output table; the demo has none
+    extras: tuple     # the extras keys its runner reads
+    # its default_config fields; _REGIME and ExperimentConfig's own
+    # defaults fill the rest
+    defaults: dict
+    functional: bool = False   # whether its cells realize functional_spec
+
+
+_REGIME = rates.RegimeParams(alpha=1.0, beta=1.0, p=1.0)
+_SMOOTH = {"truth_spec": {"pattern": "smooth", "beta": 1.0, "eps": 0.01}}
+
+
+def _functional_kind(stem: str, runner, q: float) -> _Kind:
+    """A kind whose default functional is the power one of the regime's q."""
+    return _Kind(((stem, runner),), ("kappa_kind",), {
+        "regime": dataclasses.replace(_REGIME, q=q),
+        "functional_spec": {"kind": "power", "q": q},
+        "n_grid": (1e4, 1e6, 1e8), "replicates": 1}, functional=True)
+
+
+# kappa_kind sets a cell's forward map, sv_log_power the rate table's
+# slowly varying factor (read only with regime.q), combos the lemma combos
+# and the demo's keys its panels (see run_volterra_demo).
+_KINDS = {
+    "contraction": _Kind(
+        (("contraction", run_contraction), ("contraction_rates", rate_table)),
+        ("kappa_kind", "sv_log_power"), _SMOOTH),
+    "coverage-ball": _Kind(
+        (("coverage-ball", run_ball_coverage),), ("kappa_kind",),
+        _SMOOTH | {"n_grid": (1e4, 1e6), "replicates": 500}),
+    "coverage-functional": _functional_kind(
+        "coverage-functional", run_functional_coverage, 1.0),
+    "bvm": _functional_kind("bvm", run_bvm, 2.0),
+    "volterra-demo": _Kind(
+        (), ("kappa_kind", "alphas", "draws", "grid_points", "trunc", "tau"),
+        {"n_grid": (1000.0,), "replicates": 5}),
+    "lemma-order": _Kind(
+        (("lemma-order", run_lemma_order),), ("combos",),
+        {"n_grid": (1e2, 1e4, 1e6, 1e8, 1e10), "replicates": 1}),
+}
+KINDS = tuple(_KINDS)
+
 
 def default_config(kind: str) -> ExperimentConfig:
-    if kind == "contraction":
-        return ExperimentConfig(
-            kind=kind,
-            regime=rates.RegimeParams(alpha=1.0, beta=1.0, p=1.0),
-            truth_spec={"pattern": "smooth", "beta": 1.0, "eps": 0.01},
-            n_grid=(1e3, 1e4, 1e5, 1e6, 1e7),
-            replicates=200)
-    if kind == "coverage-ball":
-        return ExperimentConfig(
-            kind=kind,
-            regime=rates.RegimeParams(alpha=1.0, beta=1.0, p=1.0),
-            truth_spec={"pattern": "smooth", "beta": 1.0, "eps": 0.01},
-            n_grid=(1e4, 1e6),
-            replicates=500)
-    if kind == "coverage-functional":
-        return ExperimentConfig(
-            kind=kind,
-            regime=rates.RegimeParams(alpha=1.0, beta=1.0, p=1.0, q=1.0),
-            truth_spec={"pattern": "demo"},
-            functional_spec={"kind": "power", "q": 1.0},
-            n_grid=(1e4, 1e6, 1e8),
-            replicates=1)
-    if kind == "bvm":
-        return ExperimentConfig(
-            kind=kind,
-            regime=rates.RegimeParams(alpha=1.0, beta=1.0, p=1.0, q=2.0),
-            truth_spec={"pattern": "demo"},
-            functional_spec={"kind": "power", "q": 2.0},
-            n_grid=(1e4, 1e6, 1e8),
-            replicates=1)
-    if kind == "volterra-demo":
-        return ExperimentConfig(
-            kind=kind,
-            regime=rates.RegimeParams(alpha=1.0, beta=1.0, p=1.0),
-            truth_spec={"pattern": "demo"},
-            n_grid=(1000.0,),
-            replicates=5)
-    if kind == "lemma-order":
-        return ExperimentConfig(
-            kind=kind,
-            regime=rates.RegimeParams(alpha=1.0, beta=1.0, p=1.0),
-            truth_spec={"pattern": "demo"},
-            n_grid=(1e2, 1e4, 1e6, 1e8, 1e10),
-            replicates=1)
-    raise ConfigError(f"unknown experiment kind {kind!r}")
+    if kind not in _KINDS:
+        raise ConfigError(f"unknown experiment kind {kind!r}")
+    # fresh spec dicts: a caller may change those of its config
+    return ExperimentConfig(kind=kind, **{"regime": _REGIME} | {
+        name: dict(value) if isinstance(value, dict) else value
+        for name, value in _KINDS[kind].defaults.items()})
 
+
+# --- CLI --------------------------------------------------------------------
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON experiment config file")
@@ -737,20 +730,14 @@ def cli_main(argv=None) -> int:
     try:
         cfg = _load_config(args, args.command)
         out_dir = Path(args.out)
-        if args.command == "volterra-demo":
-            paths = run_volterra_demo(cfg, out_dir)
-        else:
-            runner = {"contraction": run_contraction,
-                      "coverage-ball": run_ball_coverage,
-                      "coverage-functional": run_functional_coverage,
-                      "bvm": run_bvm, "lemma-order": run_lemma_order,
-                      }[args.command]
-            tables = [(args.command, runner(cfg))]
-            if args.command == "contraction":
-                tables.append(("contraction_rates", rate_table(cfg)))
+        if _KINDS[cfg.kind].tables:
+            tables = [(stem, runner(cfg))
+                      for stem, runner in _KINDS[cfg.kind].tables]
             paths = [(table.to_json if args.format == "json"
                       else table.to_csv)(out_dir / f"{stem}.{args.format}")
                      for stem, table in tables]
+        else:   # the demo writes panels, not tables
+            paths = run_volterra_demo(cfg, out_dir)
         paths.append(write_manifest(out_dir, cfg.to_dict(), cfg.master_seed,
                                     started_at, time.monotonic() - started))
         for path in paths:

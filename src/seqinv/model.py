@@ -40,9 +40,12 @@ class KappaKind(str, Enum):
 
 
 def _frozen_array(obj, name: str, values) -> None:
+    """Set obj.name to values as a read-only contiguous float array (values
+    itself, frozen, if it is one): DimensionMismatchError unless 1-d,
+    ValueError unless finite."""
     a = np.ascontiguousarray(values, dtype=float)
     if a.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
+        raise DimensionMismatchError(f"{name} must be one-dimensional")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     a.flags.writeable = False
@@ -102,14 +105,13 @@ class ForwardSpec:
         object.__setattr__(self, "trunc", int(self.trunc))
         object.__setattr__(self, "kind", KappaKind(self.kind))
         if self.kind is KappaKind.CUSTOM:
-            vals = np.ascontiguousarray(self.custom_values, dtype=float)
-            if vals.size != self.trunc:
+            _frozen_array(self, "_custom", self.custom_values)
+            if self._custom.size != self.trunc:
                 raise DimensionMismatchError("custom kappa length != trunc")
-            if not np.all(vals > 0):
+            if not np.all(self._custom > 0):
                 raise ValueError("custom kappa values must be positive")
-            object.__setattr__(self, "custom_values", tuple(float(v) for v in vals))
-            vals.flags.writeable = False
-            object.__setattr__(self, "_custom", vals)
+            object.__setattr__(self, "custom_values",
+                               tuple(float(v) for v in self._custom))
         elif self.custom_values:
             raise ValueError("custom_values only allowed for kind='custom'")
 
@@ -144,14 +146,12 @@ class ForwardSpec:
 
 @dataclass(frozen=True)
 class Truth:
-    """A fixed coefficient sequence with its declared smoothness level."""
+    """The true coefficient sequence mu, fixed and read-only. Its
+    smoothness is the regime's beta, not a property of the stored values."""
 
     coeffs: np.ndarray
-    beta: float
 
     def __post_init__(self):
-        if not (self.beta > 0):
-            raise ValueError("beta must be positive")
         _frozen_array(self, "coeffs", self.coeffs)
 
     @property
@@ -284,41 +284,34 @@ def generate_observation(seed, truth: Truth, fwd: ForwardSpec, n: float) -> Obse
 
 
 def make_truth(kind: str, trunc: int, *, beta: float | None = None,
-               eps: float | None = None, coeffs=None) -> Truth:
-    """Construct one of the stock truth sequences.
+               eps: float | None = None) -> Truth:
+    """Construct one of the stock truth sequences; Truth(coeffs) takes any
+    other.
 
-    kind "demo":   mu_i = i^(-3/2) sin(i), declared beta = 1. The membership
-        at level 1 is marginal (sum mu_i^2 i^2 grows like (log trunc)/2); the
-        declared label follows the source construction and the marginality is
-        deliberate.
+    kind "demo":   mu_i = i^(-3/2) sin(i); it reads neither beta nor eps.
+        The default configs pair it with regime beta = 1, where membership is
+        marginal (sum mu_i^2 i^2 grows like (log trunc)/2); that follows the
+        source construction and the marginality is deliberate.
     kind "smooth": mu_i = i^(-1/2-beta-eps), a clean member of the beta-ball.
-    kind "custom": caller-supplied coefficients with a declared beta.
     """
     trunc = int(trunc)
     if trunc < 1:
         raise ValueError("trunc must be positive")
     i = np.arange(1, trunc + 1, dtype=float)
     if kind == "demo":
-        if beta is not None and beta != 1.0:
-            raise ValueError("demo truth has fixed beta = 1")
+        if beta is not None or eps is not None:
+            raise ValueError("demo truth reads neither beta nor eps")
         sin_i = np.sin(i)
         i **= -1.5  # in place: i is the result, one 8 * trunc byte array
         i *= sin_i
-        return Truth(coeffs=i, beta=1.0)
+        return Truth(coeffs=i)
     if kind == "smooth":
         if beta is None or eps is None:
             raise ValueError("smooth truth needs beta and eps")
         if not (eps > 0):
             raise ValueError("eps must be positive")
         i **= -0.5 - beta - eps
-        return Truth(coeffs=i, beta=float(beta))
-    if kind == "custom":
-        if coeffs is None or beta is None:
-            raise ValueError("custom truth needs coeffs and beta")
-        a = np.asarray(coeffs, dtype=float)
-        if a.size != trunc:
-            raise DimensionMismatchError("coeffs length != trunc")
-        return Truth(coeffs=a, beta=float(beta))
+        return Truth(coeffs=i)
     raise ValueError(f"unknown truth kind {kind!r}")
 
 
@@ -343,7 +336,7 @@ def extremal_truth_functional(l, beta: float, prior: PriorSpec,
     if norm == 0.0:
         raise DegenerateInputError("extremal direction vanished")
     w /= norm
-    return Truth(coeffs=w, beta=float(beta))
+    return Truth(coeffs=w)
 
 
 def spike_truth_ball(prior: PriorSpec, fwd: ForwardSpec, n: float, beta: float,
@@ -375,14 +368,17 @@ def spike_truth_ball(prior: PriorSpec, fwd: ForwardSpec, n: float, beta: float,
              for b in _spectral_blocks(prior, fwd, n) if b.sl.stop >= idx)
     coeffs = np.zeros(prior.trunc)
     coeffs[idx - 1] = math.sqrt(target_bias_sq) * (1.0 + g)
-    return Truth(coeffs=coeffs, beta=float(beta))
+    return Truth(coeffs=coeffs)
 
 
 MAX_TRUNC = 10_000_000  # largest truncation default_trunc will hand out
+# default_trunc's floor and factor: the defaults of an auto trunc_policy too
+TRUNC_FLOOR, TRUNC_FACTOR = 1000, 10.0
 
 
 def default_trunc(n: float, alpha: float, p: float, tau: float = 1.0,
-                  floor: int = 1000, factor: float = 10.0) -> int:
+                  floor: int = TRUNC_FLOOR,
+                  factor: float = TRUNC_FACTOR) -> int:
     """max(floor, ceil(factor * (n tau^2)^(1/(1+2 alpha+2p)))).
 
     Ten times the effective frequency keeps the truncated series tails

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ForwardSpec, Observation, PriorSpec, SpectralTerms, Truth, \
-    _spectral_blocks
+    _frozen_array, _spectral_blocks
 from .util import DimensionMismatchError, rng_for, stable_sums
 
 
@@ -40,16 +40,12 @@ class PosteriorSummary:
     var: np.ndarray
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.mean, dtype=float)
-        v = np.ascontiguousarray(self.var, dtype=float)
-        if m.shape != v.shape or m.ndim != 1:
-            raise DimensionMismatchError("mean and var must be 1-d, same length")
-        if np.any(v < 0):
+        _frozen_array(self, "mean", self.mean)
+        _frozen_array(self, "var", self.var)
+        if self.mean.shape != self.var.shape:
+            raise DimensionMismatchError("mean and var differ in length")
+        if np.any(self.var < 0):
             raise ValueError("negative posterior variance")
-        m.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "mean", m)
-        object.__setattr__(self, "var", v)
 
     @property
     def trunc(self) -> int:
@@ -82,24 +78,17 @@ class RiskDecomposition:
 class Functional:
     """Linear functional mu -> sum_i coeffs_i mu_i.
 
-    q declares the decay of the representer, |coeffs_i| ~ i^(-q-1/2) up to a
-    slowly varying factor. The sum defining the functional need not converge
+    Its decay, |coeffs_i| ~ i^(-q-1/2), is the regime's q, not a property of
+    the stored values. The sum defining the functional need not converge
     absolutely on the prior's support for its posterior law to make sense:
     square-summability of coeffs_i^2 lambda_i is all the formulas use, and
     that always holds for a stored finite sequence.
     """
 
     coeffs: np.ndarray
-    q: float
 
     def __post_init__(self):
-        a = np.ascontiguousarray(self.coeffs, dtype=float)
-        if a.ndim != 1:
-            raise DimensionMismatchError("coeffs must be one-dimensional")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("coeffs contain non-finite entries")
-        a.flags.writeable = False
-        object.__setattr__(self, "coeffs", a)
+        _frozen_array(self, "coeffs", self.coeffs)
 
     @property
     def trunc(self) -> int:

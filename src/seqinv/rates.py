@@ -216,18 +216,24 @@ def slowly_varying_corrections(rp: RegimeParams, n: float,
     return math.sqrt(gamma_sq), math.sqrt(delta_sq)
 
 
+def _functional_terms(rp: RegimeParams, big_n: float, tau: float,
+                      gamma_n: float, delta_n: float) -> tuple[float, float]:
+    """The functional rate's two terms at budget big_n = n tau^2."""
+    u = rp.resolution_exponent
+    e1 = min((rp.beta + rp.q) / u, 1.0)
+    e2 = min((0.5 + rp.alpha + rp.q) / u, 0.5)
+    return big_n ** (-e1) * gamma_n, tau * big_n ** (-e2) * delta_n
+
+
 def functional_rate_terms(rp: RegimeParams, n: float,
                           sv: SlowlyVarying | None = None) -> FunctionalRateTerms:
     if rp.q is None:
         raise RegimeError("functional rate needs q")
     big_n = rp._require_budget(n)
-    u = rp.resolution_exponent
     gamma_n, delta_n = slowly_varying_corrections(rp, n, sv)
-    e1 = min((rp.beta + rp.q) / u, 1.0)
-    e2 = min((0.5 + rp.alpha + rp.q) / u, 0.5)
-    term1 = big_n ** (-e1) * gamma_n
-    term2 = rp.tau(n) * big_n ** (-e2) * delta_n
-    return FunctionalRateTerms(term1, term2, gamma_n, delta_n)
+    return FunctionalRateTerms(
+        *_functional_terms(rp, big_n, rp.tau(n), gamma_n, delta_n),
+        gamma_n, delta_n)
 
 
 def optimal_tau_functional(rp: RegimeParams) -> float:
@@ -255,18 +261,16 @@ def functional_tau_balance_factor(rp: RegimeParams, n: float,
     """
     e_star = optimal_tau_functional(rp)
     sv = sv or SlowlyVarying()
-    u = rp.resolution_exponent
-    e1 = min((rp.beta + rp.q) / u, 1.0)
-    e2 = min((0.5 + rp.alpha + rp.q) / u, 0.5)
 
     def gap(log_c: float) -> float:
         tau = math.exp(log_c) * float(n) ** e_star
         big_n = n * tau * tau
         if big_n <= 1.0:
             return math.inf
-        gamma_sq, delta_sq = _squared_corrections(rp, big_n ** (1.0 / u), sv)
-        t1 = big_n ** (-e1) * math.sqrt(gamma_sq)
-        t2 = tau * big_n ** (-e2) * math.sqrt(delta_sq)
+        gamma_sq, delta_sq = _squared_corrections(
+            rp, big_n ** (1.0 / rp.resolution_exponent), sv)
+        t1, t2 = _functional_terms(rp, big_n, tau, math.sqrt(gamma_sq),
+                                   math.sqrt(delta_sq))
         return math.log(t1) - math.log(t2)
 
     lo, hi = -18.0, 18.0

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import ForwardSpec, KappaKind, Observation, PriorSpec, \
-    generate_observation, make_truth
+    _frozen_array, generate_observation, make_truth
 from .posterior import Functional, coordinate_posterior, posterior_draws
 from .util import DimensionMismatchError, child_seed, ndtri, write_csv
 
@@ -93,8 +93,8 @@ def point_functional(x: float, trunc: int) -> Functional:
     """Point evaluation f -> f(x) through the cosine expansion.
 
     The representer coefficients sqrt(2) cos((i-1/2) pi x) do not decay:
-    q = -1/2 with a bounded oscillating factor. ValueError for an x outside
-    [0, 1] or nan.
+    they are the regime's q = -1/2 with a bounded oscillating factor.
+    ValueError for an x outside [0, 1] or nan.
     """
     xs = _check_unit_interval(np.asarray([x], dtype=float))
     coeffs = np.arange(0.5, int(trunc))  # i - 1/2 for i = 1..trunc
@@ -102,7 +102,7 @@ def point_functional(x: float, trunc: int) -> Functional:
     coeffs *= xs[0]
     np.cos(coeffs, out=coeffs)
     coeffs *= math.sqrt(2.0)
-    return Functional(coeffs=coeffs, q=-0.5)
+    return Functional(coeffs=coeffs)
 
 
 @dataclass(frozen=True)
@@ -115,28 +115,22 @@ class GridFunction:
     band_hi: np.ndarray | None = None
 
     def __post_init__(self):
-        xs = _check_unit_interval(self.xs)
-        if np.any(np.diff(xs) <= 0):
+        _frozen_array(self, "xs", _check_unit_interval(self.xs))
+        if np.any(np.diff(self.xs) <= 0):
             raise ValueError("grid must be strictly increasing")
-        vals = np.ascontiguousarray(self.values, dtype=float)
-        if vals.shape != xs.shape:
+        _frozen_array(self, "values", self.values)
+        if self.values.shape != self.xs.shape:
             raise DimensionMismatchError("values and grid lengths differ")
-        arrays = {"xs": xs, "values": vals}
         if (self.band_lo is None) != (self.band_hi is None):
             raise ValueError("band_lo and band_hi must come together")
         if self.band_lo is not None:
-            lo = np.ascontiguousarray(self.band_lo, dtype=float)
-            hi = np.ascontiguousarray(self.band_hi, dtype=float)
-            if lo.shape != xs.shape or hi.shape != xs.shape:
+            _frozen_array(self, "band_lo", self.band_lo)
+            _frozen_array(self, "band_hi", self.band_hi)
+            if self.band_lo.shape != self.xs.shape \
+                    or self.band_hi.shape != self.xs.shape:
                 raise DimensionMismatchError("band and grid lengths differ")
-            if np.any(lo > hi):
+            if np.any(self.band_lo > self.band_hi):
                 raise ValueError("band_lo must not exceed band_hi")
-            arrays["band_lo"] = lo
-            arrays["band_hi"] = hi
-        for name, arr in arrays.items():
-            arr = np.ascontiguousarray(arr)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
 
 def synthesize(coeffs, xs) -> GridFunction:

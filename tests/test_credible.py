@@ -94,7 +94,7 @@ def test_weights_at_gain_extremes():
     with pytest.raises(RegimeError):
         credible_weights(huge, fwd, 1e300)
     with pytest.raises(RegimeError):
-        bvm_diagnostics(huge, fwd, Functional(coeffs=np.ones(5), q=0.0),
+        bvm_diagnostics(huge, fwd, Functional(coeffs=np.ones(5)),
                         make_truth("demo", 5), 1e300, 1.0)
     for n in (math.inf, math.nan):
         with pytest.raises(ValueError):
@@ -143,9 +143,11 @@ def test_ball_radius_validation():
         ball_radius(w, gamma=1.0)
     # 1 - gamma rounds to 1: the quantile at probability 1 is infinite
     small = EigenWeights([1.0, 0.5], [0.5, 0.2])
-    for gamma in (1e-17, 1e-300):
+    for gamma in (5.5e-17, 1e-17, 1e-300):
         with pytest.raises(ValueError, match="1 - gamma below 1"):
             ball_radius(small, gamma)
+    # just above 2^-54 (about 5.55e-17) 1 - gamma rounds below 1
+    assert math.isfinite(ball_radius(small, 6e-17))
     with pytest.raises(ValueError):
         ball_radius(w, gamma=0.05, method="monte-carlo", mc_samples=5000)
     with pytest.raises(ValueError):
@@ -781,7 +783,7 @@ def test_bvm_diagnostics_basis_vector():
     e1 = np.zeros(trunc)
     e1[0] = 1.0
     truth = make_truth("demo", trunc)
-    diag = bvm_diagnostics(prior, fwd, Functional(coeffs=e1, q=math.inf),
+    diag = bvm_diagnostics(prior, fwd, Functional(coeffs=e1),
                            truth, n, beta=1.0)
     g1 = n * 1.0 * 1.0
     assert diag.sup_bias == pytest.approx(1.0 / (1.0 + g1), rel=1e-12)
@@ -802,7 +804,7 @@ def test_bvm_ratio_decreases_for_matched_decay():
     prior = PriorSpec(alpha=1.0, tau=1.0, trunc=trunc)
     fwd = ForwardSpec.polynomial(p=1.0, trunc=trunc)
     i = np.arange(1.0, trunc + 1)
-    l = Functional(coeffs=i ** -1.5, q=1.0)
+    l = Functional(coeffs=i ** -1.5)
     truth = make_truth("demo", trunc)
     ratios = [bvm_diagnostics(prior, fwd, l, truth, n, beta=1.0).ratio
               for n in (1e4, 1e6, 1e8)]
@@ -814,13 +816,13 @@ def test_bvm_degenerate_functional():
     fwd = ForwardSpec.polynomial(p=1.0, trunc=10)
     truth = make_truth("demo", 10)
     with pytest.raises(DegenerateInputError):
-        bvm_diagnostics(prior, fwd, Functional(coeffs=np.zeros(10), q=1.0),
+        bvm_diagnostics(prior, fwd, Functional(coeffs=np.zeros(10)),
                         truth, 1e4, beta=1.0)
     with pytest.raises(DimensionMismatchError):
-        bvm_diagnostics(prior, fwd, Functional(coeffs=np.zeros(9), q=1.0),
+        bvm_diagnostics(prior, fwd, Functional(coeffs=np.zeros(9)),
                         truth, 1e4, beta=1.0)
     with pytest.raises(DimensionMismatchError):
-        bvm_diagnostics(prior, fwd, Functional(coeffs=np.ones(10), q=1.0),
+        bvm_diagnostics(prior, fwd, Functional(coeffs=np.ones(10)),
                         make_truth("demo", 9), 1e4, beta=1.0)
 
 

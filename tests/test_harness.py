@@ -90,10 +90,81 @@ def test_saved_config_with_mc_samples_loads():
         ExperimentConfig.from_dict(data | {"mc_sample": 200_000})
 
 
+# Every default config, field by field, in field order: the default-config
+# tables, the perfbench "default|<n>" ball references and make_refs.py
+# rest on them.
+DEFAULT_CONFIG_DICTS = {
+    "contraction": {
+        "kind": "contraction",
+        "regime": {"alpha": 1.0, "beta": 1.0, "p": 1.0, "q": None,
+                   "tau_exponent": 0.0},
+        "truth_spec": {"pattern": "smooth", "beta": 1.0, "eps": 0.01},
+        "functional_spec": None,
+        "n_grid": [1e3, 1e4, 1e5, 1e6, 1e7],
+        "gamma": 0.05, "replicates": 200, "master_seed": 20260822,
+        "trunc_policy": {"mode": "auto", "floor": 1000, "factor": 10.0},
+        "extras": {}},
+    "coverage-ball": {
+        "kind": "coverage-ball",
+        "regime": {"alpha": 1.0, "beta": 1.0, "p": 1.0, "q": None,
+                   "tau_exponent": 0.0},
+        "truth_spec": {"pattern": "smooth", "beta": 1.0, "eps": 0.01},
+        "functional_spec": None,
+        "n_grid": [1e4, 1e6],
+        "gamma": 0.05, "replicates": 500, "master_seed": 20260822,
+        "trunc_policy": {"mode": "auto", "floor": 1000, "factor": 10.0},
+        "extras": {}},
+    "coverage-functional": {
+        "kind": "coverage-functional",
+        "regime": {"alpha": 1.0, "beta": 1.0, "p": 1.0, "q": 1.0,
+                   "tau_exponent": 0.0},
+        "truth_spec": {"pattern": "demo"},
+        "functional_spec": {"kind": "power", "q": 1.0},
+        "n_grid": [1e4, 1e6, 1e8],
+        "gamma": 0.05, "replicates": 1, "master_seed": 20260822,
+        "trunc_policy": {"mode": "auto", "floor": 1000, "factor": 10.0},
+        "extras": {}},
+    "bvm": {
+        "kind": "bvm",
+        "regime": {"alpha": 1.0, "beta": 1.0, "p": 1.0, "q": 2.0,
+                   "tau_exponent": 0.0},
+        "truth_spec": {"pattern": "demo"},
+        "functional_spec": {"kind": "power", "q": 2.0},
+        "n_grid": [1e4, 1e6, 1e8],
+        "gamma": 0.05, "replicates": 1, "master_seed": 20260822,
+        "trunc_policy": {"mode": "auto", "floor": 1000, "factor": 10.0},
+        "extras": {}},
+    "volterra-demo": {
+        "kind": "volterra-demo",
+        "regime": {"alpha": 1.0, "beta": 1.0, "p": 1.0, "q": None,
+                   "tau_exponent": 0.0},
+        "truth_spec": {"pattern": "demo"},
+        "functional_spec": None,
+        "n_grid": [1e3],
+        "gamma": 0.05, "replicates": 5, "master_seed": 20260822,
+        "trunc_policy": {"mode": "auto", "floor": 1000, "factor": 10.0},
+        "extras": {}},
+    "lemma-order": {
+        "kind": "lemma-order",
+        "regime": {"alpha": 1.0, "beta": 1.0, "p": 1.0, "q": None,
+                   "tau_exponent": 0.0},
+        "truth_spec": {"pattern": "demo"},
+        "functional_spec": None,
+        "n_grid": [1e2, 1e4, 1e6, 1e8, 1e10],
+        "gamma": 0.05, "replicates": 1, "master_seed": 20260822,
+        "trunc_policy": {"mode": "auto", "floor": 1000, "factor": 10.0},
+        "extras": {}},
+}
+
+
 def test_default_configs_cover_all_kinds():
+    assert set(DEFAULT_CONFIG_DICTS) == set(KINDS)
     for kind in KINDS:
         cfg = default_config(kind)
         assert cfg.kind == kind
+        # the JSON text, so that key order and int/float types count too
+        assert json.dumps(cfg.to_dict()) == \
+            json.dumps(DEFAULT_CONFIG_DICTS[kind])
     with pytest.raises(ConfigError):
         default_config("mystery")
 
@@ -125,11 +196,9 @@ def test_functional_resolution():
     l = harness._functional_for(cfg, 5)
     np.testing.assert_allclose(l.coeffs,
                                2.0 * np.arange(1.0, 6.0) ** -1.5)
-    assert l.q == 1.0
 
     exp = harness._functional_for(_cfg(functional_spec={"kind": "exp"}), 4)
     np.testing.assert_allclose(exp.coeffs, np.exp(-np.arange(1.0, 5.0)))
-    assert exp.q == math.inf
 
     pt = harness._functional_for(
         _cfg(functional_spec={"kind": "point", "x": 0.25}), 6)
@@ -163,11 +232,13 @@ def test_truth_resolution():
         cfg = _cfg(truth_spec=spec)
         return harness._truth_for(cfg, 1e4, 50, prior, fwd, l)
 
-    assert resolve({"pattern": "demo"}).beta == 1.0
+    np.testing.assert_array_equal(resolve({"pattern": "demo"}).coeffs,
+                                  model.make_truth("demo", 50).coeffs)
     smooth = resolve({"pattern": "smooth", "beta": 2.0, "eps": 0.05})
-    assert smooth.beta == 2.0
+    np.testing.assert_array_equal(
+        smooth.coeffs, np.arange(1.0, 51.0) ** (-0.5 - 2.0 - 0.05))
     assert not np.any(resolve({"pattern": "zero"}).coeffs)
-    cust = resolve({"pattern": "custom", "beta": 1.0, "coeffs": [0.5]})
+    cust = resolve({"pattern": "custom", "coeffs": [0.5]})
     assert cust.coeffs[0] == 0.5 and not np.any(cust.coeffs[1:])
     spike = resolve({"pattern": "spike", "target_bias_sq": 0.01})
     assert np.count_nonzero(spike.coeffs) == 1
@@ -225,7 +296,7 @@ def test_mc_risk_has_the_replicate_loop_law(replicates):
     prior = model.PriorSpec(alpha=0.5, tau=1.0, trunc=trunc)
     fwd = model.ForwardSpec.polynomial(1.0, trunc)
     i = np.arange(1, trunc + 1, dtype=float)
-    truth = model.Truth(coeffs=0.6 * np.cos(i) / i, beta=0.5)
+    truth = model.Truth(coeffs=0.6 * np.cos(i) / i)
     gain = n * i ** -4.0
     b = -truth.coeffs / (1.0 + gain)
     t = n * i ** -6.0 / (1.0 + gain) ** 2
@@ -615,6 +686,18 @@ MALFORMED_CONFIGS = {
     "point-functional-outside-unit-interval": (
         "coverage-functional", {"functional_spec": {"kind": "point",
                                                     "x": 1.5}}),
+    # keys that set only a field nothing read, since removed
+    "exp-functional-q": (
+        "coverage-functional", {"functional_spec": {"kind": "exp", "q": 123}}),
+    "coordinate-functional-q": (
+        "coverage-functional", {"functional_spec": {"kind": "coordinate",
+                                                    "index": 1, "q": 5}}),
+    "custom-functional-q": (
+        "bvm", {"functional_spec": {"kind": "custom", "coeffs": [1.0],
+                                    "q": 0.0}}),
+    "custom-truth-beta": (
+        "contraction", {"truth_spec": {"pattern": "custom", "coeffs": [0.5],
+                                       "beta": 1.0}}),
     "exp-functional-key-typo": (
         "coverage-functional", {"functional_spec": {"kind": "exp",
                                                     "rte": 0.5}}),
@@ -676,6 +759,18 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys, kind, update):
     assert cli_main([kind, "--config", str(path), "--out",
                      str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("case, key", [
+    ("exp-functional-q", "q"), ("coordinate-functional-q", "q"),
+    ("custom-functional-q", "q"), ("custom-truth-beta", "beta")])
+def test_cli_removed_spec_key_is_named(tmp_path, capsys, case, key):
+    kind, update = MALFORMED_CONFIGS[case]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(default_config(kind).to_dict() | update))
+    assert cli_main([kind, "--config", str(path), "--out",
+                     str(tmp_path / "out")]) == 2
+    assert f"unknown keys [{key!r}]" in capsys.readouterr().err
 
 
 def test_integral_float_spec_values_are_read_as_integers():

@@ -80,12 +80,12 @@ def test_forward_volterra_band():
 
 def test_truth_and_observation_validation():
     with pytest.raises(ValueError):
-        Truth(coeffs=[1.0, np.inf], beta=1.0)
-    with pytest.raises(ValueError):
-        Truth(coeffs=[1.0], beta=0.0)
+        Truth(coeffs=[1.0, np.inf])
+    with pytest.raises(DimensionMismatchError):
+        Truth(coeffs=[[1.0], [2.0]])
     with pytest.raises(ValueError):
         Observation(n=0.0, y=[1.0])
-    t = Truth(coeffs=[1.0, 2.0], beta=1.0)
+    t = Truth(coeffs=[1.0, 2.0])
     with pytest.raises(ValueError):
         t.coeffs[0] = 5.0
 
@@ -94,8 +94,8 @@ def test_make_truth_demo_values():
     t = make_truth("demo", 3)
     i = np.array([1.0, 2.0, 3.0])
     np.testing.assert_allclose(t.coeffs, i ** -1.5 * np.sin(i), rtol=1e-15)
-    assert t.beta == 1.0
-    with pytest.raises(ValueError):
+    # the demo pattern reads no smoothness parameter, so it takes none
+    with pytest.raises(ValueError, match="reads neither beta nor eps"):
         make_truth("demo", 3, beta=2.0)
 
 
@@ -103,12 +103,12 @@ def test_make_truth_smooth_and_custom():
     t = make_truth("smooth", 10, beta=1.5, eps=0.01)
     assert t.coeffs[0] == 1.0
     np.testing.assert_allclose(t.coeffs[3], 4.0 ** (-0.5 - 1.5 - 0.01))
-    c = make_truth("custom", 2, beta=2.0, coeffs=[0.1, 0.2])
+    # any other sequence is a Truth of its coefficients
+    c = Truth(coeffs=[0.1, 0.2])
     np.testing.assert_allclose(c.coeffs, [0.1, 0.2])
-    with pytest.raises(DimensionMismatchError):
-        make_truth("custom", 3, beta=2.0, coeffs=[0.1])
-    with pytest.raises(ValueError):
-        make_truth("nope", 3)
+    for kind in ("custom", "nope"):
+        with pytest.raises(ValueError, match="unknown truth kind"):
+            make_truth(kind, 3)
 
 
 def test_sobolev_norm_values():
@@ -165,7 +165,7 @@ def test_generate_observation_deterministic_and_noiseless():
 
 def test_generate_observation_first_coordinate_moments():
     # Y_1 = mu_1 + Z_1/2 at n = 4 with kappa_1 = 1: mean 0.3, variance 1/4.
-    truth = make_truth("custom", 2, beta=1.0, coeffs=[0.3, -0.2])
+    truth = Truth(coeffs=[0.3, -0.2])
     fwd = ForwardSpec.polynomial(p=1.0, trunc=2)
     m = 100_000
     y1 = np.empty(m)

@@ -9,6 +9,7 @@ from seqinv.model import (
     ForwardSpec,
     Observation,
     PriorSpec,
+    Truth,
     generate_observation,
     make_truth,
 )
@@ -100,7 +101,7 @@ def test_risk_decomposition_n_zero_gives_prior():
 def test_risk_zero_truth():
     prior = PriorSpec(alpha=1.0, tau=1.0, trunc=50)
     fwd = ForwardSpec.polynomial(p=0.5, trunc=50)
-    truth = make_truth("custom", 50, beta=1.0, coeffs=np.zeros(50))
+    truth = Truth(coeffs=np.zeros(50))
     risk = risk_decomposition(prior, fwd, truth, n=100.0)
     assert risk.sq_bias == 0.0
     assert risk.variance > 0.0
@@ -147,11 +148,11 @@ def test_functional_marginal_basis_vector():
     marg = functional_marginal(post, e1)
     assert marg.mean == pytest.approx(post.mean[0])
     assert marg.s_n_sq == pytest.approx(post.var[0])
-    s_n, _, _ = functional_interval(prior, fwd, Functional(coeffs=e1, q=1.0),
+    s_n, _, _ = functional_interval(prior, fwd, Functional(coeffs=e1),
                                     truth, 100.0)
     assert s_n * s_n == pytest.approx(marg.s_n_sq, rel=1e-15)
 
-    zero = Functional(coeffs=np.zeros(20), q=math.inf)
+    zero = Functional(coeffs=np.zeros(20))
     assert functional_marginal(post, zero.coeffs) == (0.0, 0.0)
     assert functional_interval(prior, fwd, zero, truth, 100.0) == (0.0, 0.0,
                                                                    0.0)
@@ -171,7 +172,7 @@ def test_functional_marginal_linearity():
     assert c.mean == pytest.approx(2.0 * a.mean - b.mean, rel=1e-10, abs=1e-12)
     # The interval's bias is linear in the functional too.
     truth = make_truth("demo", 30)
-    bias = [functional_interval(prior, fwd, Functional(coeffs=c, q=0.0),
+    bias = [functional_interval(prior, fwd, Functional(coeffs=c),
                                 truth, 100.0)[2] for c in (l1, l2, 2.0 * l1 - l2)]
     assert bias[2] == pytest.approx(2.0 * bias[0] - bias[1], rel=1e-10,
                                     abs=1e-12)
@@ -211,8 +212,8 @@ def test_posterior_draws_reproducible_and_degenerate():
 def test_functional_interval_zero_truth_and_sign():
     prior = PriorSpec(alpha=1.0, tau=1.0, trunc=40)
     fwd = ForwardSpec.polynomial(p=1.0, trunc=40)
-    zero = make_truth("custom", 40, beta=1.0, coeffs=np.zeros(40))
-    l = Functional(coeffs=np.ones(40), q=-0.5)
+    zero = Truth(coeffs=np.zeros(40))
+    l = Functional(coeffs=np.ones(40))
     _, t_n, bias = functional_interval(prior, fwd, l, zero, 100.0)
     assert bias == 0.0
     assert t_n > 0.0
@@ -229,7 +230,7 @@ def test_functional_interval_matches_bvm_diagnostics():
     prior = PriorSpec(alpha=0.5, tau=2.0, trunc=60)
     fwd = ForwardSpec.volterra(trunc=60)
     truth = make_truth("demo", 60)
-    l = Functional(coeffs=np.arange(1, 61, dtype=float) ** -1.5, q=1.0)
+    l = Functional(coeffs=np.arange(1, 61, dtype=float) ** -1.5)
     diag = bvm_diagnostics(prior, fwd, l, truth, 1e4, beta=1.0)
     assert functional_interval(prior, fwd, l, truth, 1e4) == (
         diag.s_n, diag.t_n, diag.bias)
@@ -245,10 +246,10 @@ def test_variance_never_exceeds_spread(alpha, tau, p, log_n):
     n = 10.0 ** log_n
     prior = PriorSpec(alpha=alpha, tau=tau, trunc=trunc)
     fwd = ForwardSpec.polynomial(p=p, trunc=trunc)
-    truth = make_truth("custom", trunc, beta=1.0, coeffs=np.zeros(trunc))
+    truth = Truth(coeffs=np.zeros(trunc))
     risk = risk_decomposition(prior, fwd, truth, n=n)
     assert risk.variance <= risk.spread
 
-    l = Functional(coeffs=np.ones(trunc), q=-0.5)
+    l = Functional(coeffs=np.ones(trunc))
     s_n, t_n, _ = functional_interval(prior, fwd, l, truth, n)
     assert t_n <= s_n

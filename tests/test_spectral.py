@@ -98,7 +98,7 @@ def test_blocked_pass_is_bit_identical(trunc, kind):
     truth = make_truth("demo", trunc)
     mu = truth.coeffs
     lcoef = ref.i ** -1.5 * np.cos(ref.i)
-    l = Functional(coeffs=lcoef, q=1.0)
+    l = Functional(coeffs=lcoef)
     l_sq = lcoef ** 2
 
     assert _bits(gain(prior, fwd, N)) == _bits(ref.g)
@@ -211,7 +211,7 @@ def test_late_block_overflow_is_regime_error():
     with pytest.raises(RegimeError):
         next(blocks)
     truth = make_truth("demo", trunc)
-    l = Functional(coeffs=np.ones(trunc), q=0.0)
+    l = Functional(coeffs=np.ones(trunc))
     for call in (lambda: gain(prior, fwd, 1.0),
                  lambda: credible_weights(prior, fwd, 1.0),
                  lambda: risk_decomposition(prior, fwd, truth, 1.0),
