@@ -25,19 +25,22 @@ import numpy as np
 from .model import ForwardSpec, PriorSpec, Truth, _frozen_array, \
     _spectral_blocks
 from .posterior import Functional, _interval_terms
-from .util import DegenerateInputError, DimensionMismatchError, ndtr, \
-    ndtri, rng_for, stable_sums
+from .util import DegenerateInputError, DimensionMismatchError, \
+    RegimeError, ndtr, ndtri, rng_for, stable_sums
 
 _MC_CHUNK = 8192          # rows per keyed stream rng_for(seed, chunk)
 _MC_BLOCK = 1 << 20       # normals drawn at once (8 MB), whatever the trunc
 
 # Imhof inversion (see _WeightedChiSquare)
 _IMHOF_NODES = 16         # Gauss-Legendre nodes per panel
+_IMHOF_NEAR = 32          # nodes of the Gauss rule of a panel with |z| < 15
 _IMHOF_PHASE = 1.0        # A(u) leaves its chord by at most this on a panel
 _IMHOF_DECAY = 1.0        # log rho(u) grows by at most this on a panel
 _IMHOF_TAIL = 1e-10       # bound on the CDF error of cutting the integral
 _IMHOF_ROOT_RTOL = 1e-13  # relative tolerance of the quantile root search
-_IMHOF_LADDER = 12        # doublings of the tail search per pass
+_RADIUS_RESOLVED = 1e-3   # ball_radius refuses an error bound above this * r
+_IMHOF_HEAD = 64          # largest weights whose tail search bounds the cut-off
+_IMHOF_LADDER = 12        # doublings of that search per step
 _SERIES_EDGE = 0.1        # coordinates with lam * u below this: power series
 _SERIES_TERMS = 8         # truncation error <= _SERIES_EDGE^19 per coordinate
 _BLOCK = 1 << 18          # coordinates x points evaluated per block
@@ -49,6 +52,15 @@ _LEG_PROJECT = ((np.arange(_IMHOF_NODES) + 0.5)[:, None]
                 * _GL_W)
 # int_{-1}^{1} P_k(t) exp(-i z t) dt = 2 (-i)^k j_k(z)
 _LEG_MOMENT = 2.0 * (-1j) ** np.arange(_IMHOF_NODES)
+# the same integral by the 32-node Gauss rule: sum_m W_m P_k(T_m) e^(-i z T_m);
+# W integrates P_0, ..., P_31 exactly at the nodes T (numpy's own weights are
+# off by up to 6e-14 relative, these by a few eps)
+_NEAR_T = np.polynomial.legendre.leggauss(_IMHOF_NEAR)[0]
+_NEAR_W = np.linalg.solve(
+    np.polynomial.legendre.legvander(_NEAR_T, _IMHOF_NEAR - 1).T,
+    np.concatenate(([2.0], np.zeros(_IMHOF_NEAR - 1))))
+_LEG_NEAR = _NEAR_W[:, None] * np.polynomial.legendre.legvander(
+    _NEAR_T, _IMHOF_NODES - 1)
 
 
 @dataclass(frozen=True)
@@ -141,36 +153,28 @@ def _chi_bar_quantile_mc(weights: np.ndarray, prob: float, mc_samples: int,
     return float(np.quantile(draws, prob))
 
 
-class _ImhofTerms(NamedTuple):
-    u: np.ndarray        # the points, u > 0
-    blocks: list         # (lam, c or None) column blocks summed directly
-    t: np.ndarray        # u / max(u)
-    u_max: float
-    sums: list           # sum mu^k, mu = lam * max(u), k = 1, ..., 2K + 1
+class _ImhofSplit(NamedTuple):
+    at: float            # the split point, at or past every point evaluated
+    lam: np.ndarray      # coordinates summed directly, lam * at >= _SERIES_EDGE
+    c: np.ndarray | None  # their c, if given
+    sums: list           # sum mu^k, mu = lam * at, k = 1, ..., 2K + 1
     c_sums: list         # sum c mu^k, k = 0, ..., 2K, if c is given
 
 
-def _imhof_terms(lam: np.ndarray, u: np.ndarray,
-                 c: np.ndarray | None = None) -> _ImhofTerms:
-    """Split the coordinate sums of the Imhof integrand at the points u.
+def _imhof_split(lam: np.ndarray, at: float,
+                 c: np.ndarray | None = None) -> _ImhofSplit:
+    """Split the coordinate sums of the Imhof integrand at the point `at`.
 
-    Coordinates with lam * max(u) >= _SERIES_EDGE are summed directly, in
-    column blocks; the others enter through power series in lam u, formed as
-    power sums of mu = lam * max(u) times (u / max(u))^k so that no power of
-    lam or of u alone is taken (those underflow and overflow). One loop of
-    products gives sum mu^k, k <= 2K + 1 (K = _SERIES_TERMS), and, for the
-    noncentral terms (weights c, see _WeightedChiSquare), sum c mu^k,
-    k <= 2K.
+    Coordinates with lam * at >= _SERIES_EDGE are kept to be summed
+    directly; the others enter through power series in lam u (u <= at),
+    formed as power sums of mu = lam * at times (u / at)^k so that no power
+    of lam or of u alone is taken (those underflow and overflow). One loop
+    of running products gives sum mu^k, k <= 2K + 1 (K = _SERIES_TERMS),
+    and, for the noncentral terms (weights c, see _WeightedChiSquare),
+    sum c mu^k, k <= 2K; no (2K + 1) x trunc table is formed.
     """
-    u_max = float(u.max())
-    mu = lam * u_max
+    mu = lam * at
     small = mu < _SERIES_EDGE
-    big = lam[~small]
-    c_big = None if c is None else c[~small]
-    step = max(1, _BLOCK // u.size)
-    blocks = [(big[lo:lo + step, None],
-               None if c is None else c_big[lo:lo + step, None])
-              for lo in range(0, big.size, step)]
     sums, c_sums = [], []
     mu = mu[small]
     if mu.size:
@@ -184,11 +188,14 @@ def _imhof_terms(lam: np.ndarray, u: np.ndarray,
                 if k:
                     c_power *= mu
                 c_sums.append(float(c_power.sum()))
-    return _ImhofTerms(u, blocks, u / u_max, u_max, sums, c_sums)
+    direct = ~small
+    return _ImhofSplit(at, lam[direct], None if c is None else c[direct],
+                       sums, c_sums)
 
 
-def _imhof_sums(terms: _ImhofTerms):
-    """A, the part of A' that falls with u, log rho and the central beta:
+def _imhof_sums(split: _ImhofSplit, u: np.ndarray, edges: bool = False):
+    """A and log rho at the points u (0 < u <= split.at); with edges, the
+    falling part of A', log rho and the central beta instead:
 
         A = 1/2 sum [atan(v) + c u/(1+v^2)],  v = lam u,
         falling A' = 1/2 sum lam/(1+v^2) + the series part of
@@ -196,108 +203,161 @@ def _imhof_sums(terms: _ImhofTerms):
         log rho = 1/4 sum log(1+v^2) + 1/2 sum c v u/(1+v^2),
         beta = 1/2 sum v^2/(1+v^2).
 
-    The series part holds the odd terms (-1)^m v^(2m+1) of atan v and
-    v/(1+v^2), the even terms (-1)^(m+1) v^(2m) of log1p(v^2) and
-    v^2/(1+v^2), and the terms (-1)^m c u v^(2m) of c u/(1+v^2),
+    The direct coordinates are summed in column blocks of about
+    _BLOCK / u.size. The series part holds the odd terms (-1)^m v^(2m+1) of
+    atan v and v/(1+v^2), the even terms (-1)^(m+1) v^(2m) of log1p(v^2)
+    and v^2/(1+v^2), and the terms (-1)^m c u v^(2m) of c u/(1+v^2),
     (-1)^m (2m+1) c v^(2m) of its derivative and (-1)^m c u v^(2m+1) of
     c v u/(1+v^2); all its v lie below _SERIES_EDGE < sqrt 3, where
     (1-v^2)/(1+v^2)^2 falls. The directly summed c terms of A' do not fall
     everywhere; _direct_swing bounds them. The c terms of log rho are summed
     at twice their size, as the central ones are, and halved with them.
     """
-    u, t, u_max = terms.u, terms.t, terms.u_max
-    a, d_a, log_rho, beta = (np.zeros(u.size) for _ in range(4))
-    for blk, c_blk in terms.blocks:
+    at = split.at
+    first, log_rho, beta = (np.zeros(u.size) for _ in range(3))  # A or A'
+    step = max(1, _BLOCK // u.size)
+    for lo in range(0, split.lam.size, step):
+        blk = split.lam[lo:lo + step, None]
         v = blk * u
         v2 = v * v
-        a += np.arctan(v).sum(axis=0)
-        d_a += (blk / (1.0 + v2)).sum(axis=0)
         log_rho += np.log1p(v2).sum(axis=0)
-        beta += (v2 / (1.0 + v2)).sum(axis=0)
-        if c_blk is not None:
-            a += (c_blk * u / (1.0 + v2)).sum(axis=0)
+        if edges:
+            first += (blk / (1.0 + v2)).sum(axis=0)
+            beta += (v2 / (1.0 + v2)).sum(axis=0)
+        else:
+            first += np.arctan(v).sum(axis=0)
+        if split.c is not None:
+            c_blk = split.c[lo:lo + step, None]
+            if not edges:
+                first += (c_blk * u / (1.0 + v2)).sum(axis=0)
             log_rho += 2.0 * (c_blk * v * u / (1.0 + v2)).sum(axis=0)
-    t_pow = [t ** k for k in range(len(terms.sums) + 1)]
-    for k, s_k in enumerate(terms.sums, 1):
+    t = u / at
+    t_pow = [t ** k for k in range(len(split.sums) + 1)]
+    for k, s_k in enumerate(split.sums, 1):
         m = k // 2
         if k % 2:
             sign = -1.0 if m % 2 else 1.0
-            a += (sign * s_k / k) * t_pow[k]
-            d_a += (sign * s_k / u_max) * t_pow[k - 1]
+            if edges:
+                first += (sign * s_k / at) * t_pow[k - 1]
+            else:
+                first += (sign * s_k / k) * t_pow[k]
         else:
             sign = 1.0 if m % 2 else -1.0
             log_rho += (sign * s_k / m) * t_pow[k]
-            beta += (sign * s_k) * t_pow[k]
-    for k, s_k in enumerate(terms.c_sums):
+            if edges:
+                beta += (sign * s_k) * t_pow[k]
+    for k, s_k in enumerate(split.c_sums):
         sign = -1.0 if (k // 2) % 2 else 1.0
         if k % 2:
-            log_rho += (2.0 * sign * s_k * u_max) * t_pow[k + 1]
+            log_rho += (2.0 * sign * s_k * at) * t_pow[k + 1]
+        elif edges:
+            first += (sign * (k + 1) * s_k) * t_pow[k]
         else:
-            a += (sign * s_k * u_max) * t_pow[k + 1]
-            d_a += (sign * (k + 1) * s_k) * t_pow[k]
-    return 0.5 * a, 0.5 * d_a, 0.25 * log_rho, 0.5 * beta
+            first += (sign * s_k * at) * t_pow[k + 1]
+    if edges:
+        return 0.5 * first, 0.25 * log_rho, 0.5 * beta
+    return 0.5 * first, 0.25 * log_rho
 
 
-def _direct_swing(terms: _ImhofTerms) -> np.ndarray:
+def _direct_swing(split: _ImhofSplit, u: np.ndarray) -> np.ndarray:
     """Bound on the variation of 1/2 sum c (1-v^2)/(1+v^2)^2, v = lam u,
     over the directly summed coordinates, between consecutive points of
-    0, terms.u.
+    0, u.
 
     Per coordinate, h(v) = (1-v^2)/(1+v^2)^2 falls to -1/8 at v = sqrt 3
     and rises to 0 after, so its range over [v_a, v_b] is |h(v_b) - h(v_a)|,
     or max(h(v_a), h(v_b)) + 1/8 if the interval holds sqrt 3.
     """
-    u = np.concatenate(([0.0], terms.u))
-    swing = np.zeros(terms.u.size)
-    for blk, c_blk in terms.blocks:
-        v = blk * u
+    u = np.concatenate(([0.0], u))
+    swing = np.zeros(u.size - 1)
+    step = max(1, _BLOCK // u.size)
+    for lo in range(0, split.lam.size, step):
+        v = split.lam[lo:lo + step, None] * u
         v2 = v * v
         h = (1.0 - v2) / ((1.0 + v2) * (1.0 + v2))
         turns = (v[:, :-1] < math.sqrt(3.0)) & (v[:, 1:] > math.sqrt(3.0))
-        swing += (c_blk * np.where(
+        swing += (split.c[lo:lo + step, None] * np.where(
             turns, np.maximum(h[:, :-1], h[:, 1:]) + 0.125,
             np.abs(np.diff(h, axis=1)))).sum(axis=0)
     return 0.5 * swing
 
 
-def _spherical_jn_orders(z: float) -> list[float]:
-    """j_0(z), ..., j_15(z), the spherical Bessel functions, for one z >= 0.
+def _largest(lam: np.ndarray, c: np.ndarray | None):
+    """The _IMHOF_HEAD largest lam and their c, taken in blocks of _BLOCK
+    coordinates so that no index array as long as lam is formed."""
+    top = np.arange(min(lam.size, _IMHOF_HEAD))
+    floor = float(lam[top].min())   # the largest are these or lie above it
+    for lo in range(top.size, lam.size, _BLOCK):
+        idx = np.concatenate((top, lo + np.flatnonzero(
+            lam[lo:lo + _BLOCK] > floor)))
+        if idx.size > _IMHOF_HEAD:
+            idx = idx[np.argpartition(lam[idx], -_IMHOF_HEAD)[-_IMHOF_HEAD:]]
+            floor = float(lam[idx].min())
+        top = idx
+    return lam[top], None if c is None else c[top]
 
-    From z = 15 on, the recurrence j_(k+1) = (2k+1)/z j_k - j_(k-1) is run
-    upward from j_0 = sin z / z and j_1 = (j_0 - cos z) / z; it is stable
-    while k <= z. Below that it is run downward (Miller's algorithm; Gautschi,
-    SIAM Review 9, 1967) from zero above order 24 + 1.2 z, for g_k = j_k / z^k,
-    g_(k-1) = (2k+1) g_k - z^2 g_(k+1), which neither overflows nor
-    underflows at small z; the result is scaled to match whichever of j_0 and
-    j_1 is larger.
+
+def _cutoff_bound(lam: np.ndarray, c: np.ndarray | None, u0: float) -> int:
+    """The first j at which the tail bound exp(-log rho) / (pi beta) of the
+    _IMHOF_HEAD largest lam (with their c) at u0 2^j is at most _IMHOF_TAIL.
+
+    Dropping coordinates only lowers log rho and beta, so the whole law's
+    bound is lower still there: its cut-off lies at or before that doubling.
+    The doublings are evaluated _IMHOF_LADDER at a time.
     """
-    if z >= _IMHOF_NODES - 1:
-        j0 = math.sin(z) / z
-        j = [j0, (j0 - math.cos(z)) / z]
-        for k in range(1, _IMHOF_NODES - 1):
-            j.append((2 * k + 1) / z * j[k] - j[k - 1])
-        return j
-    if z == 0.0:
-        return [1.0] + [0.0] * (_IMHOF_NODES - 1)
-    z2 = z * z
-    g_next, g = 0.0, 1.0
-    gs = []
-    for k in range(int(24.0 + 1.2 * z), 0, -1):   # g = g_k -> g_(k-1)
-        if k < _IMHOF_NODES:
-            gs.append(g)
-        g_next, g = g, (2 * k + 1) * g - z2 * g_next
-    gs.append(g)
-    gs.reverse()                                    # g_0, ..., g_15
-    j0 = math.sin(z) / z
-    if abs(gs[0]) >= abs(gs[1] * z):
-        scale = j0 / gs[0]
-    else:
-        scale = (j0 - math.cos(z)) / (z * z * gs[1])
-    j = []
-    for g in gs:
-        j.append(g * scale)
-        scale *= z
-    return j
+    head, c_head = _largest(lam, c)
+    head = head[:, None]
+    j = 0
+    while True:
+        u = u0 * 2.0 ** np.arange(j, j + _IMHOF_LADDER)
+        v = head * u
+        v2 = v * v
+        log_rho = np.log1p(v2).sum(axis=0)
+        if c_head is not None:
+            log_rho += 2.0 * (c_head[:, None] * v * u / (1.0 + v2)).sum(axis=0)
+        beta = 0.5 * (v2 / (1.0 + v2)).sum(axis=0)
+        with np.errstate(over="ignore"):   # inf: beta is still tiny
+            tail = np.exp(-0.25 * log_rho) / (math.pi * beta)
+        done = np.flatnonzero(tail <= _IMHOF_TAIL)
+        if done.size:
+            return j + int(done[0])
+        j += _IMHOF_LADDER
+
+
+def _two_product(a: np.ndarray, b: np.ndarray):
+    """a * b as p + e exactly, elementwise: Dekker's product with Veltkamp's
+    split (Dekker, Numer. Math. 18, 1971); e = 0 where the split overflows."""
+    p = a * b
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_hi = a * 134217729.0   # 2^27 + 1
+        a_hi -= a_hi - a
+        b_hi = b * 134217729.0
+        b_hi -= b_hi - b
+        a_lo, b_lo = a - a_hi, b - b_hi
+        e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return p, np.where(np.isfinite(e), e, 0.0)
+
+
+def _spherical_jn_orders(z: np.ndarray, z_lo=0.0) -> np.ndarray:
+    """j_0(z), ..., j_15(z), the spherical Bessel functions, one row per
+    element of z + z_lo, |z| >= 15.
+
+    The recurrence j_(k+1) = (2k+1)/z j_k - j_(k-1) is run upward from
+    j_0 = sin z / z and j_1 = (j_0 - cos z) / z; it is stable while
+    k <= |z|, so it serves only the panels with |z| >= 15, and
+    _WeightedChiSquare integrates the others by a Gauss rule. z_lo is the
+    rounding error of z (_two_product): sin z and cos z take it in, so that
+    a z whose last bits are worth more than a turn keeps its phase.
+    """
+    z = np.asarray(z, dtype=float)
+    sin_hi, cos_hi, sin_lo, cos_lo = (np.sin(z), np.cos(z), np.sin(z_lo),
+                                      np.cos(z_lo))
+    j = np.empty((_IMHOF_NODES, z.size))
+    j[0] = (sin_hi * cos_lo + cos_hi * sin_lo) / z
+    j[1] = (j[0] - (cos_hi * cos_lo - sin_hi * sin_lo)) / z
+    for k in range(1, _IMHOF_NODES - 1):
+        j[k + 1] = (2 * k + 1) / z * j[k] - j[k - 1]
+    return j.T
 
 
 def _sine_integral(x: float) -> float:
@@ -426,42 +486,40 @@ class _WeightedChiSquare:
     first of the doublings of sqrt(2)/sd (1/||lam||_2 if b = 0) where
     log rho(u) >= log rho(U) + beta(U) log(u/U) bounds the rest by
     exp(-log rho(U)) / (pi beta(U)) <= _IMHOF_TAIL; beta is the central
-    part's, since the c part of log rho does not fall with u. Each pass of
-    that search adds _IMHOF_LADDER doublings and evaluates all of them, so
-    the last pass also gives the sums at the panel edges, the doublings
-    through U. [0, U] is split into panels at those edges, each cut evenly
-    until A leaves its chord (slope s) by at most _IMHOF_PHASE and log rho
-    grows by at most _IMHOF_DECAY. The gap to the chord is at most
-    width * (variation of A' on the panel) / 4: the fall of the falling part
-    of A' (_imhof_sums) plus _direct_swing. On a panel the x-free factors
-    exp(i(A(u) - s u))/rho(u) and that over u are then smooth; a second
-    evaluation, at the cuts and the Gauss-Legendre nodes, tabulates each
-    once as a Legendre series, and the
-    x-dependent factor exp(-i(x/2 - s)u) is integrated against each
-    Legendre polynomial exactly (a Filon-type rule), so a CDF and density
-    value cost O(panels x nodes) however fast they oscillate. On the first
-    panel [0, b] the 1/u pole of the CDF integrand is split off and
-    integrated in closed form, as the sine integral Si((x/2 - s) b).
-    Both special functions are computed here, in plain floats: the
-    spherical Bessel values j_0..j_15 of each panel from one sin/cos pair by
-    their three-term recurrence (_spherical_jn_orders: upward from z = 15,
-    Miller's downward form below), and Si by its power series or the
-    continued fraction of E1 (_sine_integral); both are within a few eps of
-    30-digit values, so a CDF evaluation loads no scipy.
+    part's, since the c part of log rho does not fall with u. The same
+    search on the _IMHOF_HEAD largest weights alone (_cutoff_bound) stops at
+    a doubling U* >= U, so the coordinates are split into series and direct
+    sums once, at U* (_imhof_split), and one evaluation at every doubling
+    through U* finds U and gives the sums at the panel edges. [0, U] is
+    split into panels at those edges, each cut evenly until A leaves its
+    chord (slope s) by at most _IMHOF_PHASE and log rho grows by at most
+    _IMHOF_DECAY. The gap to the chord is at most width * (variation of A'
+    on the panel) / 4: the fall of the falling part of A' (_imhof_sums) plus
+    _direct_swing. On a panel the x-free factors exp(i(A(u) - s u))/rho(u)
+    and that over u are then smooth; a second evaluation of the same split,
+    at the cuts and the Gauss-Legendre nodes, tabulates each once as a
+    Legendre series of degree 15, and the x-dependent factor
+    exp(-i(x/2 - s)u) is integrated against that series (cdf_pdf), so a CDF
+    and density value cost O(panels x nodes) however fast they oscillate.
+    On the first panel [0, b] the 1/u pole of the CDF integrand is split off
+    and integrated in closed form, as the sine integral Si((x/2 - s) b),
+    computed in plain floats by its power series or the continued fraction
+    of E1 (_sine_integral), within a few eps of 30-digit values.
     """
 
     def __init__(self, weights: np.ndarray, bias=None):
         w = np.asarray(weights, dtype=float)
+        c_all = None
         if bias is None:
             self.scale = float(w.max())
             pos = w > 0
         else:
             # units in which no lam or c exceeds 1, so none overflows; a
             # weight that underflows joins the offset
-            b_sq = np.square(np.asarray(bias, dtype=float))
-            self.scale = float(max(w.max(), b_sq.max()))
+            c_all = np.square(np.asarray(bias, dtype=float))
+            self.scale = float(max(w.max(), c_all.max()))
             with np.errstate(invalid="ignore"):   # 0/0 if w = b = 0
-                c_all = b_sq / self.scale
+                c_all /= self.scale
                 pos = w / self.scale > 0
         if not pos.any():
             raise DegenerateInputError("no positive weight")
@@ -472,49 +530,53 @@ class _WeightedChiSquare:
         self.k3 = 8.0 * float((lam * lam * lam).sum())   # third cumulant
         self.offset = 0.0
         c = None
-        if bias is not None:
+        if c_all is not None:
             c = c_all[pos]
             self.offset = float(c_all[~pos].sum())
+            del c_all
             self.mean += float(c.sum()) + self.offset
             self.sd = math.sqrt(self.sd * self.sd
                                 + 4.0 * float((lam * c).sum()))
             self.k3 += 24.0 * float((lam * lam * c).sum())
-        u = math.sqrt(2.0) / self.sd
-        size = 0
-        while True:
-            # every doubling so far, so that the edges' sums below share one
-            # series/direct split; only the new ones can stop the search
-            size += _IMHOF_LADDER
-            ladder = u * 2.0 ** np.arange(size)
-            terms = _imhof_terms(lam, ladder, c)
-            _, d_a, log_rho, beta = _imhof_sums(terms)
-            with np.errstate(over="ignore"):   # inf: beta is still tiny
-                tail = np.exp(-log_rho) / (math.pi * beta)
-            done = np.flatnonzero(tail[-_IMHOF_LADDER:] <= _IMHOF_TAIL)
-            if done.size:
-                break
-        stop = size - _IMHOF_LADDER + done[0] + 1   # edges through the cut-off
+        u0 = math.sqrt(2.0) / self.sd
+        ladder = u0 * 2.0 ** np.arange(_cutoff_bound(lam, c, u0) + 1)
+        split = _imhof_split(lam, float(ladder[-1]), c)
+        del lam, c
+        d_a, log_rho, beta = _imhof_sums(split, ladder, edges=True)
+        with np.errstate(over="ignore"):   # inf: beta is still tiny
+            tail = np.exp(-log_rho) / (math.pi * beta)
+        done = np.flatnonzero(tail <= _IMHOF_TAIL)
+        # U* itself if rounding puts the whole law's bound a hair above the
+        # head's there
+        stop = int(done[0]) + 1 if done.size else ladder.size
         self.tail = float(tail[stop - 1])
         edges = np.concatenate(([0.0], ladder[:stop]))
         # the falling part of A' at 0: 1/2 (sum lam + the series part's sum c)
-        c_series = terms.c_sums[0] if terms.c_sums else 0.0
+        c_series = split.c_sums[0] if split.c_sums else 0.0
         d_a = np.concatenate(([0.5 * (lam_sum + c_series)], d_a[:stop]))
         log_rho = np.concatenate(([0.0], log_rho[:stop]))
         width = np.diff(edges)
         swing = d_a[:-1] - d_a[1:]
-        if c is not None:
-            swing += _direct_swing(terms)[:stop]
+        if split.c is not None:
+            swing += _direct_swing(split, ladder[:stop])
         pieces = np.ceil(np.maximum.reduce([
             np.ones_like(width),
             width * swing / (4.0 * _IMHOF_PHASE),
             np.diff(log_rho) / _IMHOF_DECAY])).astype(int)
         cuts = _panel_cuts(edges, pieces)
-        self.center = 0.5 * (cuts[1:] + cuts[:-1])
+        # center + center_lo is the exact midpoint (Knuth's two-sum), and
+        # the half-widths are exact (consecutive cuts lie within a factor
+        # 2), so the panels tile [0, U] without gaps at any u
+        ends = cuts[1:] + cuts[:-1]
+        ends_b = ends - cuts[1:]
+        self.center = 0.5 * ends
+        self.center_lo = 0.5 * ((cuts[1:] - (ends - ends_b))
+                                + (cuts[:-1] - ends_b))
         self.half = 0.5 * (cuts[1:] - cuts[:-1])
         nodes = self.center[:, None] + self.half[:, None] * _GL_T
         panels = self.center.size
-        a, _, log_rho, _ = _imhof_sums(_imhof_terms(
-            lam, np.concatenate((cuts[1:], nodes.ravel())), c))
+        a, log_rho = _imhof_sums(split, np.concatenate((cuts[1:],
+                                                        nodes.ravel())))
         a_cut = np.concatenate(([0.0], a[:panels]))
         self.slope = np.diff(a_cut) / (2.0 * self.half)
         phase = a[panels:].reshape(panels, -1) - self.slope[:, None] * nodes
@@ -523,14 +585,30 @@ class _WeightedChiSquare:
         f = g.copy()
         f[0] = np.expm1(z[0])
         f /= nodes
-        self.moments, self.density_moments = (
-            (v[:, None, :] * _LEG_PROJECT).sum(axis=2) * _LEG_MOMENT
-            * self.half[:, None] for v in (f, g))
+        half = self.half[:, None]
+        coef = [v @ _LEG_PROJECT.T for v in (f, g)]
+        # Filon moments half 2 (-i)^k a_k, and the series at the Gauss
+        # rule's nodes times its weights and half
+        self.moments, self.density_moments = (a_k * _LEG_MOMENT * half
+                                              for a_k in coef)
+        self.near, self.density_near = (a_k @ _LEG_NEAR.T * half
+                                        for a_k in coef)
+        self.abscissae = self.center[:, None] + half * _NEAR_T
 
     def cdf_pdf(self, x: float) -> tuple[float, float]:
         """P(Q <= x) and the density at x, in the units of lam; (1, 0) where
         x is so large that nu * half overflows (x = inf, say), and
-        DegenerateInputError at x = nan."""
+        DegenerateInputError at x = nan.
+
+        On a panel with center m and half-width h, nu = x/2 - offset/2 - s
+        and z = nu h, the integral of the Legendre series p against
+        e^(-i nu u) is h e^(-i nu m) int_{-1}^{1} p(t) e^(-i z t) dt. Where
+        |z| < 15 the factor barely oscillates and the 32-node Gauss rule
+        takes that integral (exact up to rounding, there, for a degree-15
+        p): one complex exp per node. From |z| = 15 on, the Filon-type rule
+        takes it exactly, with the spherical Bessel values j_0..j_15 of z
+        from their upward recurrence (_spherical_jn_orders).
+        """
         if math.isnan(x):
             raise DegenerateInputError("CDF argument is nan")
         nu = 0.5 * (x - self.offset) - self.slope
@@ -538,14 +616,24 @@ class _WeightedChiSquare:
             z = nu * self.half
         if not np.isfinite(z).all():
             return float(x > 0.0), 0.0
-        j = np.array([_spherical_jn_orders(abs(v)) for v in z.tolist()])
-        j[:, 1::2] *= np.sign(z)[:, None]   # j_k(-z) = (-1)^k j_k(z)
-        turn = np.exp(-1j * nu * self.center)
-        panel = (self.moments * j).sum(axis=1) * turn
-        integral = float(panel.imag.sum()) - _sine_integral(2.0 * float(z[0]))
-        density = float(((self.density_moments * j).sum(axis=1)
-                          * turn).real.sum())
-        return 0.5 - integral / math.pi, density / (2.0 * math.pi)
+        near = np.abs(z) < _IMHOF_NODES - 1
+        wave = np.exp(-1j * (nu[near, None] * self.abscissae[near]))
+        cdf_part = (self.near[near] * wave).sum()
+        density_part = (self.density_near[near] * wave).sum()
+        far = ~near
+        if far.any():
+            # nu u exactly at the panel's center and ends: the phase
+            # survives where nu u is far past 2^53
+            z_far, z_lo = _two_product(nu[far], self.half[far])
+            phase, phase_lo = _two_product(nu[far], self.center[far])
+            phase_lo += nu[far] * self.center_lo[far]
+            j = _spherical_jn_orders(z_far, z_lo)
+            turn = np.exp(-1j * phase) * np.exp(-1j * phase_lo)
+            cdf_part += ((self.moments[far] * j).sum(axis=1) * turn).sum()
+            density_part += ((self.density_moments[far] * j).sum(axis=1)
+                             * turn).sum()
+        integral = float(cdf_part.imag) - _sine_integral(2.0 * float(z[0]))
+        return 0.5 - integral / math.pi, float(density_part.real) / (2.0 * math.pi)
 
     def quantile(self, prob: float) -> tuple[float, float]:
         """x with P(Q <= x) = prob, in the units of w, and its error bound.
@@ -630,7 +718,10 @@ def ball_radius(w: EigenWeights, gamma: float, method: str = "imhof",
     over the density at the root (or Cantelli's bracket, if less); None for
     "monte-carlo". ValueError unless 0 < gamma < 1 and 1 - gamma rounds
     below 1 (gamma above 2^-54, about 5.6e-17): the radius at 1 - gamma = 1
-    is inf.
+    is inf. RegimeError where the "imhof" abserr exceeds 1e-3 r: the CDF's
+    cut-off error (1e-10) is then not small beside gamma, and r no longer
+    rises as gamma falls (for EigenWeights([1.0, 0.5], [0.5, 0.2]) that
+    refuses gamma below about 1e-9).
     """
     if not (0.0 < 1.0 - gamma < 1.0):
         raise ValueError(f"gamma must lie in (0, 1) with 1 - gamma below 1 "
@@ -651,6 +742,10 @@ def ball_radius(w: EigenWeights, gamma: float, method: str = "imhof",
         # r - sqrt(r^2 - err), the larger side of the error, without cancelling
         lower = math.sqrt(max(r_sq - r_sq_err, 0.0))
         abserr = r_sq_err / (r + lower) if r > 0 else math.sqrt(r_sq_err)
+        if not abserr <= _RADIUS_RESOLVED * r:
+            raise RegimeError(
+                f"the radius at gamma {gamma!r} is not resolved: its error "
+                f"bound {abserr:.3g} exceeds {_RADIUS_RESOLVED:g} of r = {r:.6g}")
     else:
         raise ValueError(f"unknown method {method!r}")
     return (r, abserr) if full_output else r

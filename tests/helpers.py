@@ -111,21 +111,21 @@ def satterthwaite_radius(weights, gamma):
     return math.sqrt(m2 / m1 * stats.chi2.ppf(1.0 - gamma, m1 * m1 / m2))
 
 
-def imhof_sums(lam, u, series_edge, series_terms, block):
-    """A, A', log rho and beta of the Imhof integrand at the points u > 0,
-    all four from one loop.
+def imhof_sums(lam, u, split, series_edge, series_terms, block):
+    """A, A', log rho and beta of the Imhof integrand at the points
+    0 < u <= split, all four from one loop.
 
     The central evaluator, written out on its own as the reference that
     credible._imhof_sums must match bit for bit: A = 1/2 sum atan(lam u),
     A' = 1/2 sum lam/(1+lam^2 u^2), log rho = 1/4 sum log(1+lam^2 u^2) and
     beta = 1/2 sum lam^2 u^2/(1+lam^2 u^2). Coordinates with
-    lam * max(u) >= series_edge are summed in column blocks of about
+    lam * split >= series_edge are summed in column blocks of about
     block / u.size; the others through series_terms + 1 terms of the power
-    series in lam u, as power sums of mu = lam * max(u) times (u/max(u))^k.
+    series in lam u, as power sums of mu = lam * split times (u/split)^k.
     """
     u = np.asarray(u, dtype=float)
-    u_max = float(u.max())
-    mu = lam * u_max
+    split = float(split)
+    mu = lam * split
     small = mu < series_edge
     out = np.zeros((4, u.size))
     big = lam[~small]
@@ -140,7 +140,7 @@ def imhof_sums(lam, u, series_edge, series_terms, block):
         out[3] += (v2 / (1.0 + v2)).sum(axis=0)
     mu = mu[small]
     if mu.size:
-        t = u / u_max
+        t = u / split
         power = mu.copy()
         for k in range(1, 2 * series_terms + 2):
             s_k = float(power.sum())
@@ -148,7 +148,7 @@ def imhof_sums(lam, u, series_edge, series_terms, block):
             if k % 2:   # atan v and v/(1+v^2): (-1)^m v^(2m+1) terms
                 sign = -1.0 if m % 2 else 1.0
                 out[0] += (sign * s_k / k) * t ** k
-                out[1] += (sign * s_k / u_max) * t ** (k - 1)
+                out[1] += (sign * s_k / split) * t ** (k - 1)
             else:       # log1p(v^2) and v^2/(1+v^2): (-1)^(m+1) v^(2m) terms
                 sign = 1.0 if m % 2 else -1.0
                 t_k = t ** k
@@ -176,7 +176,7 @@ def imhof_cutoff(lam, tail_tol, series_edge, series_terms, block):
     """
     u = math.sqrt(2.0) / math.sqrt(2.0 * float((lam * lam).sum()))
     while True:
-        _, _, log_rho, beta = imhof_sums(lam, np.array([u]), series_edge,
+        _, _, log_rho, beta = imhof_sums(lam, np.array([u]), u, series_edge,
                                          series_terms, block)
         tail = math.exp(-log_rho[0]) / (math.pi * beta[0])
         if tail <= tail_tol:
