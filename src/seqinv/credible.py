@@ -52,13 +52,15 @@ _LEG_PROJECT = ((np.arange(_IMHOF_NODES) + 0.5)[:, None]
                 * _GL_W)
 # int_{-1}^{1} P_k(t) exp(-i z t) dt = 2 (-i)^k j_k(z)
 _LEG_MOMENT = 2.0 * (-1j) ** np.arange(_IMHOF_NODES)
-# the same integral by the 32-node Gauss rule: sum_m W_m P_k(T_m) e^(-i z T_m);
-# W integrates P_0, ..., P_31 exactly at the nodes T (numpy's own weights are
-# off by up to 6e-14 relative, these by a few eps)
+# the same integral by the 32-node Gauss rule: sum_m W_m P_k(T_m) e^(-i z T_m).
+# numpy's weights take P_32' at the nodes before its Newton step and are off
+# by up to 6e-14 relative; W = 2 / ((1 - T^2) P_32'(T)^2)
+# = 2 (1 - T^2) / (32 (P_31 - T P_32))^2 at its nodes T is within a few eps
 _NEAR_T = np.polynomial.legendre.leggauss(_IMHOF_NEAR)[0]
-_NEAR_W = np.linalg.solve(
-    np.polynomial.legendre.legvander(_NEAR_T, _IMHOF_NEAR - 1).T,
-    np.concatenate(([2.0], np.zeros(_IMHOF_NEAR - 1))))
+_p31, _p32 = np.polynomial.legendre.legvander(_NEAR_T, _IMHOF_NEAR)[:, -2:].T
+_NEAR_W = 2.0 * (1.0 - _NEAR_T) * (1.0 + _NEAR_T) \
+    / (_IMHOF_NEAR * (_p31 - _NEAR_T * _p32)) ** 2
+del _p31, _p32
 _LEG_NEAR = _NEAR_W[:, None] * np.polynomial.legendre.legvander(
     _NEAR_T, _IMHOF_NODES - 1)
 
