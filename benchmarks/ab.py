@@ -22,6 +22,7 @@ sides. The last stdout line is the report as one JSON object.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import statistics
@@ -66,14 +67,10 @@ def parse_args(argv=None):
 
 def extract(rev: str, dest: Path) -> Path:
     """The tree of rev, from git archive, under dest."""
-    dest.mkdir(parents=True)
     tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar",
                           rev], stdout=subprocess.PIPE, check=True).stdout
-    tar_path = dest.with_suffix(".tar")
-    tar_path.write_bytes(tar)
-    with tarfile.open(tar_path) as archive:
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest)
-    tar_path.unlink()
     return dest
 
 

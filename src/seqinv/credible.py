@@ -535,7 +535,7 @@ class _WeightedChiSquare:
         if c_all is not None:
             c = c_all[pos]
             self.offset = float(c_all[~pos].sum())
-            del c_all
+            del c_all   # trunc-long, like lam and c: freed before the split
             self.mean += float(c.sum()) + self.offset
             self.sd = math.sqrt(self.sd * self.sd
                                 + 4.0 * float((lam * c).sum()))
@@ -543,7 +543,7 @@ class _WeightedChiSquare:
         u0 = math.sqrt(2.0) / self.sd
         ladder = u0 * 2.0 ** np.arange(_cutoff_bound(lam, c, u0) + 1)
         split = _imhof_split(lam, float(ladder[-1]), c)
-        del lam, c
+        del lam, c   # the split keeps what it needs
         d_a, log_rho, beta = _imhof_sums(split, ladder, edges=True)
         with np.errstate(over="ignore"):   # inf: beta is still tiny
             tail = np.exp(-log_rho) / (math.pi * beta)
