@@ -196,27 +196,32 @@ def _imhof_split(lam: np.ndarray, at: float,
 
 
 def _imhof_sums(split: _ImhofSplit, u: np.ndarray, edges: bool = False):
-    """A and log rho at the points u (0 < u <= split.at); with edges, the
-    falling part of A', log rho and the central beta instead:
+    """A and log rho at the points u (0 < u <= split.at); with edges, at
+    points rising from u = 0, the falling part of A', log rho, the central
+    beta and the swing instead:
 
         A = 1/2 sum [atan(v) + c u/(1+v^2)],  v = lam u,
         falling A' = 1/2 sum lam/(1+v^2) + the series part of
-                     1/2 sum c (1-v^2)/(1+v^2)^2,
+                     1/2 sum c h(v),  h(v) = (1-v^2)/(1+v^2)^2,
         log rho = 1/4 sum log(1+v^2) + 1/2 sum c v u/(1+v^2),
-        beta = 1/2 sum v^2/(1+v^2).
+        beta = 1/2 sum v^2/(1+v^2),
+        swing = bound on the variation of the direct part of 1/2 sum c h(v)
+                between consecutive points.
 
     The direct coordinates are summed in column blocks of about
     _BLOCK / u.size. The series part holds the odd terms (-1)^m v^(2m+1) of
     atan v and v/(1+v^2), the even terms (-1)^(m+1) v^(2m) of log1p(v^2)
     and v^2/(1+v^2), and the terms (-1)^m c u v^(2m) of c u/(1+v^2),
     (-1)^m (2m+1) c v^(2m) of its derivative and (-1)^m c u v^(2m+1) of
-    c v u/(1+v^2); all its v lie below _SERIES_EDGE < sqrt 3, where
-    (1-v^2)/(1+v^2)^2 falls. The directly summed c terms of A' do not fall
-    everywhere; _direct_swing bounds them. The c terms of log rho are summed
-    at twice their size, as the central ones are, and halved with them.
+    c v u/(1+v^2); all its v lie below _SERIES_EDGE < sqrt 3, where h
+    falls. h falls to -1/8 at v = sqrt 3 and rises to 0 after, so its range
+    over [v_a, v_b] is |h(v_b) - h(v_a)|, or max(h(v_a), h(v_b)) + 1/8 if
+    the interval holds sqrt 3. The c terms of log rho are summed at twice
+    their size, as the central ones are, and halved with them.
     """
     at = split.at
     first, log_rho, beta = (np.zeros(u.size) for _ in range(3))  # A or A'
+    swing = np.zeros(u.size - 1)
     step = max(1, _BLOCK // u.size)
     for lo in range(0, split.lam.size, step):
         blk = split.lam[lo:lo + step, None]
@@ -230,7 +235,14 @@ def _imhof_sums(split: _ImhofSplit, u: np.ndarray, edges: bool = False):
             first += np.arctan(v).sum(axis=0)
         if split.c is not None:
             c_blk = split.c[lo:lo + step, None]
-            if not edges:
+            if edges:
+                h = (1.0 - v2) / ((1.0 + v2) * (1.0 + v2))
+                turns = ((v[:, :-1] < math.sqrt(3.0))
+                         & (v[:, 1:] > math.sqrt(3.0)))
+                swing += (c_blk * np.where(
+                    turns, np.maximum(h[:, :-1], h[:, 1:]) + 0.125,
+                    np.abs(np.diff(h, axis=1)))).sum(axis=0)
+            else:
                 first += (c_blk * u / (1.0 + v2)).sum(axis=0)
             log_rho += 2.0 * (c_blk * v * u / (1.0 + v2)).sum(axis=0)
     t = u / at
@@ -257,31 +269,8 @@ def _imhof_sums(split: _ImhofSplit, u: np.ndarray, edges: bool = False):
         else:
             first += (sign * s_k * at) * t_pow[k + 1]
     if edges:
-        return 0.5 * first, 0.25 * log_rho, 0.5 * beta
+        return 0.5 * first, 0.25 * log_rho, 0.5 * beta, 0.5 * swing
     return 0.5 * first, 0.25 * log_rho
-
-
-def _direct_swing(split: _ImhofSplit, u: np.ndarray) -> np.ndarray:
-    """Bound on the variation of 1/2 sum c (1-v^2)/(1+v^2)^2, v = lam u,
-    over the directly summed coordinates, between consecutive points of
-    0, u.
-
-    Per coordinate, h(v) = (1-v^2)/(1+v^2)^2 falls to -1/8 at v = sqrt 3
-    and rises to 0 after, so its range over [v_a, v_b] is |h(v_b) - h(v_a)|,
-    or max(h(v_a), h(v_b)) + 1/8 if the interval holds sqrt 3.
-    """
-    u = np.concatenate(([0.0], u))
-    swing = np.zeros(u.size - 1)
-    step = max(1, _BLOCK // u.size)
-    for lo in range(0, split.lam.size, step):
-        v = split.lam[lo:lo + step, None] * u
-        v2 = v * v
-        h = (1.0 - v2) / ((1.0 + v2) * (1.0 + v2))
-        turns = (v[:, :-1] < math.sqrt(3.0)) & (v[:, 1:] > math.sqrt(3.0))
-        swing += (split.c[lo:lo + step, None] * np.where(
-            turns, np.maximum(h[:, :-1], h[:, 1:]) + 0.125,
-            np.abs(np.diff(h, axis=1)))).sum(axis=0)
-    return 0.5 * swing
 
 
 def _largest(lam: np.ndarray, c: np.ndarray | None):
@@ -491,13 +480,13 @@ class _WeightedChiSquare:
     part's, since the c part of log rho does not fall with u. The same
     search on the _IMHOF_HEAD largest weights alone (_cutoff_bound) stops at
     a doubling U* >= U, so the coordinates are split into series and direct
-    sums once, at U* (_imhof_split), and one evaluation at every doubling
-    through U* finds U and gives the sums at the panel edges. [0, U] is
+    sums once, at U* (_imhof_split), and one evaluation at 0 and every
+    doubling through U* finds U and gives the sums at the panel edges. [0, U] is
     split into panels at those edges, each cut evenly until A leaves its
     chord (slope s) by at most _IMHOF_PHASE and log rho grows by at most
     _IMHOF_DECAY. The gap to the chord is at most width * (variation of A'
-    on the panel) / 4: the fall of the falling part of A' (_imhof_sums) plus
-    _direct_swing. On a panel the x-free factors exp(i(A(u) - s u))/rho(u)
+    on the panel) / 4: the fall of the falling part of A' plus the swing
+    of the rest (_imhof_sums). On a panel the x-free factors exp(i(A(u) - s u))/rho(u)
     and that over u are then smooth; a second evaluation of the same split,
     at the cuts and the Gauss-Legendre nodes, tabulates each once as a
     Legendre series of degree 15, and the x-dependent factor
@@ -526,8 +515,7 @@ class _WeightedChiSquare:
         if not pos.any():
             raise DegenerateInputError("no positive weight")
         lam = w[pos] / self.scale
-        lam_sum = float(lam.sum())
-        self.mean = lam_sum
+        self.mean = float(lam.sum())
         self.sd = math.sqrt(2.0 * float((lam * lam).sum()))
         self.k3 = 8.0 * float((lam * lam * lam).sum())   # third cumulant
         self.offset = 0.0
@@ -541,30 +529,25 @@ class _WeightedChiSquare:
                                 + 4.0 * float((lam * c).sum()))
             self.k3 += 24.0 * float((lam * lam * c).sum())
         u0 = math.sqrt(2.0) / self.sd
-        ladder = u0 * 2.0 ** np.arange(_cutoff_bound(lam, c, u0) + 1)
-        split = _imhof_split(lam, float(ladder[-1]), c)
+        edges = np.concatenate(([0.0], u0 * 2.0 ** np.arange(
+            _cutoff_bound(lam, c, u0) + 1)))
+        split = _imhof_split(lam, float(edges[-1]), c)
         del lam, c   # the split keeps what it needs
-        d_a, log_rho, beta = _imhof_sums(split, ladder, edges=True)
+        d_a, log_rho, beta, swing = _imhof_sums(split, edges, edges=True)
         with np.errstate(over="ignore"):   # inf: beta is still tiny
-            tail = np.exp(-log_rho) / (math.pi * beta)
+            tail = np.exp(-log_rho[1:]) / (math.pi * beta[1:])
         done = np.flatnonzero(tail <= _IMHOF_TAIL)
         # U* itself if rounding puts the whole law's bound a hair above the
         # head's there
-        stop = int(done[0]) + 1 if done.size else ladder.size
+        stop = int(done[0]) + 1 if done.size else tail.size
         self.tail = float(tail[stop - 1])
-        edges = np.concatenate(([0.0], ladder[:stop]))
-        # the falling part of A' at 0: 1/2 (sum lam + the series part's sum c)
-        c_series = split.c_sums[0] if split.c_sums else 0.0
-        d_a = np.concatenate(([0.5 * (lam_sum + c_series)], d_a[:stop]))
-        log_rho = np.concatenate(([0.0], log_rho[:stop]))
+        edges = edges[:stop + 1]
         width = np.diff(edges)
-        swing = d_a[:-1] - d_a[1:]
-        if split.c is not None:
-            swing += _direct_swing(split, ladder[:stop])
+        swing = d_a[:stop] - d_a[1:stop + 1] + swing[:stop]
         pieces = np.ceil(np.maximum.reduce([
             np.ones_like(width),
             width * swing / (4.0 * _IMHOF_PHASE),
-            np.diff(log_rho) / _IMHOF_DECAY])).astype(int)
+            np.diff(log_rho[:stop + 1]) / _IMHOF_DECAY])).astype(int)
         cuts = _panel_cuts(edges, pieces)
         # center + center_lo is the exact midpoint (Knuth's two-sum), and
         # the half-widths are exact (consecutive cuts lie within a factor

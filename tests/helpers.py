@@ -113,7 +113,7 @@ def satterthwaite_radius(weights, gamma):
 
 def imhof_sums(lam, u, split, series_edge, series_terms, block):
     """A, A', log rho and beta of the Imhof integrand at the points
-    0 < u <= split, all four from one loop.
+    0 <= u <= split, all four from one loop.
 
     The central evaluator, written out on its own as the reference that
     credible._imhof_sums must match bit for bit: A = 1/2 sum atan(lam u),
@@ -156,6 +156,35 @@ def imhof_sums(lam, u, split, series_edge, series_terms, block):
                 out[3] += (sign * s_k) * t_k
             power *= mu
     return 0.5 * out[0], 0.5 * out[1], 0.25 * out[2], 0.5 * out[3]
+
+
+def direct_swing(lam, c, u, split, series_edge, block):
+    """Bound on the variation of 1/2 sum c (1-v^2)/(1+v^2)^2, v = lam u,
+    over the coordinates with lam * split >= series_edge, between
+    consecutive points of 0, u (0 < u <= split, increasing).
+
+    The swing of the directly summed noncentral Imhof terms, written out as
+    its own loop, the reference that credible._imhof_sums must match bit for
+    bit. Per coordinate, h(v) = (1-v^2)/(1+v^2)^2 falls to -1/8 at
+    v = sqrt 3 and rises to 0 after, so its range over [v_a, v_b] is
+    |h(v_b) - h(v_a)|, or max(h(v_a), h(v_b)) + 1/8 if the interval holds
+    sqrt 3. The coordinates come in column blocks of about
+    block / (u.size + 1).
+    """
+    direct = lam * float(split) >= series_edge
+    lam, c = lam[direct], c[direct]
+    u = np.concatenate(([0.0], u))
+    swing = np.zeros(u.size - 1)
+    step = max(1, block // u.size)
+    for lo in range(0, lam.size, step):
+        v = lam[lo:lo + step, None] * u
+        v2 = v * v
+        h = (1.0 - v2) / ((1.0 + v2) * (1.0 + v2))
+        turns = (v[:, :-1] < math.sqrt(3.0)) & (v[:, 1:] > math.sqrt(3.0))
+        swing += (c[lo:lo + step, None] * np.where(
+            turns, np.maximum(h[:, :-1], h[:, 1:]) + 0.125,
+            np.abs(np.diff(h, axis=1)))).sum(axis=0)
+    return 0.5 * swing
 
 
 def linspace_cuts(edges, pieces):

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize, stats
 
-from helpers import imhof_cutoff, imhof_sums, linspace_cuts, \
-    mc_ball_coverage, satterthwaite_radius
+from helpers import direct_swing, imhof_cutoff, imhof_sums, \
+    linspace_cuts, mc_ball_coverage, satterthwaite_radius
 from seqinv import credible
 from seqinv.credible import (
     BvmDiagnostics,
@@ -508,48 +508,70 @@ def test_imhof_sums_match_the_combined_loop():
     # The law's evaluator does the arithmetic of the combined loop, bit for
     # bit, at the split point and past it: one point, a few edges, and
     # enough points that the directly summed coordinates come in several
-    # column blocks.
+    # column blocks. The edges start at u = 0, and the swing of the direct
+    # c terms matches its own loop on noncentral splits; a central split
+    # has none.
     rng = np.random.default_rng(11)
     lams = [IMHOF_LAWS[name] for name in
             ("trunc-1000", "trunc-1000-noise", "dominant")]
     lams.append(rng.exponential(size=300))
+    most_direct = 0
     for weights in lams:
         lam = weights[weights > 0] / weights.max()
+        c = rng.uniform(0.0, 1.0, lam.size)
         for u in (np.array([0.7]), np.geomspace(0.05, 80.0, 12),
                   np.sort(rng.uniform(0.0, 3e3, 2000)) + 1e-3):
+            edges = np.concatenate(([0.0], u))
             for at in (float(u.max()), 4.0 * float(u.max())):
-                a, d_a, log_rho, beta = imhof_sums(
+                a, _, log_rho, _ = imhof_sums(
                     lam, u, at, credible._SERIES_EDGE, credible._SERIES_TERMS,
                     credible._BLOCK)
                 split = credible._imhof_split(lam, at)
                 got = credible._imhof_sums(split, u)
                 for g, r in zip(got, (a, log_rho)):
                     np.testing.assert_array_equal(g, r)
-                got = credible._imhof_sums(split, u, edges=True)
-                for g, r in zip(got, (d_a, log_rho, beta)):
+                _, d_a, log_rho, beta = imhof_sums(
+                    lam, edges, at, credible._SERIES_EDGE,
+                    credible._SERIES_TERMS, credible._BLOCK)
+                got = credible._imhof_sums(split, edges, edges=True)
+                assert len(got) == 4
+                for g, r in zip(got, (d_a, log_rho, beta, np.zeros(u.size))):
                     np.testing.assert_array_equal(g, r)
+                split = credible._imhof_split(lam, at, c)
+                swing = credible._imhof_sums(split, edges, edges=True)[3]
+                np.testing.assert_array_equal(swing, direct_swing(
+                    lam, c, u, at, credible._SERIES_EDGE, credible._BLOCK))
+                assert np.any(swing > 0.0)
+                most_direct = max(most_direct, split.lam.size
+                                  // (credible._BLOCK // edges.size))
+    assert most_direct >= 2   # direct coordinates in several column blocks
 
 
 def test_imhof_law_takes_one_split_and_two_evaluations(monkeypatch):
     # The coordinates are split once, at the head's cut-off bound U*; one
-    # evaluation at every doubling through U* finds the cut-off and gives
-    # the panel edges, and one more gives the panel cuts and nodes.
+    # evaluation at 0 and every doubling through U* finds the cut-off and
+    # gives the panel edges, and one more gives the panel cuts and nodes.
     splits, evals = [], []
     split, sums = credible._imhof_split, credible._imhof_sums
     monkeypatch.setattr(credible, "_imhof_split",
                         lambda *args: splits.append(args) or split(*args))
     monkeypatch.setattr(credible, "_imhof_sums", lambda sp, u, edges=False:
-                        evals.append((sp.at, u, edges)) or sums(sp, u, edges))
+                        evals.append((sp.at, u, edges, sums(sp, u, edges)))
+                        or evals[-1][3])
     for name, doublings in (("trunc-1000", 6), ("one", 67), ("dominant", 43)):
         splits.clear()
         evals.clear()
         law = _WeightedChiSquare(IMHOF_LAWS[name])
         assert len(splits) == 1 and len(evals) == 2, name
-        (at, ladder, edges), (at_nodes, nodes, node_edges) = evals
+        (at, ladder, edges, got), (at_nodes, nodes, node_edges, _) = evals
         u0 = math.sqrt(2.0) / law.sd
-        np.testing.assert_array_equal(ladder,
-                                      u0 * 2.0 ** np.arange(doublings))
+        np.testing.assert_array_equal(ladder, np.concatenate(
+            ([0.0], u0 * 2.0 ** np.arange(doublings))))
         assert edges and not node_edges, name
+        # falling A', log rho and beta at 0 and every doubling, and the
+        # swing between them, which a central law does not have
+        assert [g.size for g in got] == [doublings + 1] * 3 + [doublings]
+        np.testing.assert_array_equal(got[3], np.zeros(doublings))
         assert at == at_nodes == splits[0][1] == ladder[-1], name
         assert law.center[-1] + law.half[-1] == pytest.approx(at, rel=1e-15)
         assert nodes.size == law.center.size * (credible._IMHOF_NODES + 1)
