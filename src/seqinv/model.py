@@ -40,10 +40,11 @@ class KappaKind(str, Enum):
 
 
 def _frozen_array(obj, name: str, values) -> None:
-    """Set obj.name to values as a read-only contiguous float array (values
-    itself, frozen, if it is one): DimensionMismatchError unless 1-d,
-    ValueError unless finite."""
-    a = np.ascontiguousarray(values, dtype=float)
+    """Set obj.name to a read-only view of values as a contiguous float
+    array: DimensionMismatchError unless 1-d, ValueError unless finite.
+    If values already is one, the value shares its buffer, and the caller's
+    array stays writable; nothing is copied."""
+    a = np.ascontiguousarray(values, dtype=float).view()
     if a.ndim != 1:
         raise DimensionMismatchError(f"{name} must be one-dimensional")
     if not np.all(np.isfinite(a)):
@@ -197,10 +198,10 @@ class SpectralTerms(NamedTuple):
     """The per-coordinate spectral terms of one block of coordinates.
 
     sl is the block's slice of the coordinate positions and i its 1-based
-    indices. g = n lam kap^2 is the gain, denom = 1 + g, shrink = g/denom,
-    s = lam/denom the posterior spread and t = s*shrink the sampling
-    variance of the posterior mean. shrink <= 1 exactly (IEEE division of
-    x by y >= x cannot exceed 1), so t <= s holds term by term.
+    indices. g = n lam kap^2 is the gain, denom = 1 + g, s = lam/denom the
+    posterior spread and t = s * (g/denom) the sampling variance of the
+    posterior mean. g/denom <= 1 exactly (IEEE division of x by y >= x
+    cannot exceed 1), so t <= s holds term by term.
     """
 
     sl: slice
@@ -209,7 +210,6 @@ class SpectralTerms(NamedTuple):
     kap: np.ndarray
     g: np.ndarray
     denom: np.ndarray
-    shrink: np.ndarray
     s: np.ndarray
     t: np.ndarray
 
@@ -245,9 +245,8 @@ def _spectral_terms(prior: PriorSpec, fwd: ForwardSpec, n: float):
             raise RegimeError(
                 f"gain n lambda_i kappa_i^2 overflows at n={n:g}") from None
         denom = 1.0 + g
-        shrink = g / denom
         s = lam / denom
-        yield SpectralTerms(sl, i, lam, kap, g, denom, shrink, s, s * shrink)
+        yield SpectralTerms(sl, i, lam, kap, g, denom, s, s * (g / denom))
 
 
 def gain(prior: PriorSpec, fwd: ForwardSpec, n: float) -> np.ndarray:

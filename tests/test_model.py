@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from seqinv.credible import EigenWeights
 from seqinv.model import (
     MAX_TRUNC,
     ForwardSpec,
@@ -18,8 +21,10 @@ from seqinv.model import (
     sobolev_norm,
     spike_truth_ball,
 )
+from seqinv.posterior import Functional, PosteriorSummary
 from seqinv.util import DegenerateInputError, DimensionMismatchError, \
     RegimeError, TruncationError
+from seqinv.volterra import GridFunction
 
 
 def test_prior_eigenvalue_decay_ratio():
@@ -275,3 +280,51 @@ def test_default_trunc_cap():
     with pytest.raises(TruncationError) as err:
         default_trunc(1e10, 0.5, 0.0, tau=1e200)
     assert err.value.required_trunc is None
+
+
+# The six values that hold arrays, each built from the caller's arrays a
+# and b; a is sorted first, so that it can be a grid.
+_ARRAY_VALUES = {
+    "Truth": lambda a, b: Truth(coeffs=a),
+    "Observation": lambda a, b: Observation(n=1.0, y=a),
+    "Functional": lambda a, b: Functional(coeffs=a),
+    "PosteriorSummary": lambda a, b: PosteriorSummary(mean=a, var=b),
+    "EigenWeights": lambda a, b: EigenWeights(s_w=a, t_w=b),
+    "GridFunction": lambda a, b: GridFunction(xs=a, values=b, band_lo=b,
+                                              band_hi=b),
+}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(kind=st.sampled_from(sorted(_ARRAY_VALUES)),
+       entries=st.lists(st.one_of(st.floats(0.0, 1.0),
+                                  st.sampled_from([-1.0, math.nan, math.inf])),
+                        min_size=1, max_size=6),
+       scale=st.floats(0.0, 1.0), drop=st.booleans())
+def test_values_leave_the_callers_arrays_writable(kind, entries, scale, drop):
+    # Whether construction succeeds or fails, the caller's arrays stay
+    # writable, and a value's arrays are read-only views that share them.
+    a = np.sort(np.array(entries))
+    with np.errstate(invalid="ignore"):   # inf * 0
+        b = a * scale
+    if drop:
+        b = b[:-1].copy()
+    try:
+        value = _ARRAY_VALUES[kind](a, b)
+    except ValueError:
+        value = None
+    for arr in (a, b):
+        assert arr.flags.writeable
+        arr[:] = arr
+    if value is not None:
+        for field in vars(value).values():
+            if isinstance(field, np.ndarray):
+                assert not field.flags.writeable
+                assert np.shares_memory(field, a) or np.shares_memory(field, b)
+
+
+def test_value_shares_the_callers_buffer():
+    a = np.zeros(3)
+    truth = Truth(coeffs=a)
+    a[0] = 1.0
+    assert truth.coeffs[0] == 1.0 and not truth.coeffs.flags.writeable
