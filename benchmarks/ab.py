@@ -4,9 +4,12 @@
         [--rounds R] [--seed N]
 
 Run from the repository root. Each revision is extracted with `git archive`
-into a temporary directory; the working tree and .git are not touched. One
-long-lived worker process per tree imports that tree's `seqinv` from its
-`src/`, with one BLAS thread, and runs ops on request. The op list comes
+into a temporary directory; the working tree and .git are not touched. Each
+round starts one worker process per tree, which imports that tree's `seqinv`
+from its `src/`, with one BLAS thread, and runs ops on request, and closes
+both at the round's end, so that the speed offset of one process (its memory
+layout, say) varies over the rounds instead of biasing every ratio alike.
+The op list comes
 from the current checkout's `perfbench/workloads.py` (seed --seed), so both
 sides run the same ops with perfbench's --workers setting.
 
@@ -152,13 +155,13 @@ def main(argv=None) -> int:
                                            tmp / "configs")
         trees = {side: extract(rev, tmp / f"tree-{side}")
                  for side, rev in (("a", args.a), ("b", args.b))}
-        procs = {side: Worker(tree) for side, tree in trees.items()}
-        times = {side: [[] for _ in ops] for side in procs}
-        digests = {side: [None] * len(ops) for side in procs}
+        times = {side: [[] for _ in ops] for side in trees}
+        digests = {side: [None] * len(ops) for side in trees}
         failures = []
         start = time.perf_counter()
-        try:
-            for r in range(args.rounds):
+        for r in range(args.rounds):
+            procs = {side: Worker(tree) for side, tree in trees.items()}
+            try:
                 for n, k in enumerate(rng.permutation(len(ops))):
                     order = ("a", "b") if (r + n) % 2 == 0 else ("b", "a")
                     for side in order:
@@ -170,9 +173,9 @@ def main(argv=None) -> int:
                         times[side][k].append(res["seconds"])
                         if digests[side][k] is None:
                             digests[side][k] = digest(out)
-        finally:
-            for proc in procs.values():
-                proc.close()
+            finally:
+                for proc in procs.values():
+                    proc.close()
         report = summarize(ops, times, digests, rng)
     report.update({"a": args.a, "b": args.b, "workload": args.workload,
                    "seed": args.seed, "rounds": args.rounds, "ops": len(ops),
