@@ -481,21 +481,22 @@ class _WeightedChiSquare:
     search on the _IMHOF_HEAD largest weights alone (_cutoff_bound) stops at
     a doubling U* >= U, so the coordinates are split into series and direct
     sums once, at U* (_imhof_split), and one evaluation at 0 and every
-    doubling through U* finds U and gives the sums at the panel edges. [0, U] is
-    split into panels at those edges, each cut evenly until A leaves its
-    chord (slope s) by at most _IMHOF_PHASE and log rho grows by at most
-    _IMHOF_DECAY. The gap to the chord is at most width * (variation of A'
-    on the panel) / 4: the fall of the falling part of A' plus the swing
-    of the rest (_imhof_sums). On a panel the x-free factors exp(i(A(u) - s u))/rho(u)
-    and that over u are then smooth; a second evaluation of the same split,
-    at the cuts and the Gauss-Legendre nodes, tabulates each once as a
-    Legendre series of degree 15, and the x-dependent factor
-    exp(-i(x/2 - s)u) is integrated against that series (cdf_pdf), so a CDF
-    and density value cost O(panels x nodes) however fast they oscillate.
-    On the first panel [0, b] the 1/u pole of the CDF integrand is split off
-    and integrated in closed form, as the sine integral Si((x/2 - s) b),
-    computed in plain floats by its power series or the continued fraction
-    of E1 (_sine_integral), within a few eps of 30-digit values.
+    doubling through U* finds U and gives the sums at the panel edges.
+    [0, U] is split into panels at those edges, each cut evenly until A
+    leaves its chord (slope s) by at most _IMHOF_PHASE and log rho grows by
+    at most _IMHOF_DECAY. The gap to the chord is at most width * (variation
+    of A' on the panel) / 4: the fall of the falling part of A' plus the
+    swing of its direct c terms (_imhof_sums). On a panel the x-free factors
+    exp(i(A(u) - s u))/rho(u) and that over u are then smooth; a second
+    evaluation of the same split, at the cuts and the Gauss-Legendre nodes,
+    tabulates each once as a Legendre series of degree 15, and the
+    x-dependent factor exp(-i(x/2 - s)u) is integrated against that series
+    (cdf_pdf), so a CDF and density value cost O(panels x nodes) however
+    fast they oscillate. On the first panel [0, b] the 1/u pole of the CDF
+    integrand is split off and integrated in closed form, as the sine
+    integral Si((x/2 - s) b), computed in plain floats by its power series
+    or the continued fraction of E1 (_sine_integral), within a few eps of
+    30-digit values.
     """
 
     def __init__(self, weights: np.ndarray, bias=None):
