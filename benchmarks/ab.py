@@ -9,9 +9,9 @@ round starts one worker process per tree, which imports that tree's `seqinv`
 from its `src/`, with one BLAS thread, and runs ops on request, and closes
 both at the round's end, so that the speed offset of one process (its memory
 layout, say) varies over the rounds instead of biasing every ratio alike.
-The op list comes
-from the current checkout's `perfbench/workloads.py` (seed --seed), so both
-sides run the same ops with perfbench's --workers setting.
+The op list comes from the current checkout's `perfbench/workloads.py`
+(seed --seed), so both sides run the same ops with perfbench's --workers
+setting.
 
 Each round visits the ops in a freshly shuffled order and runs each op on A
 and on B back to back, one process at a time, alternating which side goes
